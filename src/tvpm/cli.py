@@ -91,9 +91,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_configuration(path: str) -> Configuration:
+def _read_text(path: str) -> str:
+    """The file's text; bytes that are not UTF-8 are a parse error."""
     with open(path, "r", encoding="utf-8") as handle:
-        return parse_configuration(handle.read())
+        try:
+            return handle.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(
+                f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
+            ) from None
+
+
+def _load_configuration(path: str) -> Configuration:
+    return parse_configuration(_read_text(path))
 
 
 def cmd_solve(args) -> int:
@@ -138,8 +148,7 @@ def cmd_solve(args) -> int:
 
 def cmd_verify(args) -> int:
     config = _load_configuration(args.input)
-    with open(args.cert, "r", encoding="utf-8") as handle:
-        cert = parse_certificate(handle.read())
+    cert = parse_certificate(_read_text(args.cert))
     result = verify_certificate(config, cert)
     if result.accepted:
         print("certificate accepted", file=sys.stderr)

@@ -25,7 +25,8 @@ Point = tuple[Fraction, ...]
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
-_RATIONAL_RE = re.compile(r"[+-]?\d+(?:/\d+)?\Z")
+# ASCII digits only: ``\d`` would also accept every other Unicode digit.
+_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?\Z")
 
 
 def parse_scalar(token: str) -> Fraction:

@@ -1,10 +1,28 @@
 """Exact rational linear programming.
 
-A small two-phase simplex over ``fractions.Fraction`` with Bland's rule for
-both the entering and the leaving variable, so the solver terminates on every
-input and identical programs always produce identical answers.  Strict
-inequalities never appear here; callers that need strictness encode a margin
-into the right-hand side instead.
+A small two-phase simplex with Bland's rule for both the entering and the
+leaving variable, so the solver terminates on every input and identical
+programs always produce identical answers.  Strict inequalities never appear
+here; callers that need strictness encode a margin into the right-hand side
+instead.
+
+The tableau is fraction-free (Edmonds 1967, Bareiss 1968): an integer matrix
+``T`` and one shared denominator ``D > 0`` with the real tableau exactly
+``T / D``.  Pivoting on ``p = T[r][c]`` maps every other entry to
+``(p * T[i][j] - T[i][c] * T[r][j]) // D``, a division that is always exact
+because each entry is a minor of the starting matrix, and makes ``p`` the new
+``D``.  Values become ``Fraction``s only once, when the point is extracted.
+
+The starting matrix is ``[L*A | I | L*b]``: the standardized rows and
+right-hand sides all multiplied by the one common ``L`` that clears their
+denominators, beside identity columns for the artificial variables, with
+``D = 1``.  That is the original phase-one program with every artificial
+variable rescaled by ``L``, so every reduced cost and every ratio in the
+ratio test is the original one times a positive constant.  Bland's rule
+therefore picks the same entering and leaving variables as it does over the
+rationals, and the basis sequence and the returned point are unchanged.
+Scaling rows by different factors would break this: the phase-one reduced
+costs sum the rows.
 
 The problems this package generates are tiny (tens of rows and columns), so
 the implementation favours exactness and determinism over sparse-matrix
@@ -15,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Sequence
 
 from .errors import InternalError
@@ -96,19 +115,26 @@ def lp_solve(lp: LinearProgram) -> LpResult:
     rows, rhs, col_var, base, width = std
     m = len(rows)
 
-    # Phase one: minimize the sum of one artificial variable per row.
+    # Phase one: minimize the sum of one artificial variable per row, on
+    # [L*A | I | L*b] with D = 1 (see the module docstring).
+    dens = {v.denominator for row in rows for v in row if v}
+    dens.update(v.denominator for v in rhs if v)
+    scale = lcm(*dens)
     tab = [
-        rows[i] + [ONE if k == i else ZERO for k in range(m)] + [rhs[i]]
+        _scaled(rows[i], scale)
+        + [1 if k == i else 0 for k in range(m)]
+        + _scaled([rhs[i]], scale)
         for i in range(m)
     ]
     basis = [width + i for i in range(m)]
-    cost1 = [ZERO] * width + [ONE] * m
-    obj = _reduced_costs(tab, basis, cost1)
-    if _minimize(tab, obj, basis) != "optimal":
+    d = 1
+    obj = _reduced_costs(tab, basis, [0] * width + [1] * m, d)
+    status, d = _minimize(tab, obj, basis, d)
+    if status != "optimal":
         raise InternalError("phase-one objective is bounded below zero")
-    if -obj[-1] != 0:
+    if obj[-1] != 0:
         return LpResult(INFEASIBLE)
-    _drive_out_artificials(tab, basis, width)
+    d = _drive_out_artificials(tab, basis, width, d)
     tab = [row[:width] + [row[-1]] for row in tab]
 
     if lp.objective is not None:
@@ -117,11 +143,14 @@ def lp_solve(lp: LinearProgram) -> LpResult:
             coeff = lp.objective[j]
             if coeff:
                 cost2[c] = -coeff if s > 0 else coeff
-        obj = _reduced_costs(tab, basis, cost2)
-        if _minimize(tab, obj, basis) == "unbounded":
+        # Any positive multiple of the costs has the same reduced-cost signs.
+        cost_scale = lcm(*{v.denominator for v in cost2 if v})
+        obj = _reduced_costs(tab, basis, _scaled(cost2, cost_scale), d)
+        status, d = _minimize(tab, obj, basis, d)
+        if status == "unbounded":
             return LpResult(UNBOUNDED)
 
-    point = _extract(tab, basis, col_var, base, lp.num_vars)
+    point = _extract(tab, basis, col_var, base, d)
     if not satisfies(lp, point):
         raise InternalError("simplex returned a point violating its own program")
     return LpResult(FEASIBLE, point)
@@ -206,65 +235,89 @@ def _standardize(lp: LinearProgram):
     return rows, rhs, tuple(col_var), base, width
 
 
-def _reduced_costs(tab, basis, cost):
-    obj = list(cost) + [ZERO]
+def _scaled(values: Sequence[Fraction], scale: int) -> list[int]:
+    """``scale * v`` for each value, as integers; ``scale`` clears every
+    denominator."""
+    return [v.numerator * (scale // v.denominator) if v else 0 for v in values]
+
+
+def _reduced_costs(tab, basis, cost, d):
+    """The objective row ``D * cost - cost_B * T``: the real reduced costs
+    times ``D``, in the tableau's integer form."""
+    obj = [d * c for c in cost] + [0]
     for i, b in enumerate(basis):
         cb = cost[b]
         if cb:
-            row = tab[i]
-            for j in range(len(obj)):
-                if row[j]:
-                    obj[j] -= cb * row[j]
+            obj = [o - cb * t if t else o for o, t in zip(obj, tab[i])]
     return obj
 
 
-def _minimize(tab, obj, basis) -> str:
-    """Bland's rule simplex loop; ``tab``, ``obj`` and ``basis`` mutate."""
+def _minimize(tab, obj, basis, d) -> tuple[str, int]:
+    """Bland's rule simplex loop; ``tab``, ``obj`` and ``basis`` mutate.
+    Returns the verdict and the new denominator."""
     ncols = len(obj) - 1
     while True:
         pc = next((j for j in range(ncols) if obj[j] < 0), None)
         if pc is None:
-            return "optimal"
+            return "optimal", d
+        # Ratio test: least rhs / a over a > 0, compared by cross-multiplying
+        # (D cancels); ties go to the lower basis index.
         pr = None
-        best = None
         for i, row in enumerate(tab):
             a = row[pc]
             if a > 0:
-                ratio = row[-1] / a
-                if (
-                    best is None
-                    or ratio < best
-                    or (ratio == best and basis[i] < basis[pr])
-                ):
-                    best = ratio
-                    pr = i
+                v = row[-1]
+                if pr is None:
+                    pr, best_v, best_a = i, v, a
+                    continue
+                lhs = v * best_a
+                rhs = best_v * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[pr]):
+                    pr, best_v, best_a = i, v, a
         if pr is None:
-            return "unbounded"
-        _pivot(tab, obj, basis, pr, pc)
+            return "unbounded", d
+        d = _pivot(tab, obj, basis, pr, pc, d)
 
 
-def _pivot(tab, obj, basis, pr, pc) -> None:
-    row = tab[pr]
-    piv = row[pc]
-    if piv != 1:
-        inv = ONE / piv
-        tab[pr] = row = [v * inv if v else v for v in row]
-    for i, other in enumerate(tab):
-        if i == pr:
-            continue
-        f = other[pc]
-        if f:
-            tab[i] = [a - f * b if b else a for a, b in zip(other, row)]
+def _pivot(tab, obj, basis, pr, pc, d) -> int:
+    """Fraction-free pivot on ``tab[pr][pc]``; returns the new denominator.
+
+    A negative pivot (only ``_drive_out_artificials`` makes one) negates its
+    row first, which leaves the real tableau as it is and keeps ``D > 0``.
+    """
+    prow = tab[pr]
+    p = prow[pc]
+    if p < 0:
+        p = -p
+        tab[pr] = prow = [-v for v in prow]
+    for i, row in enumerate(tab):
+        if i != pr:
+            tab[i] = _eliminate(row, prow, pc, p, d)
     if obj is not None:
-        f = obj[pc]
-        if f:
-            obj[:] = [a - f * b if b else a for a, b in zip(obj, row)]
+        obj[:] = _eliminate(obj, prow, pc, p, d)
     basis[pr] = pc
+    return p
 
 
-def _drive_out_artificials(tab, basis, width) -> None:
+def _eliminate(row, prow, pc, p, d) -> list[int]:
+    """``(p * a - f * b) // d`` entrywise, ``f = row[pc]``, ``b`` from the
+    pivot row ``prow``; a row with ``f = 0`` is only rescaled by ``p / d``."""
+    f = row[pc]
+    if f:
+        return [
+            (p * a - f * b) // d if b else (p * a // d if a else 0)
+            for a, b in zip(row, prow)
+        ]
+    if p != d:
+        return [p * a // d if a else 0 for a in row]
+    return row
+
+
+def _drive_out_artificials(tab, basis, width, d) -> int:
     """Pivot zero-valued artificial variables out of the basis; rows that
-    cannot be repaired are redundant and get dropped."""
+    cannot be repaired are redundant and get dropped.  Returns the new
+    denominator.  Dropping a row with its artificial column keeps ``T / D``
+    exact, since that column is a unit vector of the basis."""
     drop = []
     for i in range(len(tab)):
         if basis[i] < width:
@@ -274,19 +327,21 @@ def _drive_out_artificials(tab, basis, width) -> None:
         if pc is None:
             drop.append(i)
         else:
-            _pivot(tab, None, basis, i, pc)
+            d = _pivot(tab, None, basis, i, pc, d)
     for i in reversed(drop):
         del tab[i]
         del basis[i]
+    return d
 
 
-def _extract(tab, basis, col_var, base, num_vars) -> tuple[Fraction, ...]:
+def _extract(tab, basis, col_var, base, d) -> tuple[Fraction, ...]:
     values = {}
     for i, b in enumerate(basis):
         values[b] = tab[i][-1]
     x = list(base)
     for c, (j, s) in enumerate(col_var):
-        v = values.get(c, ZERO)
+        v = values.get(c, 0)
         if v:
+            v = Fraction(v, d)
             x[j] = x[j] + v if s > 0 else x[j] - v
     return tuple(x)

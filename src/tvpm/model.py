@@ -41,6 +41,7 @@ output is guaranteed for equal values.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Optional
@@ -244,11 +245,14 @@ class _Cursor:
             raise ParseError(f"unexpected trailing line: {self.lines[self.pos]!r}")
 
 
+# ``int`` alone would also accept "1_000" and non-ASCII digits.
+_INTEGER_RE = re.compile(r"[+-]?[0-9]+\Z")
+
+
 def _int(token: str, what: str) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise ParseError(f"bad {what}: {token!r}") from None
+    if not _INTEGER_RE.match(token):
+        raise ParseError(f"bad {what}: {token!r}")
+    return int(token)
 
 
 def _rat(token: str, what: str) -> Fraction:

@@ -224,6 +224,46 @@ class TestOracle:
         assert out == ""
 
 
+class TestInputBytes:
+    """Inputs that are not the ASCII text format end in exit 2 with one
+    line on stderr, never a traceback or a silent misreading."""
+
+    @pytest.mark.parametrize("command", ["solve", "verify", "oracle"])
+    def test_non_utf8_config_is_a_parse_error(self, capsys, tmp_path, command):
+        config = tmp_path / "bad.txt"
+        config.write_bytes(LINE3.read_bytes().replace(b"2 : 3", b"2 : \xff"))
+        args = [command, "--input", str(config)]
+        if command == "verify":
+            args += ["--cert", str(LINE3_CERT)]
+        code, out, err = run_cli(capsys, *args)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("parse error: ") and "not UTF-8" in err
+        assert err.count("\n") == 1
+
+    def test_non_utf8_certificate_is_a_parse_error(self, capsys, tmp_path):
+        cert = tmp_path / "bad.cert"
+        cert.write_bytes(b"\xff" + LINE3_CERT.read_bytes())
+        code, _, err = run_cli(
+            capsys, "verify", "--input", str(LINE3), "--cert", str(cert)
+        )
+        assert code == 2
+        assert err.startswith("parse error: ") and "not UTF-8" in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["solve", "oracle"])
+    def test_non_ascii_digit_is_a_parse_error(self, capsys, tmp_path, command):
+        # ARABIC-INDIC DIGIT ONE: int() and \d both take it for 1.
+        config = tmp_path / "arabic.txt"
+        config.write_text(
+            LINE3.read_text().replace("2 : 3", "2 : ١"), encoding="utf-8"
+        )
+        code, out, err = run_cli(capsys, command, "--input", str(config))
+        assert code == 2
+        assert out == ""
+        assert "bad coordinate" in err
+
+
 class TestSubprocess:
     """True end-to-end runs in separate interpreters; separate processes
     also rule out hash-seed dependence in the output bytes."""

@@ -34,7 +34,8 @@ class TestParseScalar:
     @pytest.mark.parametrize(
         "token",
         ["1.5", "2.0", "3 / 4", " 3", "3 ", "", "abc", "0x2", "--3",
-         "1/-2", "1/", "/2", "1e3", "½"],
+         "1/-2", "1/", "/2", "1e3", "½", "1_000",
+         "\u0661", "\u0663/\u0664", "\uff13", "1/\u0662"],
     )
     def test_rejects_non_rational_literals(self, token):
         with pytest.raises(ValueError):

@@ -100,6 +100,11 @@ class TestConfigurationParsing:
             (lambda t: t.replace("1 : 1", "0 : 1"), "twice"),
             (lambda t: t.replace("1 : 1", "1 : 1.5"), None),
             (lambda t: t.replace("1 : 1", "1 : 1/0"), None),
+            (lambda t: t.replace("2 : 3", "2 : \u0661"), "coordinate"),
+            (lambda t: t.replace("2 : 3", "\u0662 : 3"), "index"),
+            (lambda t: t.replace("points 3", "points \u0663"), "points"),
+            (lambda t: t.replace("d 1", "d 0_1"), "bad d"),
+            (lambda t: t.replace("mu : 2", "mu : \uff12"), "mu"),
             (lambda t: t.replace("mu : 2", "mu : 3"), "range"),
             (lambda t: t.replace("mu : 2", "mu : 2 2"), "duplicate"),
             (lambda t: t.replace("mode classical", "mode plusminus"), "mode"),
