@@ -14,6 +14,7 @@ the input.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -37,13 +38,38 @@ def parse_scalar(token: str) -> Fraction:
     the token) is rejected.
     """
     if not _RATIONAL_RE.match(token):
-        raise ValueError(f"not a rational literal: {token!r}")
+        raise ValueError(f"not a rational literal: {excerpt(token)}")
     num, _, den = token.partition("/")
-    if den:
-        if int(den) == 0:
-            raise ValueError(f"zero denominator: {token!r}")
-        return Fraction(int(num), int(den))
-    return Fraction(int(num))
+    p = int_literal(num, token)
+    q = int_literal(den, token) if den else 1
+    if q == 0:
+        raise ValueError(f"zero denominator: {excerpt(token)}")
+    return Fraction(p, q)
+
+
+def int_literal(digits: str, token: Optional[str] = None) -> int:
+    """``int(digits)`` for a string of ASCII digits with an optional sign.
+
+    Python refuses to convert integers longer than its int-string limit
+    (``sys.get_int_max_str_digits()``, 4300 digits by default); that refusal
+    becomes a ``ValueError`` naming the limit and a short excerpt of
+    ``token``, the literal ``digits`` came from (``digits`` itself if None).
+    """
+    try:
+        return int(digits)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise ValueError(
+            f"{excerpt(token or digits)} is over the {limit}-digit limit for integers"
+        ) from None
+
+
+def excerpt(token: str) -> str:
+    """``repr(token)``, cut to its first 20 characters and its length when
+    longer, so that a message quoting it stays one short line."""
+    if len(token) <= 20:
+        return repr(token)
+    return f"{token[:20]!r}... ({len(token)} characters)"
 
 
 def format_scalar(value: Fraction) -> str:

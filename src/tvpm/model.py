@@ -47,7 +47,7 @@ from fractions import Fraction
 from typing import Iterator, Optional
 
 from .errors import ParseError
-from .linalg import Point, format_scalar, parse_scalar
+from .linalg import Point, excerpt, format_scalar, int_literal, parse_scalar
 
 
 @dataclass(frozen=True)
@@ -251,15 +251,18 @@ _INTEGER_RE = re.compile(r"[+-]?[0-9]+\Z")
 
 def _int(token: str, what: str) -> int:
     if not _INTEGER_RE.match(token):
-        raise ParseError(f"bad {what}: {token!r}")
-    return int(token)
+        raise ParseError(f"bad {what}: {excerpt(token)}")
+    try:
+        return int_literal(token)
+    except ValueError as exc:
+        raise ParseError(f"bad {what}: {exc}") from None
 
 
 def _rat(token: str, what: str) -> Fraction:
     try:
         return parse_scalar(token)
-    except ValueError:
-        raise ParseError(f"bad {what}: {token!r}") from None
+    except ValueError as exc:
+        raise ParseError(f"bad {what}: {exc}") from None
 
 
 def _keyed(cursor: _Cursor, key: str) -> list[str]:

@@ -5,6 +5,29 @@ vertices ascending, blocks are sorted by least vertex, and the sequence of
 partitions is lexicographic on that nested-tuple form.  The search returns
 the first enumerated partition whose blocks' convex hulls share a point, so
 results are deterministic.
+
+Hulls can only meet where the blocks' bounding boxes do, so the search walks
+a box-pruned enumeration (``enumerate_partitions`` given the points) and asks
+the exact LP (``hulls_intersect``) only about partitions whose boxes meet.
+Once per search every coordinate is replaced by its rank among the distinct
+values on its axis: an integer that orders exactly as the rational does,
+ties included, so the box test needs no ``Fraction`` comparison.  As blocks
+are fixed the walk keeps a running box, per axis ``lo`` = the largest block
+minimum and ``hi`` = the smallest block maximum, and drops a block's whole
+subtree when
+
+- ``lo > hi`` on some axis: more blocks can only raise ``lo`` and lower
+  ``hi``; or
+- the vertices left cannot serve the ``k`` blocks still to come: each of
+  them needs a vertex at or above ``lo`` and one at or below ``hi`` on every
+  axis, because its box must meet the final box, which lies inside the
+  running one.
+
+Neither cut drops a partition whose boxes meet, and every partition listed
+has boxes that meet (its last block passes the second cut with ``k = 1``).
+So the LP sees exactly the partitions a full box test on each complete
+partition would pass, in the same canonical order: the same first hit, the
+same Bland pivots, the same certificate bytes.
 """
 
 from __future__ import annotations
@@ -18,22 +41,31 @@ from .lp import FEASIBLE, LinearProgram, constraint, lp_solve
 from .model import TverbergPartition, is_prime
 
 Blocks = tuple[tuple[int, ...], ...]
+# Per axis, the running box (lo, hi) in rank keys.
+_Box = list[tuple[int, int]]
 
 
 def enumerate_partitions(
     n_points: int,
     r: int,
     coloring: Optional[Sequence[Sequence[int]]] = None,
+    points: Optional[Sequence[Point]] = None,
 ) -> Iterator[Blocks]:
     """All partitions of 0..n_points-1 into exactly r nonempty blocks.
 
     With a coloring, only partitions whose blocks repeat no color survive
-    (at most one vertex of each class per block).
+    (at most one vertex of each class per block).  With ``points`` (one
+    coordinate tuple per index), only partitions whose blocks' bounding
+    boxes share a point survive: a subtree is dropped as soon as no
+    completion of the blocks fixed so far can have meeting boxes (see the
+    module docstring).  Survivors keep their canonical order either way.
     """
     if r < 1:
         raise ValueError("r must be at least 1")
     if n_points < r:
         raise ValueError(f"cannot split {n_points} points into {r} nonempty blocks")
+    if points is not None and len(points) != n_points:
+        raise ValueError(f"got {len(points)} points for {n_points} indices")
     color_of = None
     if coloring is not None:
         color_of = {}
@@ -54,7 +86,68 @@ def enumerate_partitions(
             for tail in rec(rest, k - 1):
                 yield (block,) + tail
 
-    yield from rec(tuple(range(n_points)), r)
+    def boxed(pool: tuple[int, ...], k: int, box: _Box) -> Iterator[Blocks]:
+        if k == 1:
+            if color_of is None or _rainbow_block(pool, color_of):
+                yield (pool,)
+            return
+        for block in _subsets_with_least(pool, color_of):
+            if len(pool) - len(block) < k - 1:
+                continue
+            narrowed = _narrow(axes, block, box)
+            if narrowed is None:
+                continue
+            taken = set(block)
+            rest = tuple(e for e in pool if e not in taken)
+            if not _room(axes, rest, narrowed, k - 1):
+                continue
+            for tail in boxed(rest, k - 1, narrowed):
+                yield (block,) + tail
+
+    if points is None:
+        yield from rec(tuple(range(n_points)), r)
+    else:
+        axes = _rank_axes(points)
+        everything = [(0, n_points)] * len(axes)
+        yield from boxed(tuple(range(n_points)), r, everything)
+
+
+def _rank_axes(points: Sequence[Point]) -> list[list[int]]:
+    """Per axis, each point's rank among the distinct values on that axis.
+
+    Ranks are integers that order exactly as the coordinates do, ties
+    included, so box tests on them are box tests on the points."""
+    axes = []
+    for column in zip(*points):
+        rank = {v: i for i, v in enumerate(sorted(set(column)))}
+        axes.append([rank[v] for v in column])
+    return axes
+
+
+def _room(axes: list[list[int]], pool: Sequence[int], box: _Box, count: int) -> bool:
+    """Whether ``pool`` has ``count`` vertices at or above lo and ``count``
+    at or below hi on every axis: what ``count`` more blocks need when each
+    of their boxes must meet ``box``."""
+    for keys, (lo, hi) in zip(axes, box):
+        values = sorted([keys[v] for v in pool])
+        if values[-count] < lo or values[count - 1] > hi:
+            return False
+    return True
+
+
+def _narrow(
+    axes: list[list[int]], block: Sequence[int], box: _Box
+) -> Optional[_Box]:
+    """The running box cut down by ``block``'s box, or None once empty."""
+    narrowed = []
+    for keys, (lo, hi) in zip(axes, box):
+        values = [keys[v] for v in block]
+        lo = max(lo, min(values))
+        hi = min(hi, max(values))
+        if lo > hi:
+            return None
+        narrowed.append((lo, hi))
+    return narrowed
 
 
 def _rainbow_block(block: Sequence[int], color_of: dict[int, int]) -> bool:
@@ -96,18 +189,12 @@ def hulls_intersect(
 
     Returns (witness, per-block convex coefficients).  Deterministic: the
     underlying program is built in block order and solved with Bland's rule.
+    The LP alone decides; the search's box test runs in its partition walk.
     """
     blocks = [list(b) for b in point_blocks]
     if not blocks or any(not b for b in blocks):
         raise ValueError("every block needs at least one point")
     dim = len(blocks[0][0])
-
-    # Boxes first: hulls cannot meet if the bounding boxes do not.
-    for m in range(dim):
-        lo = max(min(p[m] for p in blk) for blk in blocks)
-        hi = min(max(p[m] for p in blk) for blk in blocks)
-        if lo > hi:
-            return None
 
     sizes = [len(b) for b in blocks]
     offsets = [sum(sizes[:j]) for j in range(len(blocks))]
@@ -183,7 +270,7 @@ def _check_count(count: int, r: int, dim: int) -> None:
 
 
 def _search(pts, r, coloring) -> TverbergPartition:
-    for blocks in enumerate_partitions(len(pts), r, coloring):
+    for blocks in enumerate_partitions(len(pts), r, coloring, pts):
         hit = hulls_intersect([[pts[i] for i in block] for block in blocks])
         if hit is None:
             continue

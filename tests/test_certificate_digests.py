@@ -1,10 +1,12 @@
 """Certificate bytes pinned by digest on generated configurations.
 
 The two golden fixtures pin one plain and one colored solve.  These digests
-pin twelve more, across the cells the benchmark runs, so that any change to
-the search or to the LP kernel that moves a single chosen partition,
-coefficient or hyperplane fails here.  The digests were recorded with the
-rational (``Fraction``) simplex kernel.
+pin fifteen more, so that any change to the search or to the LP kernel that
+moves a single chosen partition, coefficient or hyperplane fails here.  The
+first twelve cover the cells the benchmark runs and were recorded with the
+rational (``Fraction``) simplex kernel; the last three, at (1, 6, 2) and
+colored (1, 7, 3), sit where box pruning of the partition walk cuts the most
+and were recorded before the box test moved into the walk.
 """
 
 from __future__ import annotations
@@ -30,6 +32,9 @@ DIGESTS = {
     (1, 5, 3, True, 0): "b654979314e9e45e5245f67dc5306f171fcdcd17257d6d4c0a68b33469268dd8",
     (1, 5, 3, True, 1): "2691f72f1308ff2b66f17099367ee542c92b2e5aafa4fba3d7fa313df1be8c32",
     (1, 5, 3, True, 2): "dd725fe6f75362afda85139030b6c0cce423a7218eb309af0132bd2b7d4d904d",
+    (1, 6, 2, False, 0): "9024ecfdf237ebbefd116a306b0b4b151aa2fa928e6d7f9a5a813ff15759938b",
+    (1, 6, 2, False, 1): "5e515763336c7eeecba33313394e895d387434d77da87c6304723a51706b0c4a",
+    (1, 7, 3, True, 0): "c4e0d08d877acab4cd2b6f1d9d637f8bfc44b57a720170e3850632e04fd679f6",
 }
 
 

@@ -264,6 +264,24 @@ class TestInputBytes:
         assert "bad coordinate" in err
 
 
+    @pytest.mark.parametrize(
+        "old, new",
+        [("d 1", "d " + "1" * 5000), ("2 : 3", "2 : " + "1" * 5000)],
+        ids=["d", "coordinate"],
+    )
+    def test_over_long_integer_is_a_short_parse_error(
+        self, capsys, tmp_path, old, new
+    ):
+        config = tmp_path / "long.txt"
+        config.write_text(LINE3.read_text().replace(old, new))
+        code, out, err = run_cli(capsys, "solve", "--input", str(config))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("parse error: ") and "digit limit" in err
+        assert "(5000 characters)" in err
+        assert err.count("\n") == 1 and len(err) < 200
+
+
 class TestSubprocess:
     """True end-to-end runs in separate interpreters; separate processes
     also rule out hash-seed dependence in the output bytes."""

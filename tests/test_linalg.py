@@ -45,6 +45,12 @@ class TestParseScalar:
         with pytest.raises(ValueError):
             parse_scalar("1/0")
 
+    @pytest.mark.parametrize("token", ["1" * 5000, "-1/" + "3" * 5000])
+    def test_over_long_literal_names_the_limit(self, token):
+        with pytest.raises(ValueError, match="digit limit") as info:
+            parse_scalar(token)
+        assert len(str(info.value)) < 100
+
     def test_round_trip_is_canonical(self):
         for text in ["0", "5", "-5", "3/7", "-3/7"]:
             assert format_scalar(parse_scalar(text)) == text

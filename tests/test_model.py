@@ -104,6 +104,11 @@ class TestConfigurationParsing:
             (lambda t: t.replace("2 : 3", "\u0662 : 3"), "index"),
             (lambda t: t.replace("points 3", "points \u0663"), "points"),
             (lambda t: t.replace("d 1", "d 0_1"), "bad d"),
+            (lambda t: t.replace("d 1", "d " + "1" * 5000), "bad d: .*digit limit"),
+            (lambda t: t.replace("2 : 3", "2 : " + "1" * 5000), "coordinate: .*digit limit"),
+            (lambda t: t.replace("2 : 3", "2 : 1/" + "3" * 5000), "coordinate: .*digit limit"),
+            (lambda t: t.replace("2 : 3", "2" * 5000 + " : 3"), "point index: .*digit limit"),
+            (lambda t: t.replace("mu : 2", "mu : " + "2" * 5000), "mu index: .*digit limit"),
             (lambda t: t.replace("mu : 2", "mu : \uff12"), "mu"),
             (lambda t: t.replace("mu : 2", "mu : 3"), "range"),
             (lambda t: t.replace("mu : 2", "mu : 2 2"), "duplicate"),
@@ -235,6 +240,8 @@ class TestCertificateParsing:
             (lambda t: t.replace("rainbow 0", "rainbow 2"), "rainbow"),
             (lambda t: t.replace("b : 0", "b : 0 0"), None),
             (lambda t: t.replace("tvpm-cert v1", "tvpm-cert v9"), "header"),
+            (lambda t: t.replace("B1 : 1 2", "B1 : 1 " + "2" * 5000), "digit limit"),
+            (lambda t: t.replace("coeff 2 : -1/2", "coeff 2 : -1/" + "2" * 5000), "digit limit"),
         ],
     )
     def test_rejects_malformed_certificate(self, mangle, fragment):

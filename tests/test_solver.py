@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from functools import lru_cache
 
 import pytest
 
 import gen
+from tvpm import plus_minus_partition, solver
 from tvpm.linalg import affine_dependence
+from tvpm.separation import lift_configuration, separating_hyperplane
 from tvpm.solver import (
     colored_tverberg_partition,
     enumerate_partitions,
@@ -81,6 +84,133 @@ class TestEnumeratePartitions:
             list(enumerate_partitions(2, 3))
         with pytest.raises(ValueError):
             list(enumerate_partitions(3, 0))
+
+
+def boxes_meet(points, blocks) -> bool:
+    """The full box test on a complete partition, in the coordinates."""
+    for m in range(len(points[0])):
+        lo = max(min(points[v][m] for v in block) for block in blocks)
+        hi = min(max(points[v][m] for v in block) for block in blocks)
+        if lo > hi:
+            return False
+    return True
+
+
+def lifted(seed, d, r, mu_size, colored):
+    config = gen.separable_configuration(seed, d, r, mu_size, colored)
+    hyperplane = separating_hyperplane(config, config.mu)
+    points = lift_configuration(config, hyperplane).points
+    return points, config.coloring if colored else None
+
+
+class TestBoxPruning:
+    """With points, the walk lists exactly the partitions the full box
+    test passes, in canonical order."""
+
+    # Every (d, r) with r in 2..5 and d in 1..3 whose unpruned listing has
+    # at most S(10, 4) = 34105 partitions; colored cells need prime r.
+    CELLS = [
+        (1, 2, False), (1, 3, False), (1, 4, False), (1, 5, False),
+        (2, 2, False), (2, 3, False), (2, 4, False),
+        (3, 2, False), (3, 3, False),
+        (1, 2, True), (1, 3, True), (1, 5, True),
+        (2, 2, True), (2, 3, True), (3, 2, True), (3, 3, True),
+    ]
+
+    @pytest.mark.parametrize("d, r, colored", CELLS)
+    def test_listing_is_the_box_filtered_listing(self, d, r, colored):
+        points, coloring = lifted(0, d, r, min(2, r - 1), colored)
+        pruned = list(enumerate_partitions(len(points), r, coloring, points))
+        full = enumerate_partitions(len(points), r, coloring)
+        assert pruned == [b for b in full if boxes_meet(points, b)]
+        assert pruned
+
+    def test_closed_boxes_keep_touching_blocks(self):
+        # {0} and {1,2} are apart; the other two splits touch at x = 1.
+        points = ((F(0),), (F(1),), (F(1),))
+        assert list(enumerate_partitions(3, 2, points=points)) == [
+            ((0, 1), (2,)),
+            ((0, 2), (1,)),
+        ]
+
+    def test_shared_coordinate_never_prunes(self):
+        # Every box has lo == hi on the second axis.
+        points = tuple((F(x), F(5)) for x in (0, 3, 1, 4, 1, 2, 0))
+        pruned = list(enumerate_partitions(7, 3, points=points))
+        full = enumerate_partitions(7, 3)
+        assert pruned == [b for b in full if boxes_meet(points, b)]
+        flat = [(p[0],) for p in points]
+        assert pruned == list(enumerate_partitions(7, 3, points=flat))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_duplicates_and_ties(self, seed):
+        rng = random.Random(f"ties-{seed}")
+        points = tuple(
+            tuple(F(rng.randint(0, 2)) for _ in range(2)) for _ in range(7)
+        )
+        coloring = ((0, 1), (2, 3), (4, 5), (6,)) if seed % 2 else None
+        pruned = list(enumerate_partitions(7, 3, coloring, points))
+        full = enumerate_partitions(7, 3, coloring)
+        assert pruned == [b for b in full if boxes_meet(points, b)]
+
+    def test_point_count_must_match(self):
+        with pytest.raises(ValueError, match="points"):
+            list(enumerate_partitions(3, 2, points=((F(0),), (F(1),))))
+
+    @pytest.mark.parametrize(
+        "d, r, mu_size, colored",
+        [
+            (1, 3, 2, False), (1, 4, 2, False), (2, 3, 2, False),
+            (3, 2, 1, False), (4, 2, 1, False), (1, 3, 2, True),
+            (2, 3, 2, True),
+        ],
+    )
+    def test_search_meets_the_unpruned_first_hit(self, d, r, mu_size, colored):
+        for seed in range(2):
+            points, coloring = lifted(seed, d, r, mu_size, colored)
+            for blocks in enumerate_partitions(len(points), r, coloring):
+                hit = hulls_intersect([[points[i] for i in b] for b in blocks])
+                if hit is not None:
+                    break
+            if coloring is None:
+                partition = tverberg_partition(points, r)
+            else:
+                partition = colored_tverberg_partition(points, r, coloring)
+            witness, per_block = hit
+            assert partition.blocks == blocks
+            assert partition.witness == witness
+            assert [
+                [partition.coefficients[i] for i in b] for b in blocks
+            ] == per_block
+
+
+class TestTracedNames:
+    """The search looks ``enumerate_partitions`` and ``hulls_intersect`` up
+    in ``tvpm.solver``'s globals, once per search and once per listed
+    partition: the benchmark's tracer (``perfbench/tracing.py``) wraps
+    exactly those names."""
+
+    def test_one_solve_goes_through_both_names(self, monkeypatch):
+        counts = {"searches": 0, "partitions": 0, "hulls": 0}
+        enumerate_original = solver.enumerate_partitions
+        hulls_original = solver.hulls_intersect
+
+        def counting_enumerate(*args, **kwargs):
+            counts["searches"] += 1
+            for blocks in enumerate_original(*args, **kwargs):
+                counts["partitions"] += 1
+                yield blocks
+
+        def counting_hulls(point_blocks):
+            counts["hulls"] += 1
+            return hulls_original(point_blocks)
+
+        monkeypatch.setattr(solver, "enumerate_partitions", counting_enumerate)
+        monkeypatch.setattr(solver, "hulls_intersect", counting_hulls)
+        config = gen.separable_configuration(0, 2, 3, 2)
+        plus_minus_partition(config)
+        assert counts["searches"] == 1
+        assert counts["hulls"] == counts["partitions"] > 1
 
 
 class TestHullsIntersect:
