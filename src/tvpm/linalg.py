@@ -18,7 +18,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 Scalar = Fraction
 Point = tuple[Fraction, ...]
@@ -81,6 +81,17 @@ def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
     if len(u) != len(v):
         raise ValueError(f"dimension mismatch: {len(u)} vs {len(v)}")
     return sum((a * b for a, b in zip(u, v) if a and b), ZERO)
+
+
+def common_denominator(values: Iterable[Fraction]) -> int:
+    """The least ``q > 0`` that makes ``q * v`` an integer for every value."""
+    return lcm(*{v.denominator for v in values})
+
+
+def scaled(values: Iterable[Fraction], q: int) -> list[int]:
+    """``q * v`` for each value, as integers; ``q`` must be a multiple of
+    every denominator (``common_denominator`` gives the least one)."""
+    return [v.numerator * (q // v.denominator) if v else 0 for v in values]
 
 
 @dataclass(frozen=True)

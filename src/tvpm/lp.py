@@ -13,16 +13,33 @@ The tableau is fraction-free (Edmonds 1967, Bareiss 1968): an integer matrix
 because each entry is a minor of the starting matrix, and makes ``p`` the new
 ``D``.  Values become ``Fraction``s only once, when the point is extracted.
 
-The starting matrix is ``[L*A | I | L*b]``: the standardized rows and
-right-hand sides all multiplied by the one common ``L`` that clears their
-denominators, beside identity columns for the artificial variables, with
-``D = 1``.  That is the original phase-one program with every artificial
-variable rescaled by ``L``, so every reduced cost and every ratio in the
-ratio test is the original one times a positive constant.  Bland's rule
-therefore picks the same entering and leaving variables as it does over the
-rationals, and the basis sequence and the returned point are unchanged.
-Scaling rows by different factors would break this: the phase-one reduced
-costs sum the rows.
+The starting matrix is built one column at a time, with ``D = 1``.  Each
+structural column of the standardized program is multiplied by its own
+``k_j > 0``, the factor that makes it a primitive integer vector (the lcm of
+its denominators over the gcd of the resulting numerators); the right-hand
+side is made primitive the same way by one common factor ``R``; identity
+columns for the artificial variables go in unscaled.  That is the original
+phase-one program with every row multiplied by ``R`` and variable ``y_j``
+replaced by ``(k_j / R) * z_j``, and Bland's rule cannot tell the two apart:
+
+- a column scaled by ``k > 0`` has its reduced cost scaled by ``k``, so
+  every reduced cost keeps its sign (phase two scales the costs of ``z_j``
+  by ``k_j`` to match);
+- every ratio in the ratio test's column is divided by the same ``k``, so
+  the least ratio and its ties stay where they were;
+- no zero becomes nonzero or the other way, so the drive-out pivots and the
+  dropped rows are the same.
+
+The basis sequence and the returned point are those of the rational
+simplex.  Multiplying every row of the standardized program by one positive
+constant leaves the starting matrix as it is, so a caller may build its
+program in integers, every constraint times one common denominator, without
+changing a pivot (as long as no variable has two bounds: a cap row is not a
+constraint the caller multiplies).  The entries stay as small as the primitive columns allow: in the search
+programs a lifted point's column is, up to a small factor, the homogeneous
+coordinates ``(p, 1)`` of the original point, not the lift's shared
+denominators.  Scaling *rows* by different factors would break all this:
+the phase-one reduced costs sum the rows, so rows must share one scale.
 
 The problems this package generates are tiny (tens of rows and columns), so
 the implementation favours exactness and determinism over sparse-matrix
@@ -33,11 +50,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
-from typing import Optional, Sequence
+from math import gcd
+from typing import Optional, Sequence, Union
 
 from .errors import InternalError
-from .linalg import ONE, ZERO, dot
+from .linalg import common_denominator, scaled
 
 LESS_EQUAL = "<="
 EQUAL = "="
@@ -47,14 +64,16 @@ FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
-Bound = tuple[Optional[Fraction], Optional[Fraction]]
+# A program's numbers: ``int`` where the caller built it in integers.
+Rational = Union[int, Fraction]
+Bound = tuple[Optional[Rational], Optional[Rational]]
 
 
 @dataclass(frozen=True)
 class Constraint:
-    coeffs: tuple[Fraction, ...]
+    coeffs: tuple[Rational, ...]
     relation: str
-    rhs: Fraction
+    rhs: Rational
 
 
 @dataclass(frozen=True)
@@ -68,7 +87,7 @@ class LinearProgram:
 
     num_vars: int
     constraints: tuple[Constraint, ...]
-    objective: Optional[tuple[Fraction, ...]] = None
+    objective: Optional[tuple[Rational, ...]] = None
     bounds: Optional[tuple[Bound, ...]] = None
 
 
@@ -79,28 +98,41 @@ class LpResult:
 
 
 def constraint(coeffs: Sequence, relation: str, rhs) -> Constraint:
+    """A constraint over exact rationals; ``int`` values stay ``int``."""
     if relation not in (LESS_EQUAL, EQUAL, GREATER_EQUAL):
         raise ValueError(f"unknown relation: {relation!r}")
-    return Constraint(tuple(Fraction(c) for c in coeffs), relation, Fraction(rhs))
+    return Constraint(tuple(_exact(c) for c in coeffs), relation, _exact(rhs))
+
+
+def _exact(value) -> Rational:
+    return value if type(value) is int else Fraction(value)
 
 
 def satisfies(lp: LinearProgram, point: Sequence[Fraction]) -> bool:
-    """Exact re-substitution check of every bound and constraint."""
+    """Exact re-substitution check of every bound and constraint.
+
+    It runs on ``X = q * point``, ``q`` the point's common denominator, where
+    ``a . point <= b`` holds exactly when ``a . X <= q * b``: integer
+    arithmetic throughout when the program is in integers.
+    """
     if len(point) != lp.num_vars:
         return False
+    q = common_denominator(point)
+    xs = scaled(point, q)
     if lp.bounds is not None:
-        for x, (lo, hi) in zip(point, lp.bounds):
-            if lo is not None and x < lo:
+        for x, (lo, hi) in zip(xs, lp.bounds):
+            if lo is not None and x < lo * q:
                 return False
-            if hi is not None and x > hi:
+            if hi is not None and x > hi * q:
                 return False
     for con in lp.constraints:
-        value = dot(con.coeffs, point)
-        if con.relation == LESS_EQUAL and value > con.rhs:
+        value = sum(a * x for a, x in zip(con.coeffs, xs) if a and x)
+        rhs = con.rhs * q
+        if con.relation == LESS_EQUAL and value > rhs:
             return False
-        if con.relation == GREATER_EQUAL and value < con.rhs:
+        if con.relation == GREATER_EQUAL and value < rhs:
             return False
-        if con.relation == EQUAL and value != con.rhs:
+        if con.relation == EQUAL and value != rhs:
             return False
     return True
 
@@ -116,14 +148,15 @@ def lp_solve(lp: LinearProgram) -> LpResult:
     m = len(rows)
 
     # Phase one: minimize the sum of one artificial variable per row, on
-    # [L*A | I | L*b] with D = 1 (see the module docstring).
-    dens = {v.denominator for row in rows for v in row if v}
-    dens.update(v.denominator for v in rhs if v)
-    scale = lcm(*dens)
+    # primitive structural columns beside an identity, with D = 1 (see the
+    # module docstring).
+    columns = [_primitive([row[c] for row in rows]) for c in range(width)]
+    scales = [k for _, k in columns]
+    b, rhs_scale = _primitive(rhs)
     tab = [
-        _scaled(rows[i], scale)
+        [col[i] for col, _ in columns]
         + [1 if k == i else 0 for k in range(m)]
-        + _scaled([rhs[i]], scale)
+        + [b[i]]
         for i in range(m)
     ]
     basis = [width + i for i in range(m)]
@@ -138,19 +171,19 @@ def lp_solve(lp: LinearProgram) -> LpResult:
     tab = [row[:width] + [row[-1]] for row in tab]
 
     if lp.objective is not None:
-        cost2 = [ZERO] * width
+        # Minimize -objective; column c's cost carries its scale k_c.
+        cost2 = [0] * width
         for c, (j, s) in enumerate(col_var):
             coeff = lp.objective[j]
             if coeff:
-                cost2[c] = -coeff if s > 0 else coeff
+                cost2[c] = (-coeff if s > 0 else coeff) * Fraction(*scales[c])
         # Any positive multiple of the costs has the same reduced-cost signs.
-        cost_scale = lcm(*{v.denominator for v in cost2 if v})
-        obj = _reduced_costs(tab, basis, _scaled(cost2, cost_scale), d)
+        obj = _reduced_costs(tab, basis, _primitive(cost2)[0], d)
         status, d = _minimize(tab, obj, basis, d)
         if status == "unbounded":
             return LpResult(UNBOUNDED)
 
-    point = _extract(tab, basis, col_var, base, d)
+    point = _extract(tab, basis, col_var, base, scales, rhs_scale, d)
     if not satisfies(lp, point):
         raise InternalError("simplex returned a point violating its own program")
     return LpResult(FEASIBLE, point)
@@ -174,13 +207,14 @@ def _standardize(lp: LinearProgram):
     Returns (rows, rhs, col_var, base, width) where col_var maps each
     structural column to (original variable, sign) and the original value is
     base[j] plus the signed column contributions.  Returns None when a bound
-    pair is contradictory on its own.
+    pair is contradictory on its own.  Every value is an exact rational: the
+    program's own, or an ``int`` (the ``0`` and ``±1`` placeholders).
     """
     n = lp.num_vars
     bounds = lp.bounds if lp.bounds is not None else ((None, None),) * n
-    base: list[Fraction] = [ZERO] * n
+    base: list[Rational] = [0] * n
     col_var: list[tuple[int, int]] = []
-    cap_rows: list[tuple[int, Fraction]] = []
+    cap_rows: list[tuple[int, Rational]] = []
     for j, (lo, hi) in enumerate(bounds):
         if lo is None and hi is None:
             col_var.append((j, 1))
@@ -200,31 +234,31 @@ def _standardize(lp: LinearProgram):
 
     nslack = sum(1 for c in lp.constraints if c.relation != EQUAL) + len(cap_rows)
     width = len(col_var) + nslack
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
+    rows: list[list[Rational]] = []
+    rhs: list[Rational] = []
     k = len(col_var)
     for con in lp.constraints:
-        row = [ZERO] * width
+        row = [0] * width
         for c, (j, s) in enumerate(col_var):
             a = con.coeffs[j]
             if a:
                 row[c] = a if s > 0 else -a
         shift = sum(
             (con.coeffs[j] * base[j] for j in range(n) if base[j] and con.coeffs[j]),
-            ZERO,
+            0,
         )
         if con.relation == LESS_EQUAL:
-            row[k] = ONE
+            row[k] = 1
             k += 1
         elif con.relation == GREATER_EQUAL:
-            row[k] = -ONE
+            row[k] = -1
             k += 1
         rows.append(row)
         rhs.append(con.rhs - shift)
     for c, cap in cap_rows:
-        row = [ZERO] * width
-        row[c] = ONE
-        row[k] = ONE
+        row = [0] * width
+        row[c] = 1
+        row[k] = 1
         k += 1
         rows.append(row)
         rhs.append(cap)
@@ -235,10 +269,18 @@ def _standardize(lp: LinearProgram):
     return rows, rhs, tuple(col_var), base, width
 
 
-def _scaled(values: Sequence[Fraction], scale: int) -> list[int]:
-    """``scale * v`` for each value, as integers; ``scale`` clears every
-    denominator."""
-    return [v.numerator * (scale // v.denominator) if v else 0 for v in values]
+def _primitive(values: Sequence[Rational]) -> tuple[list[int], tuple[int, int]]:
+    """``k * values`` as a primitive integer vector, for the one ``k > 0``
+    that makes it so, and ``k`` as (numerator, denominator).  A zero vector
+    stays zero, with ``k = 1``."""
+    den = common_denominator(v for v in values if v)
+    ints = scaled(values, den)
+    g = gcd(*ints)
+    if g == 0:
+        return ints, (1, 1)
+    if g > 1:
+        ints = [v // g for v in ints]
+    return ints, (den, g)
 
 
 def _reduced_costs(tab, basis, cost, d):
@@ -334,14 +376,16 @@ def _drive_out_artificials(tab, basis, width, d) -> int:
     return d
 
 
-def _extract(tab, basis, col_var, base, d) -> tuple[Fraction, ...]:
-    values = {}
-    for i, b in enumerate(basis):
-        values[b] = tab[i][-1]
+def _extract(tab, basis, col_var, base, scales, rhs_scale, d) -> tuple[Fraction, ...]:
+    """The original point: basic column ``c`` holds ``z_c = T[i][-1] / D``,
+    and its variable moves by ``y_c = (k_c / R) * z_c``."""
+    values = {b: tab[i][-1] for i, b in enumerate(basis)}
     x = list(base)
+    r_num, r_den = rhs_scale
     for c, (j, s) in enumerate(col_var):
-        v = values.get(c, 0)
+        v = values.get(c)
         if v:
-            v = Fraction(v, d)
+            k_num, k_den = scales[c]
+            v = Fraction(v * k_num * r_den, d * k_den * r_num)
             x[j] = x[j] + v if s > 0 else x[j] - v
-    return tuple(x)
+    return tuple(Fraction(v) for v in x)

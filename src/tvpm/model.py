@@ -242,7 +242,7 @@ class _Cursor:
 
     def done(self) -> None:
         if self.pos < len(self.lines):
-            raise ParseError(f"unexpected trailing line: {self.lines[self.pos]!r}")
+            raise ParseError(f"unexpected trailing line: {excerpt(self.lines[self.pos])}")
 
 
 # ``int`` alone would also accept "1_000" and non-ASCII digits.
@@ -268,7 +268,7 @@ def _rat(token: str, what: str) -> Fraction:
 def _keyed(cursor: _Cursor, key: str) -> list[str]:
     tokens = cursor.next(f"{key!r} line")
     if not tokens or tokens[0] != key:
-        raise ParseError(f"expected {key!r} line, got: {' '.join(tokens)!r}")
+        raise ParseError(f"expected {key!r} line, got: {excerpt(' '.join(tokens))}")
     return tokens[1:]
 
 
@@ -296,7 +296,7 @@ def parse_configuration(text: str) -> Configuration:
     cursor = _Cursor(text)
     header = cursor.next("header")
     if header != ["tvpm-config", "v1"]:
-        raise ParseError(f"bad header: {' '.join(header)!r}")
+        raise ParseError(f"bad header: {excerpt(' '.join(header))}")
     d = _keyed_int(cursor, "d")
     r = _keyed_int(cursor, "r")
     mode_rest = _keyed(cursor, "mode")
@@ -334,7 +334,7 @@ def parse_configuration(text: str) -> Configuration:
         for ci in range(n_classes):
             tokens = cursor.next("color class line")
             if tokens[0] != f"C{ci}":
-                raise ParseError(f"expected class label C{ci}, got {tokens[0]!r}")
+                raise ParseError(f"expected class label C{ci}, got {excerpt(tokens[0])}")
             indices = _indices_after_colon(tokens[1:], f"class C{ci}")
             classes.append(_sorted_unique(indices, f"class C{ci}"))
         coloring = tuple(classes)
@@ -377,7 +377,7 @@ def parse_certificate(text: str) -> PlusMinusCertificate:
     cursor = _Cursor(text)
     header = cursor.next("header")
     if header != ["tvpm-cert", "v1"]:
-        raise ParseError(f"bad header: {' '.join(header)!r}")
+        raise ParseError(f"bad header: {excerpt(' '.join(header))}")
     d = _keyed_int(cursor, "d")
     r = _keyed_int(cursor, "r")
     rainbow_rest = _keyed(cursor, "rainbow")
@@ -391,7 +391,7 @@ def parse_certificate(text: str) -> PlusMinusCertificate:
     for j in range(n_blocks):
         tokens = cursor.next("block line")
         if tokens[0] != f"B{j}":
-            raise ParseError(f"expected block label B{j}, got {tokens[0]!r}")
+            raise ParseError(f"expected block label B{j}, got {excerpt(tokens[0])}")
         blocks.append(_indices_after_colon(tokens[1:], f"block B{j}"))
     coefficients: dict[int, Fraction] = {}
     while True:
@@ -400,7 +400,7 @@ def parse_certificate(text: str) -> PlusMinusCertificate:
             break
         tokens = cursor.next("coeff line")
         if len(tokens) != 4 or tokens[2] != ":":
-            raise ParseError(f"bad coeff line: {' '.join(tokens)!r}")
+            raise ParseError(f"bad coeff line: {excerpt(' '.join(tokens))}")
         idx = _int(tokens[1], "coeff index")
         if idx in coefficients:
             raise ParseError(f"coefficient for vertex {idx} given twice")

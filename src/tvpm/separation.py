@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import DegenerateLift, InternalError, SeparationInfeasible
-from .linalg import ONE, dot
+from .linalg import ONE, common_denominator, dot, scaled
 from .lp import FEASIBLE, LinearProgram, constraint, lp_solve
 from .model import Configuration, Hyperplane
 
@@ -44,13 +44,16 @@ def separating_hyperplane(
     if len(members) >= len(config.points):
         raise ValueError("the complementary face must be nonempty")
     d = config.d
+    # Every row times the points' common denominator q: the same program,
+    # in integers.
+    q = common_denominator(c for p in config.points for c in p)
     cons = []
     for i, p in enumerate(config.points):
-        coeffs = list(p) + [-ONE]
+        coeffs = scaled(p, q) + [-q]
         if i in members:
-            cons.append(constraint(coeffs, "<=", -1))
+            cons.append(constraint(coeffs, "<=", -q))
         else:
-            cons.append(constraint(coeffs, ">=", 1))
+            cons.append(constraint(coeffs, ">=", q))
     result = lp_solve(LinearProgram(d + 1, tuple(cons)))
     if result.status != FEASIBLE:
         raise SeparationInfeasible(

@@ -36,7 +36,7 @@ from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
 from .errors import InternalError
-from .linalg import ONE, ZERO, Point
+from .linalg import ZERO, Point, common_denominator, scaled
 from .lp import FEASIBLE, LinearProgram, constraint, lp_solve
 from .model import TverbergPartition, is_prime
 
@@ -195,27 +195,29 @@ def hulls_intersect(
     if not blocks or any(not b for b in blocks):
         raise ValueError("every block needs at least one point")
     dim = len(blocks[0][0])
+    # Every row times the points' common denominator q: the same program,
+    # in integers.
+    q = common_denominator(c for blk in blocks for p in blk for c in p)
+    int_blocks = [[scaled(p, q) for p in blk] for blk in blocks]
 
     sizes = [len(b) for b in blocks]
     offsets = [sum(sizes[:j]) for j in range(len(blocks))]
     nvar = sum(sizes)
     cons = []
     for j, blk in enumerate(blocks):
-        coeffs = [ZERO] * nvar
+        coeffs = [0] * nvar
         for t in range(len(blk)):
-            coeffs[offsets[j] + t] = ONE
-        cons.append(constraint(coeffs, "=", 1))
+            coeffs[offsets[j] + t] = q
+        cons.append(constraint(coeffs, "=", q))
     for j in range(1, len(blocks)):
         for m in range(dim):
-            coeffs = [ZERO] * nvar
-            for t, p in enumerate(blocks[0]):
+            coeffs = [0] * nvar
+            for t, p in enumerate(int_blocks[0]):
                 coeffs[offsets[0] + t] = p[m]
-            for t, p in enumerate(blocks[j]):
+            for t, p in enumerate(int_blocks[j]):
                 coeffs[offsets[j] + t] = -p[m]
             cons.append(constraint(coeffs, "=", 0))
-    lp = LinearProgram(
-        nvar, tuple(cons), bounds=((ZERO, None),) * nvar
-    )
+    lp = LinearProgram(nvar, tuple(cons), bounds=((0, None),) * nvar)
     result = lp_solve(lp)
     if result.status != FEASIBLE:
         return None

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .linalg import ONE, ZERO, dot
+from .linalg import ONE, ZERO, common_denominator, dot, scaled
 from .model import (
     COLORED,
     Configuration,
@@ -139,22 +139,26 @@ def signed_presentation(
     position = {i: t for t, i in enumerate(flat)}
     members = set(config.mu)
     d = config.d
+    # Every row times the points' common denominator q: the same program,
+    # in integers.
+    q = common_denominator(c for p in config.points for c in p)
+    points = [scaled(p, q) for p in config.points]
     nvar = len(flat) + d
     bounds = tuple(
-        (None, ZERO) if i in members else (ZERO, None) for i in flat
+        (None, 0) if i in members else (0, None) for i in flat
     ) + ((None, None),) * d
     cons = []
     for block in blocks:
-        coeffs = [ZERO] * nvar
+        coeffs = [0] * nvar
         for i in block:
-            coeffs[position[i]] = ONE
-        cons.append(constraint(coeffs, "=", 1))
+            coeffs[position[i]] = q
+        cons.append(constraint(coeffs, "=", q))
     for block in blocks:
         for m in range(d):
-            coeffs = [ZERO] * nvar
+            coeffs = [0] * nvar
             for i in block:
-                coeffs[position[i]] = config.points[i][m]
-            coeffs[len(flat) + m] = -ONE
+                coeffs[position[i]] = points[i][m]
+            coeffs[len(flat) + m] = -q
             cons.append(constraint(coeffs, "=", 0))
     result = lp_solve(LinearProgram(nvar, tuple(cons), bounds=bounds))
     if result.status != FEASIBLE:

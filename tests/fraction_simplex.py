@@ -40,8 +40,12 @@ def reference_lp_solve(lp: LinearProgram, trace: Optional[list] = None) -> LpRes
     rows, rhs, col_var, base, width = std
     m = len(rows)
 
+    # ``_standardize`` keeps a program's ``int``s: make every entry a
+    # ``Fraction`` so that ``/`` below stays exact.
     tab = [
-        rows[i] + [ONE if k == i else ZERO for k in range(m)] + [rhs[i]]
+        [Fraction(v) for v in rows[i]]
+        + [ONE if k == i else ZERO for k in range(m)]
+        + [Fraction(rhs[i])]
         for i in range(m)
     ]
     basis = [width + i for i in range(m)]

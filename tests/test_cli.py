@@ -281,6 +281,56 @@ class TestInputBytes:
         assert "(5000 characters)" in err
         assert err.count("\n") == 1 and len(err) < 200
 
+    LONG = "x" * 5000
+
+    @pytest.mark.parametrize(
+        "fixture, old, new",
+        [
+            (LINE3, "mu : 2\n", "mu : 2\n" + LONG + "\n"),
+            (LINE3, "d 1", LONG),
+            (LINE3, "tvpm-config v1", "tvpm-config " + LONG),
+            (PLANE7, "C0 :", LONG + " :"),
+        ],
+        ids=["trailing-line", "keyed-line", "header", "class-label"],
+    )
+    def test_over_long_config_line_is_a_short_parse_error(
+        self, capsys, tmp_path, fixture, old, new
+    ):
+        config = tmp_path / "long.txt"
+        text = fixture.read_text()
+        assert old in text
+        config.write_text(text.replace(old, new, 1))
+        code, out, err = run_cli(capsys, "solve", "--input", str(config))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("parse error: ") and "(5" in err
+        assert err.count("\n") == 1 and len(err.encode()) < 200
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("B0 : 0", LONG + " : 0"),
+            ("coeff 0 : 1", "coeff " + LONG),
+            ("tvpm-cert v1", "tvpm-cert " + LONG),
+            ("alpha : -2\n", "alpha : -2\n" + LONG + "\n"),
+        ],
+        ids=["block-label", "coeff-line", "header", "trailing-line"],
+    )
+    def test_over_long_certificate_line_is_a_short_parse_error(
+        self, capsys, tmp_path, old, new
+    ):
+        cert = tmp_path / "long.cert"
+        text = LINE3_CERT.read_text()
+        assert old in text
+        cert.write_text(text.replace(old, new, 1))
+        code, out, err = run_cli(
+            capsys, "verify", "--input", str(LINE3), "--cert", str(cert)
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("parse error: ") and "(5" in err
+        assert err.count("\n") == 1 and len(err.encode()) < 200
+
 
 class TestSubprocess:
     """True end-to-end runs in separate interpreters; separate processes

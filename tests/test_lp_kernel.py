@@ -27,6 +27,7 @@ from tvpm.lp import (
     LinearProgram,
     constraint,
     lp_solve,
+    satisfies,
 )
 from tvpm.pipeline import plus_minus_partition
 from tvpm.solver import enumerate_partitions
@@ -206,3 +207,172 @@ class TestDriveOut:
                 assert basis == ref_basis
                 assert [[F(v, d) for v in row] for row in tab] == ref_tab
                 assert [F(v, d) for v in obj] == ref_obj
+
+
+# Large primes as numerators and denominators of the column scales, so
+# that no two columns share a factor by accident.
+PRIMES = (2, 3, 104729, 998244353, 1000000007, 1000000009, 2**61 - 1)
+
+
+def nonnegative_or_free_program(rng: random.Random) -> LinearProgram:
+    n = rng.randint(1, 4)
+    cons = []
+    for _ in range(rng.randint(1, 4)):
+        coeffs = [random_scalar(rng) for _ in range(n)]
+        relation = rng.choice(("<=", ">=", "="))
+        cons.append(constraint(coeffs, relation, random_scalar(rng)))
+    bounds = tuple(rng.choice(((F(0), None), (None, None))) for _ in range(n))
+    objective = None
+    if rng.random() < 0.6:
+        objective = tuple(random_scalar(rng) for _ in range(n))
+    return LinearProgram(n, tuple(cons), objective, bounds)
+
+
+def scale_columns(lp: LinearProgram, k: list[Fraction]) -> LinearProgram:
+    """Column j (and its cost) times k[j] > 0: the same program in the
+    variables x_j / k[j], since every bound is 0 or absent."""
+    cons = tuple(
+        constraint([a * kj for a, kj in zip(con.coeffs, k)], con.relation, con.rhs)
+        for con in lp.constraints
+    )
+    objective = None
+    if lp.objective is not None:
+        objective = tuple(c * kj for c, kj in zip(lp.objective, k))
+    return LinearProgram(lp.num_vars, cons, objective, lp.bounds)
+
+
+def test_column_scaling_keeps_the_verdict_and_maps_the_point():
+    rng = random.Random("column-scaling")
+    seen = {FEASIBLE: 0, INFEASIBLE: 0, UNBOUNDED: 0}
+    for _ in range(300):
+        lp = nonnegative_or_free_program(rng)
+        k = [F(rng.choice(PRIMES), rng.choice(PRIMES)) for _ in range(lp.num_vars)]
+        scaled_lp = scale_columns(lp, k)
+        result = lp_solve(lp)
+        scaled_result = lp_solve(scaled_lp)
+        assert scaled_result.status == result.status
+        if result.point is not None:
+            assert scaled_result.point == tuple(x / kj for x, kj in zip(result.point, k))
+        assert result == reference_lp_solve(lp)
+        assert scaled_result == reference_lp_solve(scaled_lp)
+        seen[result.status] += 1
+    assert min(seen.values()) >= 20, seen
+
+
+# Pivots over plus_minus_partition on seeds 0-9: Bland's rule over the
+# rationals makes exactly these, whatever the kernel's integer form.
+SEARCH_PIVOTS = {
+    (2, 3, 2, False): 925,
+    (4, 2, 1, False): 583,
+    (1, 5, 2, False): 255,
+    (1, 5, 3, True): 231,
+}
+
+
+@pytest.mark.parametrize("cell", list(SEARCH_PIVOTS), ids=str)
+def test_search_pivot_counts_and_tableau_entry_sizes(monkeypatch, cell):
+    seen = {"pivots": 0, "bits": 0}
+    original = lp_module._pivot
+
+    def counting_pivot(tab, obj, basis, pr, pc, d):
+        d = original(tab, obj, basis, pr, pc, d)
+        seen["pivots"] += 1
+        bits = max(abs(v).bit_length() for row in tab for v in row)
+        seen["bits"] = max(seen["bits"], bits)
+        return d
+
+    monkeypatch.setattr(lp_module, "_pivot", counting_pivot)
+    for seed in range(10):
+        plus_minus_partition(gen.separable_configuration(seed, *cell))
+    assert seen["pivots"] == SEARCH_PIVOTS[cell]
+    # One common denominator for the whole tableau let entries reach 264 to
+    # 579 bits on these cells; primitive columns keep them far lower.
+    assert seen["bits"] <= 200, seen
+
+
+def integer_program(rng: random.Random) -> LinearProgram:
+    n = rng.randint(1, 4)
+    cons = []
+    for _ in range(rng.randint(0, 4)):
+        coeffs = [rng.randint(-9, 9) for _ in range(n)]
+        cons.append(constraint(coeffs, rng.choice(("<=", ">=", "=")), rng.randint(-9, 9)))
+    bounds = []
+    for _ in range(n):
+        kind = rng.randrange(4)
+        lo = rng.randint(-5, 5) if kind in (1, 3) else None
+        hi = rng.randint(-5, 5) if kind in (2, 3) else None
+        bounds.append((lo, hi))
+    objective = None
+    if rng.random() < 0.6:
+        objective = tuple(rng.randint(-5, 5) for _ in range(n))
+    return LinearProgram(n, tuple(cons), objective, tuple(bounds))
+
+
+def as_fractions(lp: LinearProgram) -> LinearProgram:
+    def frac(v):
+        return None if v is None else F(v)
+
+    return LinearProgram(
+        lp.num_vars,
+        tuple(
+            constraint([F(a) for a in con.coeffs], con.relation, F(con.rhs))
+            for con in lp.constraints
+        ),
+        None if lp.objective is None else tuple(F(c) for c in lp.objective),
+        tuple((frac(lo), frac(hi)) for lo, hi in lp.bounds),
+    )
+
+
+def test_integer_programs_solve_like_their_fraction_twins():
+    rng = random.Random("integer-programs")
+    seen = {FEASIBLE: 0, INFEASIBLE: 0, UNBOUNDED: 0}
+    for _ in range(300):
+        lp = integer_program(rng)
+        assert all(type(a) is int for con in lp.constraints for a in con.coeffs)
+        result = lp_solve(lp)
+        assert result == lp_solve(as_fractions(lp))
+        assert result == reference_lp_solve(lp)
+        if result.point is not None:
+            assert all(type(x) is Fraction for x in result.point)
+        seen[result.status] += 1
+    assert min(seen.values()) >= 20, seen
+
+
+def test_infeasible_search_programs_create_no_fraction(monkeypatch):
+    def run():
+        for seed in range(3):
+            plus_minus_partition(gen.separable_configuration(seed, 2, 3, 2))
+
+    programs = _captured_programs(monkeypatch, (solver, separation), run)
+    for lp in programs:
+        assert all(type(a) is int for con in lp.constraints for a in con.coeffs)
+        assert all(type(con.rhs) is int for con in lp.constraints)
+
+    def no_fraction(*args):
+        raise AssertionError("an infeasible program created a Fraction")
+
+    infeasible = [lp for lp in programs if lp_solve(lp).status == INFEASIBLE]
+    assert infeasible
+    monkeypatch.setattr(lp_module, "Fraction", no_fraction)
+    for lp in infeasible:
+        assert lp_solve(lp) == lp_module.LpResult(INFEASIBLE)
+
+
+def test_satisfies_rejects_each_violation_of_an_integer_program():
+    lp = LinearProgram(
+        num_vars=2,
+        constraints=(
+            constraint([2, 1], "<=", 4),
+            constraint([1, -1], ">=", -1),
+            constraint([1, 1], "=", 2),
+        ),
+        bounds=((0, 3), (None, 2)),
+    )
+    assert satisfies(lp, (F(1), F(1)))
+    assert satisfies(lp, (F(1, 2), F(3, 2)))
+    assert not satisfies(lp, (F(1),))  # wrong length
+    assert not satisfies(lp, (F(-1, 3), F(7, 3)))  # below a lower bound
+    assert not satisfies(lp, (F(10, 3), F(-4, 3)))  # above an upper bound
+    assert not satisfies(lp, (F(7, 3), F(-1, 3)))  # "<=" broken
+    assert not satisfies(lp, (F(1, 3), F(5, 3) + F(1, 10**9)))  # ">=" and "=" broken
+    assert not satisfies(lp, (F(1, 2), F(3, 2) - F(1, 10**12)))  # "=" broken
