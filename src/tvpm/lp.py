@@ -35,10 +35,11 @@ simplex.  Multiplying every row of the standardized program by one positive
 constant leaves the starting matrix as it is, so a caller may build its
 program in integers, every constraint times one common denominator, without
 changing a pivot (as long as no variable has two bounds: a cap row is not a
-constraint the caller multiplies).  The entries stay as small as the primitive columns allow: in the search
-programs a lifted point's column is, up to a small factor, the homogeneous
-coordinates ``(p, 1)`` of the original point, not the lift's shared
-denominators.  Scaling *rows* by different factors would break all this:
+constraint the caller multiplies); ``integer_points`` gives the callers
+their points that way.  The entries stay as small as the primitive columns
+allow: in the search programs a lifted point's column is, up to a small
+factor, the homogeneous coordinates ``(p, 1)`` of the original point, not
+the lift's shared denominators.  Scaling *rows* by different factors would break all this:
 the phase-one reduced costs sum the rows, so rows must share one scale.
 
 The problems this package generates are tiny (tens of rows and columns), so
@@ -51,7 +52,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .errors import InternalError
 from .linalg import common_denominator, scaled
@@ -102,6 +103,22 @@ def constraint(coeffs: Sequence, relation: str, rhs) -> Constraint:
     if relation not in (LESS_EQUAL, EQUAL, GREATER_EQUAL):
         raise ValueError(f"unknown relation: {relation!r}")
     return Constraint(tuple(_exact(c) for c in coeffs), relation, _exact(rhs))
+
+
+def integer_points(
+    points: Iterable[Sequence[Fraction]],
+) -> tuple[int, list[list[int]]]:
+    """``(q, [q * p, ...])``: the points' least common denominator ``q`` and
+    every point times ``q``, as ``int`` coordinates.
+
+    A program written on these coordinates, with its other numbers (the
+    sum-to-one constants, right-hand sides, margins) times ``q``, is the
+    rational program with every row times ``q``: ``lp_solve`` builds the
+    very same tableau from it, and an infeasible one creates no ``Fraction``.
+    """
+    points = list(points)
+    q = common_denominator(c for p in points for c in p)
+    return q, [scaled(p, q) for p in points]
 
 
 def _exact(value) -> Rational:

@@ -17,8 +17,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import DegenerateLift, InternalError, SeparationInfeasible
-from .linalg import ONE, common_denominator, dot, scaled
-from .lp import FEASIBLE, LinearProgram, constraint, lp_solve
+from .linalg import ONE, dot
+from .lp import FEASIBLE, LinearProgram, constraint, integer_points, lp_solve
 from .model import Configuration, Hyperplane
 
 
@@ -44,12 +44,10 @@ def separating_hyperplane(
     if len(members) >= len(config.points):
         raise ValueError("the complementary face must be nonempty")
     d = config.d
-    # Every row times the points' common denominator q: the same program,
-    # in integers.
-    q = common_denominator(c for p in config.points for c in p)
+    q, points = integer_points(config.points)
     cons = []
-    for i, p in enumerate(config.points):
-        coeffs = scaled(p, q) + [-q]
+    for i, p in enumerate(points):
+        coeffs = p + [-q]
         if i in members:
             cons.append(constraint(coeffs, "<=", -q))
         else:

@@ -36,8 +36,8 @@ from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
 from .errors import InternalError
-from .linalg import ZERO, Point, common_denominator, scaled
-from .lp import FEASIBLE, LinearProgram, constraint, lp_solve
+from .linalg import ZERO, Point
+from .lp import FEASIBLE, LinearProgram, constraint, integer_points, lp_solve
 from .model import TverbergPartition, is_prime
 
 Blocks = tuple[tuple[int, ...], ...]
@@ -195,10 +195,7 @@ def hulls_intersect(
     if not blocks or any(not b for b in blocks):
         raise ValueError("every block needs at least one point")
     dim = len(blocks[0][0])
-    # Every row times the points' common denominator q: the same program,
-    # in integers.
-    q = common_denominator(c for blk in blocks for p in blk for c in p)
-    int_blocks = [[scaled(p, q) for p in blk] for blk in blocks]
+    q, points = integer_points(p for blk in blocks for p in blk)
 
     sizes = [len(b) for b in blocks]
     offsets = [sum(sizes[:j]) for j in range(len(blocks))]
@@ -212,10 +209,10 @@ def hulls_intersect(
     for j in range(1, len(blocks)):
         for m in range(dim):
             coeffs = [0] * nvar
-            for t, p in enumerate(int_blocks[0]):
-                coeffs[offsets[0] + t] = p[m]
-            for t, p in enumerate(int_blocks[j]):
-                coeffs[offsets[j] + t] = -p[m]
+            for t in range(sizes[0]):
+                coeffs[offsets[0] + t] = points[offsets[0] + t][m]
+            for t in range(sizes[j]):
+                coeffs[offsets[j] + t] = -points[offsets[j] + t][m]
             cons.append(constraint(coeffs, "=", 0))
     lp = LinearProgram(nvar, tuple(cons), bounds=((0, None),) * nvar)
     result = lp_solve(lp)

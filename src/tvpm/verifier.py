@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .linalg import ONE, ZERO, common_denominator, dot, scaled
+from .linalg import ONE, ZERO, dot
 from .model import (
     COLORED,
     Configuration,
@@ -21,7 +21,7 @@ from .model import (
     PlusMinusCertificate,
     validate_configuration,
 )
-from .lp import FEASIBLE, LinearProgram, constraint, lp_solve
+from .lp import FEASIBLE, LinearProgram, constraint, integer_points, lp_solve
 from .separation import separating_hyperplane, trivial_hyperplane
 from .solver import Blocks, enumerate_partitions
 
@@ -139,10 +139,7 @@ def signed_presentation(
     position = {i: t for t, i in enumerate(flat)}
     members = set(config.mu)
     d = config.d
-    # Every row times the points' common denominator q: the same program,
-    # in integers.
-    q = common_denominator(c for p in config.points for c in p)
-    points = [scaled(p, q) for p in config.points]
+    q, points = integer_points(config.points)
     nvar = len(flat) + d
     bounds = tuple(
         (None, 0) if i in members else (0, None) for i in flat

@@ -26,6 +26,7 @@ from tvpm.lp import (
     UNBOUNDED,
     LinearProgram,
     constraint,
+    integer_points,
     lp_solve,
     satisfies,
 )
@@ -376,3 +377,47 @@ def test_satisfies_rejects_each_violation_of_an_integer_program():
     assert not satisfies(lp, (F(7, 3), F(-1, 3)))  # "<=" broken
     assert not satisfies(lp, (F(1, 3), F(5, 3) + F(1, 10**9)))  # ">=" and "=" broken
     assert not satisfies(lp, (F(1, 2), F(3, 2) - F(1, 10**12)))  # "=" broken
+
+
+def test_integer_points_scale_by_the_least_common_denominator():
+    q, points = integer_points([(F(1, 2), F(-2, 3)), (F(0), F(5, 4))])
+    assert q == 12
+    assert points == [[6, -8], [0, 15]]
+    assert all(type(c) is int for p in points for c in p)
+    assert integer_points(iter([(F(3), F(-1))])) == (1, [[3, -1]])
+    assert integer_points([]) == (1, [])
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_integer_points_programs_pivot_like_the_rational_ones(monkeypatch, seed):
+    """A separation-style program over the rational points and the same one
+    over ``integer_points``, constants times ``q``: same pivots, same point."""
+    rng = random.Random(f"integer-points-{seed}")
+    d = rng.randint(1, 3)
+    pts = [tuple(random_scalar(rng) for _ in range(d)) for _ in range(rng.randint(2, 7))]
+    members = set(rng.sample(range(len(pts)), rng.randint(1, len(pts) - 1)))
+    q, ints = integer_points(pts)
+
+    def program(points, one):
+        return LinearProgram(d + 1, tuple(
+            constraint(list(p) + [-one], "<=" if i in members else ">=",
+                       -one if i in members else one)
+            for i, p in enumerate(points)
+        ))
+
+    original = lp_module._pivot
+
+    def solve_recording(lp):
+        pivots = []
+
+        def recording_pivot(tab, obj, basis, pr, pc, den):
+            pivots.append((pr, pc))
+            return original(tab, obj, basis, pr, pc, den)
+
+        monkeypatch.setattr(lp_module, "_pivot", recording_pivot)
+        return lp_solve(lp), pivots
+
+    rational, rational_pivots = solve_recording(program(pts, F(1)))
+    integer, integer_pivots = solve_recording(program(ints, q))
+    assert integer == rational
+    assert integer_pivots == rational_pivots

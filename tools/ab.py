@@ -1,16 +1,17 @@
 """Interleaved A/B timing of two checkouts on the search workloads' inputs.
 
-    python3 tools/ab.py DIR_A DIR_B [--instances 200] [--passes 3]
+    python3 tools/ab.py DIR_A DIR_B
 
 Each checkout's ``src/tvpm`` is copied into a temporary directory under its
 own package name (``tvpm_a``, ``tvpm_b``), so both load into one process.
-The inputs are the first instances of the search workloads at the
-benchmark's reference seed 0, generated by ``perfbench/workloads.py`` of the
-checkout this script lives in (imported, never written).  Every instance is solved by A and by B back to back, the
-order alternating from one instance to the next, so a drift in the
-machine's speed falls on both sides alike.  Times are thread CPU time.  The
-two certificates of every instance must serialize to the same text, or the
-script stops with exit 1.
+The inputs are the first ``INSTANCES`` instances of each search workload at
+the benchmark's reference seed 0, as ``perfbench/workloads.py`` of the
+checkout this script lives in generates them (imported, never written);
+the whole list is solved ``PASSES`` times.  Every instance is solved by A
+and by B back to back, the order alternating from one instance to the
+next, so a drift in the machine's speed falls on both sides alike.  Times
+are thread CPU time.  The two certificates of every instance must
+serialize to the same text, or the script stops with exit 1.
 
 The last line per workload is the speed ratio: A's total time over B's, so
 a ratio above 1 means B is faster.  This complements ``perfbench/run.py``,
@@ -21,7 +22,6 @@ only the search workloads.
 
 from __future__ import annotations
 
-import argparse
 import importlib
 import importlib.util
 import shutil
@@ -34,6 +34,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SEARCH_WORKLOADS = ("search-lp", "search-enum")
 SEED = 0
+INSTANCES = 200
+PASSES = 3
 
 
 def load_workloads():
@@ -63,16 +65,14 @@ def solve(package, config) -> tuple[float, str]:
     return elapsed, package.serialize_certificate(cert)
 
 
-def compare(workloads, packages, workload: str, args) -> int:
-    pattern = workloads.SEARCH_PATTERNS[workload]
-    texts = [
-        workloads.config_text(f"{SEED}:{i}", *pattern[i % len(pattern)])
-        for i in range(args.instances)
-    ]
+def compare(workloads, packages, workload: str) -> int:
+    # The fixtures argument only feeds cli-oracle's inputs.
+    texts = workloads.instance_texts(workload, SEED, ROOT / "tests" / "fixtures")
+    texts = texts[:INSTANCES]
     configs = [[p.parse_configuration(t) for t in texts] for p in packages]
     totals = [0.0, 0.0]
     ratios = []
-    for _ in range(args.passes):
+    for _ in range(PASSES):
         for i in range(len(texts)):
             order = (0, 1) if i % 2 == 0 else (1, 0)
             times, certs = [0.0, 0.0], ["", ""]
@@ -87,7 +87,7 @@ def compare(workloads, packages, workload: str, args) -> int:
                 ratios.append(times[0] / times[1])
     print(
         f"{workload}: A {totals[0]:.3f} s, B {totals[1]:.3f} s over "
-        f"{len(texts)} instances x {args.passes} passes; "
+        f"{len(texts)} instances x {PASSES} passes; "
         f"median per-instance A/B {statistics.median(ratios):.3f}"
     )
     print(f"{workload}: A/B speed ratio {totals[0] / totals[1]:.3f}")
@@ -95,23 +95,20 @@ def compare(workloads, packages, workload: str, args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("dir_a", type=Path)
-    parser.add_argument("dir_b", type=Path)
-    parser.add_argument("--instances", type=int, default=200)
-    parser.add_argument("--passes", type=int, default=3)
-    args = parser.parse_args(argv)
-    if args.instances < 1 or args.passes < 1:
-        parser.error("--instances and --passes must be positive")
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) != 2:
+        print("usage: python3 tools/ab.py DIR_A DIR_B", file=sys.stderr)
+        return 2
+    dir_a, dir_b = (Path(a).resolve() for a in argv)
     workloads = load_workloads()
     with tempfile.TemporaryDirectory() as tmp:
         sys.path.insert(0, tmp)
         packages = [
-            load_package(args.dir_a.resolve(), "tvpm_a", Path(tmp)),
-            load_package(args.dir_b.resolve(), "tvpm_b", Path(tmp)),
+            load_package(dir_a, "tvpm_a", Path(tmp)),
+            load_package(dir_b, "tvpm_b", Path(tmp)),
         ]
         for workload in SEARCH_WORKLOADS:
-            if compare(workloads, packages, workload, args):
+            if compare(workloads, packages, workload):
                 return 1
     return 0
 
