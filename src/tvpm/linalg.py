@@ -73,8 +73,18 @@ def excerpt(token: str) -> str:
 
 
 def format_scalar(value: Fraction) -> str:
-    """Canonical text for a rational: reduced ``p/q``, bare ``p`` when q = 1."""
-    return str(value)
+    """Canonical text for a rational: reduced ``p/q``, bare ``p`` when q = 1.
+
+    A numerator or denominator over the int-string limit, text that
+    ``parse_scalar`` could not read back, is a ``ValueError`` naming it.
+    """
+    try:
+        return str(value)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise ValueError(
+            f"a number over the {limit}-digit limit for integers"
+        ) from None
 
 
 def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:

@@ -42,6 +42,16 @@ factor, the homogeneous coordinates ``(p, 1)`` of the original point, not
 the lift's shared denominators.  Scaling *rows* by different factors would break all this:
 the phase-one reduced costs sum the rows, so rows must share one scale.
 
+An infeasible verdict keeps its proof.  When phase one ends with a positive
+minimum, artificial column ``i`` of the objective row holds ``D * (1 - u_i)``
+for phase one's dual ``u``, so ``D - obj[width + i]`` is ``D * u_i``, an
+integer.  Optimality makes ``u . A_j <= 0`` on every structural column and
+strong duality ``u . b > 0``: Farkas' certificate that no nonnegative point
+solves the standardized rows.  A column scale ``k_j > 0`` only scales
+``u . A_j``, and the common right-hand-side scale only ``u . b``, so ``u``
+is the same for the unscaled program; a row ``_standardize`` negated
+negates its ``u_i`` back.  Reading it off costs no pivot.
+
 The problems this package generates are tiny (tens of rows and columns), so
 the implementation favours exactness and determinism over sparse-matrix
 cleverness.
@@ -49,7 +59,7 @@ cleverness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 from typing import Iterable, Optional, Sequence, Union
@@ -94,8 +104,13 @@ class LinearProgram:
 
 @dataclass(frozen=True)
 class LpResult:
+    """The verdict, the point of a feasible program, and on an infeasible
+    verdict from phase one the Farkas multipliers of the program's
+    constraints (see ``lp_solve``); they take no part in equality."""
+
     status: str
     point: Optional[tuple[Fraction, ...]] = None
+    multipliers: Optional[tuple[int, ...]] = field(default=None, compare=False)
 
 
 def constraint(coeffs: Sequence, relation: str, rhs) -> Constraint:
@@ -156,12 +171,23 @@ def satisfies(lp: LinearProgram, point: Sequence[Fraction]) -> bool:
 
 def lp_solve(lp: LinearProgram) -> LpResult:
     """Solve ``lp`` exactly: a feasible (optimal, if asked) point, or the
-    verdict ``infeasible`` / ``unbounded``."""
+    verdict ``infeasible`` / ``unbounded``.
+
+    An infeasible verdict from phase one carries ``multipliers``, one
+    integer ``y_i`` per constraint: a positive multiple of phase one's dual,
+    and so a Farkas certificate.  For a program whose variables are all
+    bounded below by zero and above by nothing, ``y . A_j <= 0`` for every
+    column ``A_j``, ``y . b > 0``, ``y_i <= 0`` on a ``<=`` row and
+    ``y_i >= 0`` on a ``>=`` row: no ``x >= 0`` can satisfy the program,
+    since ``y . (A x) <= 0 < y . b``.  Other bounds shift and split the
+    columns first (``_standardize``), and a variable with two bounds adds
+    a cap row whose multiplier is not reported.
+    """
     _validate(lp)
     std = _standardize(lp)
     if std is None:
         return LpResult(INFEASIBLE)
-    rows, rhs, col_var, base, width = std
+    rows, rhs, col_var, base, width, flipped = std
     m = len(rows)
 
     # Phase one: minimize the sum of one artificial variable per row, on
@@ -183,7 +209,12 @@ def lp_solve(lp: LinearProgram) -> LpResult:
     if status != "optimal":
         raise InternalError("phase-one objective is bounded below zero")
     if obj[-1] != 0:
-        return LpResult(INFEASIBLE)
+        # Farkas multipliers, D * u_i (see the module docstring).
+        multipliers = tuple(
+            -(d - obj[width + i]) if flipped[i] else d - obj[width + i]
+            for i in range(len(lp.constraints))
+        )
+        return LpResult(INFEASIBLE, multipliers=multipliers)
     d = _drive_out_artificials(tab, basis, width, d)
     tab = [row[:width] + [row[-1]] for row in tab]
 
@@ -221,11 +252,14 @@ def _validate(lp: LinearProgram) -> None:
 def _standardize(lp: LinearProgram):
     """Rewrite as rows @ y = rhs with y >= 0 and rhs >= 0.
 
-    Returns (rows, rhs, col_var, base, width) where col_var maps each
-    structural column to (original variable, sign) and the original value is
-    base[j] plus the signed column contributions.  Returns None when a bound
-    pair is contradictory on its own.  Every value is an exact rational: the
-    program's own, or an ``int`` (the ``0`` and ``±1`` placeholders).
+    Returns (rows, rhs, col_var, base, width, flipped) where col_var maps
+    each structural column to (original variable, sign), the original value
+    is base[j] plus the signed column contributions, and flipped[i] says
+    whether row i was negated to make its right-hand side nonnegative (the
+    program's constraints first, then one cap row per variable with two
+    bounds).  Returns None when a bound pair is contradictory on its own.
+    Every value is an exact rational: the program's own, or an ``int`` (the
+    ``0`` and ``±1`` placeholders).
     """
     n = lp.num_vars
     bounds = lp.bounds if lp.bounds is not None else ((None, None),) * n
@@ -279,11 +313,12 @@ def _standardize(lp: LinearProgram):
         k += 1
         rows.append(row)
         rhs.append(cap)
+    flipped = [v < 0 for v in rhs]
     for i in range(len(rows)):
-        if rhs[i] < 0:
+        if flipped[i]:
             rows[i] = [-v for v in rows[i]]
             rhs[i] = -rhs[i]
-    return rows, rhs, tuple(col_var), base, width
+    return rows, rhs, tuple(col_var), base, width, flipped
 
 
 def _primitive(values: Sequence[Rational]) -> tuple[list[int], tuple[int, int]]:

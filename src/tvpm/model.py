@@ -42,6 +42,7 @@ output is guaranteed for equal values.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator, Optional
@@ -134,23 +135,25 @@ def validate_configuration(config: Configuration) -> None:
     expected = tverberg_point_count(config.d, config.r)
     if len(config.points) != expected:
         raise ParseError(
-            f"expected {expected} points for d={config.d}, r={config.r}, "
-            f"got {len(config.points)}"
+            f"expected {_num(expected)} points for d={_num(config.d)}, "
+            f"r={_num(config.r)}, got {len(config.points)}"
         )
     for i, p in enumerate(config.points):
         if len(p) != config.d:
-            raise ParseError(f"point {i} has {len(p)} coordinates, expected {config.d}")
+            raise ParseError(
+                f"point {i} has {len(p)} coordinates, expected {_num(config.d)}"
+            )
     n = len(config.points)
     for idx in config.mu:
         if not 0 <= idx < n:
-            raise ParseError(f"mu index {idx} out of range 0..{n - 1}")
+            raise ParseError(f"mu index {_num(idx)} out of range 0..{n - 1}")
     if any(a >= b for a, b in zip(config.mu, config.mu[1:])):
         raise ParseError("mu indices must be strictly increasing")
     if config.mode == COLORED:
         if config.coloring is None:
             raise ParseError("colored mode requires color classes")
         if not is_prime(config.r):
-            raise ParseError(f"colored mode requires prime r, got {config.r}")
+            raise ParseError(f"colored mode requires prime r, got {_num(config.r)}")
         seen: set[int] = set()
         for ci, cls in enumerate(config.coloring):
             if not cls:
@@ -164,7 +167,9 @@ def validate_configuration(config: Configuration) -> None:
                 )
             for idx in cls:
                 if not 0 <= idx < n:
-                    raise ParseError(f"color index {idx} out of range 0..{n - 1}")
+                    raise ParseError(
+                        f"color index {_num(idx)} out of range 0..{n - 1}"
+                    )
                 if idx in seen:
                     raise ParseError(f"vertex {idx} appears in two color classes")
                 seen.add(idx)
@@ -197,9 +202,9 @@ def validate_certificate_structure(cert: PlusMinusCertificate) -> None:
         previous_min = block[0]
         for idx in block:
             if idx < 0:
-                raise ParseError(f"negative vertex index {idx}")
+                raise ParseError(f"negative vertex index {_num(idx)}")
             if idx in seen:
-                raise ParseError(f"blocks overlap at vertex {idx}")
+                raise ParseError(f"blocks overlap at vertex {_num(idx)}")
             seen.add(idx)
     if set(cert.coefficients) != seen:
         raise ParseError("coefficient indices must match the block union exactly")
@@ -207,8 +212,8 @@ def validate_certificate_structure(cert: PlusMinusCertificate) -> None:
         total = sum(cert.coefficients[i] for i in block)
         if total != 1:
             raise ParseError(
-                f"coefficients of block {{{','.join(map(str, block))}}} "
-                f"sum to {total}, expected 1"
+                f"coefficients of block {{{_num(','.join(map(str, block)))}}} "
+                f"sum to {_num(total)}, expected 1"
             )
     if cert.beta <= 0:
         raise ParseError("beta must be positive")
@@ -243,6 +248,17 @@ class _Cursor:
     def done(self) -> None:
         if self.pos < len(self.lines):
             raise ParseError(f"unexpected trailing line: {excerpt(self.lines[self.pos])}")
+
+
+def _num(value) -> str:
+    """A number (or a list of them) for a message: in full up to 20
+    characters, otherwise cut short by ``excerpt``, so that the message
+    stays one short line."""
+    try:
+        text = str(value)
+    except ValueError:
+        return f"a number over the {sys.get_int_max_str_digits()}-digit limit"
+    return text if len(text) <= 20 else excerpt(text)
 
 
 # ``int`` alone would also accept "1_000" and non-ASCII digits.
@@ -311,15 +327,17 @@ def parse_configuration(text: str) -> Configuration:
         tokens = cursor.next("point line")
         idx = _int(tokens[0], "point index")
         if len(tokens) < 2 or tokens[1] != ":":
-            raise ParseError(f"expected ':' after point index {tokens[0]}")
+            raise ParseError(f"expected ':' after point index {_num(idx)}")
         if idx in coords:
-            raise ParseError(f"point {idx} defined twice")
+            raise ParseError(f"point {_num(idx)} defined twice")
         if not 0 <= idx < count:
-            raise ParseError(f"point index {idx} out of range 0..{count - 1}")
+            raise ParseError(
+                f"point index {_num(idx)} out of range 0..{count - 1}"
+            )
         point = tuple(_rat(t, "coordinate") for t in tokens[2:])
         if len(point) != d:
             raise ParseError(
-                f"point {idx} has {len(point)} coordinates, expected {d}"
+                f"point {idx} has {len(point)} coordinates, expected {_num(d)}"
             )
         coords[idx] = point
     points = tuple(coords[i] for i in range(count))
@@ -386,7 +404,7 @@ def parse_certificate(text: str) -> PlusMinusCertificate:
     rainbow = rainbow_rest == ["1"]
     n_blocks = _keyed_int(cursor, "blocks")
     if n_blocks != r:
-        raise ParseError(f"blocks count {n_blocks} does not match r {r}")
+        raise ParseError(f"blocks count {_num(n_blocks)} does not match r {_num(r)}")
     blocks = []
     for j in range(n_blocks):
         tokens = cursor.next("block line")
@@ -403,7 +421,7 @@ def parse_certificate(text: str) -> PlusMinusCertificate:
             raise ParseError(f"bad coeff line: {excerpt(' '.join(tokens))}")
         idx = _int(tokens[1], "coeff index")
         if idx in coefficients:
-            raise ParseError(f"coefficient for vertex {idx} given twice")
+            raise ParseError(f"coefficient for vertex {_num(idx)} given twice")
         coefficients[idx] = _rat(tokens[3], "coefficient")
     b_tokens = _keyed(cursor, "b")
     point_b = tuple(_rat(t, "b coordinate") for t in _values(b_tokens, "b"))
@@ -414,9 +432,9 @@ def parse_certificate(text: str) -> PlusMinusCertificate:
     cursor.done()
 
     if len(point_b) != d:
-        raise ParseError(f"b has {len(point_b)} coordinates, header says d={d}")
+        raise ParseError(f"b has {len(point_b)} coordinates, header says d={_num(d)}")
     if len(w) != d:
-        raise ParseError(f"w has {len(w)} coordinates, header says d={d}")
+        raise ParseError(f"w has {len(w)} coordinates, header says d={_num(d)}")
     cert = PlusMinusCertificate(
         blocks=tuple(blocks),
         coefficients=coefficients,
@@ -445,8 +463,19 @@ def _single_rat(cursor: _Cursor, key: str) -> Fraction:
 
 
 def serialize_certificate(cert: PlusMinusCertificate) -> str:
-    """Canonical ``tvpm-cert v1`` text for a structurally valid certificate."""
+    """Canonical ``tvpm-cert v1`` text for a structurally valid certificate.
+
+    A certificate holding a number over the int-string limit is refused
+    with a ParseError, since its text could not be parsed back.
+    """
     validate_certificate_structure(cert)
+    try:
+        return _certificate_text(cert)
+    except ValueError as exc:
+        raise ParseError(f"certificate not written: it holds {exc}") from None
+
+
+def _certificate_text(cert: PlusMinusCertificate) -> str:
     out = [
         "tvpm-cert v1",
         f"d {len(cert.point_b)}",

@@ -8,7 +8,8 @@ results are deterministic.
 
 Hulls can only meet where the blocks' bounding boxes do, so the search walks
 a box-pruned enumeration (``enumerate_partitions`` given the points) and asks
-the exact LP (``hulls_intersect``) only about partitions whose boxes meet.
+the exact LP (``hulls_intersect``'s program) only about partitions whose
+boxes meet.
 Once per search every coordinate is replaced by its rank among the distinct
 values on its axis: an integer that orders exactly as the rational does,
 ties included, so the box test needs no ``Fraction`` comparison.  As blocks
@@ -28,6 +29,22 @@ has boxes that meet (its last block passes the second cut with ``k = 1``).
 So the LP sees exactly the partitions a full box test on each complete
 partition would pass, in the same canonical order: the same first hit, the
 same Bland pivots, the same certificate bytes.
+
+An infeasible LP also proves more than its own partition's failure.  Its
+Farkas multipliers (``LpResult.multipliers``) give one affine function
+``h_j`` per block, ``>= 0`` on that block's points, the ``r`` of them adding
+up to a negative constant (``_refuter``).  Any later partition whose blocks
+each lie in the ``h >= 0`` region of a different one of these functions has
+no common point either, since the functions would all be ``>= 0`` there.
+The search keeps one bitmask per point and certificate (bit ``j`` set where
+``h_j >= 0``) and skips, without an LP, each listed partition that a kept
+certificate refutes (``_refutes``: a matching of blocks to functions over at
+most ``r`` bitmasks).  A certificate enters the cache only after it has
+been checked to refute its own partition.  A feasible partition is never
+refuted and the order is unchanged, so the first hit and its bytes stay the
+same.  With two blocks the regions ``h_0 >= 0`` and ``h_1 >= 0`` are
+disjoint, so a certificate refutes only its own partition, which the walk
+never lists again: two-block searches keep none.
 """
 
 from __future__ import annotations
@@ -37,7 +54,14 @@ from typing import Iterator, Optional, Sequence
 
 from .errors import InternalError
 from .linalg import ZERO, Point
-from .lp import FEASIBLE, LinearProgram, constraint, integer_points, lp_solve
+from .lp import (
+    EQUAL,
+    FEASIBLE,
+    Constraint,
+    LinearProgram,
+    integer_points,
+    lp_solve,
+)
 from .model import TverbergPartition, is_prime
 
 Blocks = tuple[tuple[int, ...], ...]
@@ -194,39 +218,138 @@ def hulls_intersect(
     blocks = [list(b) for b in point_blocks]
     if not blocks or any(not b for b in blocks):
         raise ValueError("every block needs at least one point")
-    dim = len(blocks[0][0])
     q, points = integer_points(p for blk in blocks for p in blk)
+    ints = iter(points)
+    result = lp_solve(_hulls_program(q, [[next(ints) for _ in b] for b in blocks]))
+    if result.status != FEASIBLE:
+        return None
+    return _meeting_point(blocks, result.point)
 
+
+def _hulls_program(
+    q: int, blocks: Sequence[Sequence[Sequence[int]]]
+) -> LinearProgram:
+    """The program of ``hulls_intersect`` on integer points ``P = q * p``.
+
+    One variable ``x_t >= 0`` per point, in block order; then the rows
+    ``q * sum(x_t : t in B_j) = q``, one per block ``j``, and for each block
+    ``j >= 1`` and axis ``m``, ``sum(P_t[m] x_t : t in B_0) - sum(P_t[m] x_t
+    : t in B_j) = 0``.  Every row is the rational program's row times ``q``,
+    all ``int``s, so ``Constraint`` takes them without ``constraint``'s
+    conversions.
+    """
+    dim = len(blocks[0][0])
     sizes = [len(b) for b in blocks]
     offsets = [sum(sizes[:j]) for j in range(len(blocks))]
     nvar = sum(sizes)
     cons = []
-    for j, blk in enumerate(blocks):
+    for j in range(len(blocks)):
         coeffs = [0] * nvar
-        for t in range(len(blk)):
+        for t in range(sizes[j]):
             coeffs[offsets[j] + t] = q
-        cons.append(constraint(coeffs, "=", q))
+        cons.append(Constraint(tuple(coeffs), EQUAL, q))
     for j in range(1, len(blocks)):
         for m in range(dim):
             coeffs = [0] * nvar
-            for t in range(sizes[0]):
-                coeffs[offsets[0] + t] = points[offsets[0] + t][m]
-            for t in range(sizes[j]):
-                coeffs[offsets[j] + t] = -points[offsets[j] + t][m]
-            cons.append(constraint(coeffs, "=", 0))
-    lp = LinearProgram(nvar, tuple(cons), bounds=((0, None),) * nvar)
-    result = lp_solve(lp)
-    if result.status != FEASIBLE:
-        return None
-    per_block = [
-        list(result.point[offsets[j] : offsets[j] + sizes[j]])
-        for j in range(len(blocks))
-    ]
+            for t, p in enumerate(blocks[0]):
+                coeffs[offsets[0] + t] = p[m]
+            for t, p in enumerate(blocks[j]):
+                coeffs[offsets[j] + t] = -p[m]
+            cons.append(Constraint(tuple(coeffs), EQUAL, 0))
+    return LinearProgram(nvar, tuple(cons), bounds=((0, None),) * nvar)
+
+
+def _meeting_point(
+    blocks: Sequence[Sequence[Point]], point: Sequence[Fraction]
+) -> tuple[tuple[Fraction, ...], list[list[Fraction]]]:
+    """The witness and per-block coefficients of a feasible point of
+    ``_hulls_program`` built on ``blocks``."""
+    per_block = []
+    start = 0
+    for blk in blocks:
+        per_block.append(list(point[start : start + len(blk)]))
+        start += len(blk)
     witness = tuple(
         sum((c * p[m] for c, p in zip(per_block[0], blocks[0]) if c), ZERO)
-        for m in range(dim)
+        for m in range(len(blocks[0][0]))
     )
     return witness, per_block
+
+
+def _refuter(
+    q: int,
+    points: Sequence[Sequence[int]],
+    blocks: Blocks,
+    multipliers: Optional[Sequence[int]],
+) -> list[int]:
+    """Per point, the bitmask of the Farkas functions that are ``>= 0`` on it.
+
+    ``multipliers`` certify that ``_hulls_program`` on ``blocks`` is
+    infeasible: sum-row multipliers ``s_j`` and coupling-row multipliers
+    ``u_j`` (``j >= 1``) with ``y . A_t <= 0`` on every column and
+    ``y . b = q * sum(s_j) > 0``.  A column of block 0 reads
+    ``q*s_0 + sum_j <u_j, P>`` and one of block ``j`` reads
+    ``q*s_j - <u_j, P>``, so the affine functions
+
+        h_0(P) = -(q*s_0 + sum_j <u_j, P>),    h_j(P) = -(q*s_j - <u_j, P>)
+
+    are ``>= 0`` on their own block's points and add up to the constant
+    ``-q * sum(s_j) < 0``.  Bit ``j`` of point ``i``'s mask is set iff
+    ``h_j(P_i) >= 0``.  Raises InternalError unless the certificate refutes
+    the partition it came from.
+    """
+    r = len(blocks)
+    dim = len(points[0])
+    if multipliers is None or len(multipliers) != r + (r - 1) * dim:
+        raise InternalError("infeasible search LP came without its multipliers")
+    s = multipliers[:r]
+    u = [multipliers[r + (j - 1) * dim : r + j * dim] for j in range(1, r)]
+    if sum(s) <= 0:
+        raise InternalError("search LP multipliers do not sum to a positive bound")
+    masks = []
+    for p in points:
+        dots = [sum(a * c for a, c in zip(uj, p) if a) for uj in u]
+        values = [-(q * s[0] + sum(dots))]
+        values += [dot - q * sj for sj, dot in zip(s[1:], dots)]
+        masks.append(sum(1 << j for j, v in enumerate(values) if v >= 0))
+    for j, block in enumerate(blocks):
+        if any(not masks[i] >> j & 1 for i in block):
+            raise InternalError(
+                "search LP multipliers do not refute their own partition"
+            )
+    return masks
+
+
+def _refutes(masks: Sequence[int], blocks: Blocks) -> bool:
+    """Whether the Farkas functions behind ``masks`` refute ``blocks``: each
+    block can take a function of its own that is ``>= 0`` on all its points.
+
+    A common point ``x`` of the blocks' hulls would then make every function
+    ``>= 0`` at ``x``, yet they sum to a negative constant.
+    """
+    allowed = []
+    for block in blocks:
+        mask = -1
+        for i in block:
+            mask &= masks[i]
+        if not mask:
+            return False
+        allowed.append(mask)
+    return _assignable(allowed, 0)
+
+
+def _assignable(allowed: Sequence[int], used: int) -> bool:
+    """Whether each entry of ``allowed`` can keep one set bit, no bit twice,
+    none of them in ``used``."""
+    if not allowed:
+        return True
+    options = allowed[0] & ~used
+    while options:
+        bit = options & -options
+        if _assignable(allowed[1:], used | bit):
+            return True
+        options ^= bit
+    return False
 
 
 def tverberg_partition(points: Sequence[Point], r: int) -> TverbergPartition:
@@ -269,11 +392,27 @@ def _check_count(count: int, r: int, dim: int) -> None:
 
 
 def _search(pts, r, coloring) -> TverbergPartition:
+    # Every partition covers all the points, so one scaling serves them all
+    # and each program is the one ``hulls_intersect`` would build.  The LP
+    # is called through this module's ``lp_solve``, which the benchmark's
+    # tracer wraps.
+    q, ints = integer_points(pts)
+    refuters: list[list[int]] = []
     for blocks in enumerate_partitions(len(pts), r, coloring, pts):
-        hit = hulls_intersect([[pts[i] for i in block] for block in blocks])
-        if hit is None:
+        # Newest first: partitions close in the canonical order share
+        # blocks, so a recent certificate is the likeliest to refute.
+        if any(_refutes(masks, blocks) for masks in reversed(refuters)):
             continue
-        witness, per_block = hit
+        program = _hulls_program(q, [[ints[i] for i in block] for block in blocks])
+        result = lp_solve(program)
+        if result.status != FEASIBLE:
+            # Two-block certificates refute only their own partition.
+            if r > 2:
+                refuters.append(_refuter(q, ints, blocks, result.multipliers))
+            continue
+        witness, per_block = _meeting_point(
+            [[pts[i] for i in block] for block in blocks], result.point
+        )
         coefficients = {
             i: c
             for block, cs in zip(blocks, per_block)

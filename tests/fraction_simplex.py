@@ -37,7 +37,7 @@ def reference_lp_solve(lp: LinearProgram, trace: Optional[list] = None) -> LpRes
     std = _standardize(lp)
     if std is None:
         return LpResult(INFEASIBLE)
-    rows, rhs, col_var, base, width = std
+    rows, rhs, col_var, base, width, _ = std
     m = len(rows)
 
     # ``_standardize`` keeps a program's ``int``s: make every entry a

@@ -1,12 +1,14 @@
 """Certificate bytes pinned by digest on generated configurations.
 
 The two golden fixtures pin one plain and one colored solve.  These digests
-pin fifteen more, so that any change to the search or to the LP kernel that
+pin twenty more, so that any change to the search or to the LP kernel that
 moves a single chosen partition, coefficient or hyperplane fails here.  The
 first twelve cover the cells the benchmark runs and were recorded with the
-rational (``Fraction``) simplex kernel; the last three, at (1, 6, 2) and
-colored (1, 7, 3), sit where box pruning of the partition walk cuts the most
-and were recorded before the box test moved into the walk.
+rational (``Fraction``) simplex kernel; the three at (1, 6, 2) and colored
+(1, 7, 3) sit where box pruning of the partition walk cuts the most and were
+recorded before the box test moved into the walk; the five at (3, 3, 2) and
+(2, 4, 3) sit where the search's kept Farkas certificates skip the most LPs
+and were recorded before the search kept any.
 """
 
 from __future__ import annotations
@@ -35,6 +37,11 @@ DIGESTS = {
     (1, 6, 2, False, 0): "9024ecfdf237ebbefd116a306b0b4b151aa2fa928e6d7f9a5a813ff15759938b",
     (1, 6, 2, False, 1): "5e515763336c7eeecba33313394e895d387434d77da87c6304723a51706b0c4a",
     (1, 7, 3, True, 0): "c4e0d08d877acab4cd2b6f1d9d637f8bfc44b57a720170e3850632e04fd679f6",
+    (3, 3, 2, False, 0): "e2f449c98354e2648e24ac857a43cbaa50fcd8bf8c2a3e2c0e67cd6c442ee2ce",
+    (3, 3, 2, False, 1): "48f15b553eb8cf5c395fa0656f34d791afe559a077c45e959bdb5136d5bc8abf",
+    (3, 3, 2, False, 2): "2ec426531d60d5b1a814afaf2639e77774db956d25a295136effaf45cdac71ed",
+    (2, 4, 3, False, 0): "6f10e5e81d30c7114cf067acf5280d76481f3d56841334d084f6fbaf2f728e9d",
+    (2, 4, 3, False, 1): "e197474cc39440d16a32c46fdd9ca7bc4e2d9d65763be79e9b20d7dc9d501b54",
 }
 
 

@@ -332,6 +332,84 @@ class TestInputBytes:
         assert err.count("\n") == 1 and len(err.encode()) < 200
 
 
+    HUGE = "9" * 4000
+
+    @pytest.mark.parametrize(
+        "fixture, old, new",
+        [
+            (LINE3, "2 : 3", HUGE + " : 3"),
+            (LINE3, "2 : 3", HUGE + " 3"),
+            (LINE3, "mu : 2", "mu : " + HUGE),
+            (PLANE7, "C3 : 3", "C3 : " + HUGE),
+            (LINE3, "d 1", "d " + HUGE),
+            (LINE3, "r 2", "r " + HUGE),
+        ],
+        ids=[
+            "point-index", "point-colon", "mu-index", "color-index",
+            "point-dimension", "point-count",
+        ],
+    )
+    def test_long_number_in_config_is_a_short_parse_error(
+        self, capsys, tmp_path, fixture, old, new
+    ):
+        config = tmp_path / "long.txt"
+        text = fixture.read_text()
+        assert old in text
+        config.write_text(text.replace(old, new, 1))
+        code, out, err = run_cli(capsys, "solve", "--input", str(config))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("parse error: ") and "(4000 characters)" in err
+        assert err.count("\n") == 1 and len(err.encode()) < 200
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("coeff 0 : 1", f"coeff {HUGE} : 1\ncoeff {HUGE} : 1"),
+            ("B0 : 0\nB1 : 1 2", f"B0 : 0 {HUGE}\nB1 : 1 {HUGE}"),
+            ("coeff 0 : 1", "coeff 0 : " + HUGE),
+            ("r 2", "r " + HUGE),
+            ("d 1", "d " + HUGE),
+        ],
+        ids=[
+            "coeff-twice", "blocks-overlap", "block-sum", "blocks-count",
+            "b-dimension",
+        ],
+    )
+    def test_long_number_in_certificate_is_a_short_parse_error(
+        self, capsys, tmp_path, old, new
+    ):
+        cert = tmp_path / "long.cert"
+        text = LINE3_CERT.read_text()
+        assert old in text
+        cert.write_text(text.replace(old, new, 1))
+        code, out, err = run_cli(
+            capsys, "verify", "--input", str(LINE3), "--cert", str(cert)
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("parse error: ") and "(4000 characters)" in err
+        assert err.count("\n") == 1 and len(err.encode()) < 200
+
+    def test_certificate_over_the_digit_limit_is_refused(self, capsys, tmp_path):
+        # Valid input, but the lift's numbers outgrow the int-string limit,
+        # so the certificate could not be parsed back.
+        big = "7" * 3000
+        config = tmp_path / "big.txt"
+        config.write_text(
+            "tvpm-config v1\nd 2\nr 2\nmode classical\npoints 4\n"
+            f"0 : 0 0\n1 : {big} 1\n2 : 1/{big} 5\n3 : -3 -2\nmu : 3\n"
+        )
+        output = tmp_path / "big.cert"
+        code, out, err = run_cli(
+            capsys, "solve", "--input", str(config), "--output", str(output)
+        )
+        assert code == 2
+        assert out == "" and not output.exists()
+        assert err.startswith("parse error: ") and "4300-digit limit" in err
+        assert err.count("\n") == 1 and len(err.encode()) < 200
+
+
 class TestSubprocess:
     """True end-to-end runs in separate interpreters; separate processes
     also rule out hash-seed dependence in the output bytes."""

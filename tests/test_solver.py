@@ -10,7 +10,9 @@ import pytest
 
 import gen
 from tvpm import plus_minus_partition, solver
+from tvpm.errors import InternalError
 from tvpm.linalg import affine_dependence
+from tvpm.lp import INFEASIBLE, LpResult, integer_points, lp_solve
 from tvpm.separation import lift_configuration, separating_hyperplane
 from tvpm.solver import (
     colored_tverberg_partition,
@@ -184,33 +186,164 @@ class TestBoxPruning:
             ] == per_block
 
 
+def counted_search_calls(monkeypatch) -> dict:
+    """Searches, listed partitions and LPs made through ``tvpm.solver``'s
+    globals from this call on."""
+    counts = {"searches": 0, "partitions": 0, "lps": 0}
+    enumerate_original = solver.enumerate_partitions
+    lp_original = solver.lp_solve
+
+    def counting_enumerate(*args, **kwargs):
+        counts["searches"] += 1
+        for blocks in enumerate_original(*args, **kwargs):
+            counts["partitions"] += 1
+            yield blocks
+
+    def counting_lp(lp):
+        counts["lps"] += 1
+        return lp_original(lp)
+
+    monkeypatch.setattr(solver, "enumerate_partitions", counting_enumerate)
+    monkeypatch.setattr(solver, "lp_solve", counting_lp)
+    return counts
+
+
 class TestTracedNames:
-    """The search looks ``enumerate_partitions`` and ``hulls_intersect`` up
-    in ``tvpm.solver``'s globals, once per search and once per listed
-    partition: the benchmark's tracer (``perfbench/tracing.py``) wraps
-    exactly those names."""
+    """The search looks ``enumerate_partitions`` and ``lp_solve`` up in
+    ``tvpm.solver``'s globals, once per search and once per listed
+    partition that no kept Farkas certificate refutes: the benchmark's
+    tracer (``perfbench/tracing.py``) wraps exactly those names."""
 
     def test_one_solve_goes_through_both_names(self, monkeypatch):
-        counts = {"searches": 0, "partitions": 0, "hulls": 0}
-        enumerate_original = solver.enumerate_partitions
-        hulls_original = solver.hulls_intersect
+        counts = counted_search_calls(monkeypatch)
+        refuted = set()
+        refutes_original = solver._refutes
 
-        def counting_enumerate(*args, **kwargs):
-            counts["searches"] += 1
-            for blocks in enumerate_original(*args, **kwargs):
-                counts["partitions"] += 1
-                yield blocks
+        def recording_refutes(masks, blocks):
+            hit = refutes_original(masks, blocks)
+            if hit:
+                refuted.add(blocks)
+            return hit
 
-        def counting_hulls(point_blocks):
-            counts["hulls"] += 1
-            return hulls_original(point_blocks)
-
-        monkeypatch.setattr(solver, "enumerate_partitions", counting_enumerate)
-        monkeypatch.setattr(solver, "hulls_intersect", counting_hulls)
+        monkeypatch.setattr(solver, "_refutes", recording_refutes)
         config = gen.separable_configuration(0, 2, 3, 2)
         plus_minus_partition(config)
         assert counts["searches"] == 1
-        assert counts["hulls"] == counts["partitions"] > 1
+        assert refuted
+        assert counts["lps"] == counts["partitions"] - len(refuted) > 1
+
+
+def kept_certificates(monkeypatch) -> list:
+    """Every certificate the searches run after this call keep."""
+    kept = []
+    original = solver._refuter
+
+    def keeping(*args):
+        kept.append(original(*args))
+        return kept[-1]
+
+    monkeypatch.setattr(solver, "_refuter", keeping)
+    return kept
+
+
+def search(points, r, coloring):
+    if coloring is None:
+        return tverberg_partition(points, r)
+    return colored_tverberg_partition(points, r, coloring)
+
+
+class TestFarkasCache:
+    """Each infeasible search LP's Farkas certificate refutes later
+    partitions without an LP; it must never refute one whose hulls meet."""
+
+    @pytest.mark.parametrize(
+        "d, r, mu_size, colored, boxed",
+        [
+            (2, 3, 2, False, False), (3, 3, 2, False, False),
+            (2, 3, 2, True, False), (3, 3, 2, True, False),
+            # The unpruned (2, 4) listing has 34105 partitions per seed,
+            # about half a minute of LPs: check the walk's own listing.
+            (2, 4, 3, False, True),
+        ],
+    )
+    def test_refuted_partitions_have_disjoint_hulls(
+        self, monkeypatch, d, r, mu_size, colored, boxed
+    ):
+        refuted = 0
+        for seed in range(2):
+            points, coloring = lifted(seed, d, r, mu_size, colored)
+            kept = kept_certificates(monkeypatch)
+            search(points, r, coloring)
+            monkeypatch.undo()
+            assert kept
+            listing = enumerate_partitions(
+                len(points), r, coloring, points if boxed else None
+            )
+            for blocks in listing:
+                if any(solver._refutes(masks, blocks) for masks in kept):
+                    refuted += 1
+                    hit = hulls_intersect([[points[i] for i in b] for b in blocks])
+                    assert hit is None, blocks
+        assert refuted > 100
+
+    @pytest.mark.parametrize("corruption", ["negated", "no-coupling", "missing"])
+    def test_a_corrupted_certificate_is_an_internal_error(
+        self, monkeypatch, corruption
+    ):
+        original = solver.lp_solve
+
+        def corrupting(lp):
+            result = original(lp)
+            y = result.multipliers
+            if y is None:
+                return result
+            if corruption == "negated":
+                y = tuple(-v for v in y)
+            elif corruption == "no-coupling":
+                y = y[:3] + (0,) * (len(y) - 3)
+            else:
+                y = None
+            return LpResult(result.status, result.point, y)
+
+        monkeypatch.setattr(solver, "lp_solve", corrupting)
+        config = gen.separable_configuration(0, 2, 3, 2)
+        with pytest.raises(InternalError, match="multipliers"):
+            plus_minus_partition(config)
+
+    @pytest.mark.parametrize(
+        "d, r, mu_size, partitions, lps",
+        [(3, 3, 2, 485, 111), (2, 4, 3, 1155, 110)],
+    )
+    def test_lp_counts_over_five_seeds(
+        self, monkeypatch, d, r, mu_size, partitions, lps
+    ):
+        counts = counted_search_calls(monkeypatch)
+        for seed in range(5):
+            plus_minus_partition(gen.separable_configuration(seed, d, r, mu_size))
+        assert counts == {"searches": 5, "partitions": partitions, "lps": lps}
+
+    def test_two_block_searches_keep_no_certificate(self, monkeypatch):
+        kept = kept_certificates(monkeypatch)
+        for seed in range(3):
+            plus_minus_partition(gen.separable_configuration(seed, 4, 2, 1))
+        assert kept == []
+
+    def test_two_block_certificate_refutes_only_its_own_partition(self):
+        # Why two-block searches keep none: h_0 + h_1 < 0 puts no point in
+        # both regions, so the regions are the partition itself.
+        points, _ = lifted(0, 4, 2, 1, False)
+        q, ints = integer_points(points)
+        listing = list(enumerate_partitions(len(points), 2))
+        certificates = 0
+        for blocks in listing[:40]:
+            program = solver._hulls_program(q, [[ints[i] for i in b] for b in blocks])
+            result = lp_solve(program)
+            if result.status != INFEASIBLE:
+                continue
+            certificates += 1
+            masks = solver._refuter(q, ints, blocks, result.multipliers)
+            assert [b for b in listing if solver._refutes(masks, b)] == [blocks]
+        assert certificates > 10
 
 
 class TestHullsIntersect:
