@@ -41,7 +41,6 @@ from .model import (
     Hyperplane,
     PlusMinusCertificate,
     TverbergPartition,
-    face_complement,
     is_prime,
     parse_certificate,
     parse_configuration,
@@ -108,7 +107,6 @@ __all__ = [
     "corollary_coloring",
     "dot",
     "enumerate_partitions",
-    "face_complement",
     "format_scalar",
     "hulls_intersect",
     "is_prime",

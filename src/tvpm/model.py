@@ -104,11 +104,6 @@ def tverberg_point_count(d: int, r: int) -> int:
     return (r - 1) * (d + 1) + 1
 
 
-def face_complement(face: tuple[int, ...], n_points: int) -> tuple[int, ...]:
-    members = set(face)
-    return tuple(i for i in range(n_points) if i not in members)
-
-
 def is_prime(n: int) -> bool:
     if n < 2:
         return False

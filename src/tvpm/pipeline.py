@@ -13,14 +13,12 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import InternalError, MuTooLarge, ParseError
-from .linalg import ZERO
 from .model import (
     COLORED,
     Configuration,
     PlusMinusCertificate,
     TverbergPartition,
     is_prime,
-    validate_certificate_structure,
     validate_configuration,
 )
 from .separation import (
@@ -30,6 +28,7 @@ from .separation import (
     trivial_hyperplane,
 )
 from .solver import colored_tverberg_partition, tverberg_partition
+from .verifier import verify_certificate
 
 
 def pull_back_coefficients(
@@ -37,36 +36,21 @@ def pull_back_coefficients(
 ) -> tuple[Fraction, dict[int, Fraction], tuple[Fraction, ...]]:
     """Signed coefficients and target point from a partition of the lift.
 
-    Returns (beta, coefficients, b).  beta is recomputed independently for
-    every block and cross-checked; it must be positive because at least one
-    block avoids the marked face entirely.
+    Returns (beta, coefficients, b).  Every lifted point ends in 1/s, its
+    lift factor's inverse, so the witness's last coordinate is the common
+    value sum(lambda_i / s_i) of every block: that is beta, and the other
+    coordinates divided by beta are b.  beta is positive because at least
+    one block avoids the marked face; the guard protects the division.
     """
-    d = len(lifted.points[0]) - 1
-    beta: Optional[Fraction] = None
-    u: Optional[tuple[Fraction, ...]] = None
-    for block in partition.blocks:
-        block_beta = sum(
-            partition.coefficients[i] / lifted.sign_factors[i] for i in block
-        )
-        block_u = tuple(
-            sum(
-                (partition.coefficients[i] * lifted.points[i][m] for i in block),
-                ZERO,
-            )
-            for m in range(d)
-        )
-        if beta is None:
-            beta, u = block_beta, block_u
-        elif block_beta != beta or block_u != u:
-            raise InternalError("blocks disagree on the pulled-back target")
-    if beta is None or beta <= 0:
+    beta = partition.witness[-1]
+    if beta <= 0:
         raise InternalError(f"normalizer must be positive, got {beta}")
     coefficients = {
         i: partition.coefficients[i] / (beta * lifted.sign_factors[i])
         for block in partition.blocks
         for i in block
     }
-    b = tuple(c / beta for c in u)
+    b = tuple(c / beta for c in partition.witness[:-1])
     return beta, coefficients, b
 
 
@@ -76,7 +60,9 @@ def plus_minus_partition(config: Configuration) -> PlusMinusCertificate:
     Raises MuTooLarge when the marked face has more than r - 1 vertices and
     SeparationInfeasible when its hull meets the complementary hull.  An
     empty marked face degenerates to the classical (or rainbow) search with
-    every coefficient nonnegative.
+    every coefficient nonnegative.  The one post-condition is
+    verify_certificate on ``config``: a certificate it rejects raises
+    InternalError naming the reason.
     """
     validate_configuration(config)
     if len(config.mu) > config.r - 1:
@@ -104,10 +90,11 @@ def plus_minus_partition(config: Configuration) -> PlusMinusCertificate:
         hyperplane=hyperplane,
         rainbow=config.mode == COLORED,
     )
-    try:
-        validate_certificate_structure(cert)
-    except ParseError as exc:
-        raise InternalError(f"produced an invalid certificate: {exc}") from exc
+    verdict = verify_certificate(config, cert)
+    if not verdict.accepted:
+        raise InternalError(
+            f"produced a certificate the verifier rejects: {verdict.reason}"
+        )
     return cert
 
 
@@ -141,13 +128,10 @@ def corollary_coloring(
 
 def run_corollary(config: Configuration) -> PlusMinusCertificate:
     """Solve with the face-induced coloring: rainbow blocks meet the marked
-    face at most once, so each block carries at most one nonpositive slot."""
+    face at most once, so each block carries at most one nonpositive slot.
+    The face is class 0 of that coloring, so the post-condition's rainbow
+    check holds every block to it."""
     validate_configuration(config)
     coloring = corollary_coloring(config)
     colored = replace(config, mode=COLORED, coloring=coloring)
-    cert = plus_minus_partition(colored)
-    members = set(config.mu)
-    for block in cert.blocks:
-        if len(members.intersection(block)) > 1:
-            raise InternalError("a block met the marked face twice")
-    return cert
+    return plus_minus_partition(colored)

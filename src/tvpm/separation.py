@@ -88,7 +88,4 @@ def lift_configuration(
         factors.append(s)
         lifted.append(tuple(c * inv for c in p) + (inv,))
     w_prime = tuple(w) + (-alpha,)
-    for q in lifted:
-        if dot(q, w_prime) != 1:
-            raise InternalError("lifted point missed the unit-product hyperplane")
     return LiftedConfiguration(tuple(lifted), w_prime, tuple(factors))

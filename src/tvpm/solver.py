@@ -45,6 +45,11 @@ refuted and the order is unchanged, so the first hit and its bytes stay the
 same.  With two blocks the regions ``h_0 >= 0`` and ``h_1 >= 0`` are
 disjoint, so a certificate refutes only its own partition, which the walk
 never lists again: two-block searches keep none.
+
+The search returns its first hit as the LP gives it.  The pipeline checks
+the certificate it pulls back from that hit with ``verify_certificate``, the
+solve's one post-condition.  ``validate_partition`` checks a partition by
+itself; nothing in the solve calls it.
 """
 
 from __future__ import annotations
@@ -97,20 +102,11 @@ def enumerate_partitions(
             for v in cls:
                 color_of[v] = ci
 
-    def rec(pool: tuple[int, ...], k: int) -> Iterator[Blocks]:
-        if k == 1:
-            if color_of is None or _rainbow_block(pool, color_of):
-                yield (pool,)
-            return
-        for block in _subsets_with_least(pool, color_of):
-            if len(pool) - len(block) < k - 1:
-                continue
-            taken = set(block)
-            rest = tuple(e for e in pool if e not in taken)
-            for tail in rec(rest, k - 1):
-                yield (block,) + tail
+    # Without points there are no axes: ``_narrow`` gives the empty box and
+    # ``_room`` holds vacuously, so the same walk lists every partition.
+    axes = [] if points is None else _rank_axes(points)
 
-    def boxed(pool: tuple[int, ...], k: int, box: _Box) -> Iterator[Blocks]:
+    def walk(pool: tuple[int, ...], k: int, box: _Box) -> Iterator[Blocks]:
         if k == 1:
             if color_of is None or _rainbow_block(pool, color_of):
                 yield (pool,)
@@ -125,15 +121,10 @@ def enumerate_partitions(
             rest = tuple(e for e in pool if e not in taken)
             if not _room(axes, rest, narrowed, k - 1):
                 continue
-            for tail in boxed(rest, k - 1, narrowed):
+            for tail in walk(rest, k - 1, narrowed):
                 yield (block,) + tail
 
-    if points is None:
-        yield from rec(tuple(range(n_points)), r)
-    else:
-        axes = _rank_axes(points)
-        everything = [(0, n_points)] * len(axes)
-        yield from boxed(tuple(range(n_points)), r, everything)
+    yield from walk(tuple(range(n_points)), r, [(0, n_points)] * len(axes))
 
 
 def _rank_axes(points: Sequence[Point]) -> list[list[int]]:
@@ -418,16 +409,14 @@ def _search(pts, r, coloring) -> TverbergPartition:
             for block, cs in zip(blocks, per_block)
             for i, c in zip(block, cs)
         }
-        partition = TverbergPartition(blocks, coefficients, witness)
-        validate_partition(pts, partition)
-        return partition
+        return TverbergPartition(blocks, coefficients, witness)
     raise InternalError(
         "partition search exhausted although a partition must exist"
     )
 
 
 def validate_partition(points: Sequence[Point], partition: TverbergPartition) -> None:
-    """Exact re-check of the partition invariants; raises InternalError."""
+    """Exact check of the partition invariants; raises InternalError."""
     seen: set[int] = set()
     for block in partition.blocks:
         if not block:

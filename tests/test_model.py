@@ -14,7 +14,6 @@ from tvpm.model import (
     Configuration,
     Hyperplane,
     PlusMinusCertificate,
-    face_complement,
     is_prime,
     parse_certificate,
     parse_configuration,
@@ -39,11 +38,6 @@ class TestHelpers:
         assert tverberg_point_count(1, 2) == 3
         assert tverberg_point_count(2, 3) == 7
         assert tverberg_point_count(3, 2) == 5
-
-    def test_face_complement(self):
-        assert face_complement((2,), 3) == (0, 1)
-        assert face_complement((), 3) == (0, 1, 2)
-        assert face_complement((0, 1, 2), 3) == ()
 
     def test_is_prime(self):
         primes = [n for n in range(60) if is_prime(n)]

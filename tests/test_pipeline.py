@@ -10,8 +10,9 @@ from pathlib import Path
 import pytest
 
 import gen
-from tvpm import Configuration, Hyperplane, verify_certificate
-from tvpm.errors import MuTooLarge, ParseError, SeparationInfeasible
+from tvpm import Configuration, Hyperplane, pipeline, verify_certificate
+from tvpm.cli import main as cli_main
+from tvpm.errors import InternalError, MuTooLarge, ParseError, SeparationInfeasible
 from tvpm.model import (
     CLASSICAL,
     TverbergPartition,
@@ -101,6 +102,39 @@ class TestPlusMinusPartition:
             marked = set(config.mu)
             for v, c in cert.coefficients.items():
                 assert c <= 0 if v in marked else c >= 0
+
+
+def swap_coefficients_one_and_two(monkeypatch):
+    """Make the pull-back swap the coefficients of vertices 1 and 2, which
+    share LINE3's block (1, 2): its sum stays 1, its combination moves."""
+    original = pipeline.pull_back_coefficients
+
+    def swapped(partition, lifted):
+        beta, coefficients, b = original(partition, lifted)
+        coefficients[1], coefficients[2] = coefficients[2], coefficients[1]
+        return beta, coefficients, b
+
+    monkeypatch.setattr(pipeline, "pull_back_coefficients", swapped)
+
+
+class TestPostCondition:
+    """verify_certificate is the solve's one post-condition: a certificate
+    it rejects is an internal error, never output."""
+
+    def test_rejected_certificate_is_an_internal_error(self, monkeypatch):
+        swap_coefficients_one_and_two(monkeypatch)
+        with pytest.raises(InternalError, match="affine-combination-mismatch"):
+            plus_minus_partition(LINE3)
+
+    def test_cli_exits_one_with_one_line(self, monkeypatch, capsys):
+        swap_coefficients_one_and_two(monkeypatch)
+        code = cli_main(["solve", "--input", str(FIXTURES / "line3.txt")])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("internal error: ")
+        assert "affine-combination-mismatch" in captured.err
+        assert captured.err.count("\n") == 1
 
 
 class TestCorollary:

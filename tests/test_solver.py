@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 
@@ -19,6 +20,7 @@ from tvpm.solver import (
     enumerate_partitions,
     hulls_intersect,
     tverberg_partition,
+    validate_partition,
 )
 
 F = Fraction
@@ -475,3 +477,44 @@ class TestColoredTverbergPartition:
         points = ((F(0),), (F(1),), (F(2),))
         with pytest.raises(ValueError, match="class"):
             colored_tverberg_partition(points, 2, ((0, 1), (2,)))
+
+
+class TestValidatePartition:
+    """The search no longer runs ``validate_partition``; it stays a check
+    of its own, kept exported for callers outside the solve."""
+
+    CELLS = [(1, 3, 2, False), (2, 3, 2, False), (4, 2, 1, False), (2, 3, 2, True)]
+
+    @pytest.fixture(params=CELLS, ids=str)
+    def found(self, request):
+        d, r, mu_size, colored = request.param
+        points, coloring = lifted(0, d, r, mu_size, colored)
+        return points, search(points, r, coloring)
+
+    def test_search_results_pass(self, found):
+        validate_partition(*found)
+
+    def test_moved_witness_is_refused(self, found):
+        points, partition = found
+        moved = tuple(c + 1 for c in partition.witness)
+        with pytest.raises(InternalError, match="witness"):
+            validate_partition(points, replace(partition, witness=moved))
+
+    def test_negative_weight_is_refused(self, found):
+        points, partition = found
+        block = next(b for b in partition.blocks if len(b) > 1)
+        coefficients = dict(partition.coefficients)
+        # The block's sum stays 1; only the sign check can refuse it.
+        coefficients[block[0]] -= 2
+        coefficients[block[1]] += 2
+        with pytest.raises(InternalError, match="negative"):
+            validate_partition(
+                points, replace(partition, coefficients=coefficients)
+            )
+
+    def test_overlapping_blocks_are_refused(self, found):
+        points, partition = found
+        first, second = partition.blocks[:2]
+        blocks = (first + second[:1], second) + partition.blocks[2:]
+        with pytest.raises(InternalError, match="overlap"):
+            validate_partition(points, replace(partition, blocks=blocks))
