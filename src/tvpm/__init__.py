@@ -16,24 +16,8 @@ from .errors import (
     SeparationInfeasible,
     TvpmError,
 )
-from .linalg import (
-    LinearSolution,
-    Point,
-    Scalar,
-    affine_dependence,
-    dot,
-    format_scalar,
-    parse_scalar,
-    solve_linear_system,
-)
-from .lp import (
-    Constraint,
-    LinearProgram,
-    LpResult,
-    constraint,
-    lp_solve,
-    satisfies,
-)
+from .linalg import Point, Scalar, dot, format_scalar, parse_scalar
+from .lp import Constraint, LinearProgram, LpResult, lp_solve, satisfies
 from .model import (
     CLASSICAL,
     COLORED,
@@ -71,7 +55,6 @@ from .solver import (
 )
 from .verifier import (
     VerifyResult,
-    certificate_for_partition,
     oracle_enumerate,
     signed_presentation,
     verify_certificate,
@@ -89,7 +72,6 @@ __all__ = [
     "InternalError",
     "LiftedConfiguration",
     "LinearProgram",
-    "LinearSolution",
     "LpResult",
     "MuTooLarge",
     "ParseError",
@@ -100,10 +82,7 @@ __all__ = [
     "TvpmError",
     "TverbergPartition",
     "VerifyResult",
-    "affine_dependence",
-    "certificate_for_partition",
     "colored_tverberg_partition",
-    "constraint",
     "corollary_coloring",
     "dot",
     "enumerate_partitions",
@@ -124,7 +103,6 @@ __all__ = [
     "serialize_certificate",
     "serialize_configuration",
     "signed_presentation",
-    "solve_linear_system",
     "trivial_hyperplane",
     "tverberg_partition",
     "tverberg_point_count",

@@ -1,17 +1,22 @@
-"""Exact rational linear programming.
+"""Exact rational feasibility programs.
 
-A small two-phase simplex with Bland's rule for both the entering and the
-leaving variable, so the solver terminates on every input and identical
-programs always produce identical answers.  Strict inequalities never appear
-here; callers that need strictness encode a margin into the right-hand side
-instead.
+Every question this package asks of a linear program is whether it has a
+point, never which point is best, so the solver is phase one of the simplex
+alone: it minimizes the sum of one artificial variable per row, with Bland's
+rule for both the entering and the leaving variable, so it terminates on
+every input and identical programs always produce identical answers.
+Strict inequalities never appear here; callers that need strictness encode a
+margin into the right-hand side instead.  Each variable is nonnegative,
+nonpositive or free: the bounds ``(0, None)``, ``(None, 0)`` and
+``(None, None)``, the only ones the callers need.
 
 The tableau is fraction-free (Edmonds 1967, Bareiss 1968): an integer matrix
 ``T`` and one shared denominator ``D > 0`` with the real tableau exactly
 ``T / D``.  Pivoting on ``p = T[r][c]`` maps every other entry to
 ``(p * T[i][j] - T[i][c] * T[r][j]) // D``, a division that is always exact
 because each entry is a minor of the starting matrix, and makes ``p`` the new
-``D``.  Values become ``Fraction``s only once, when the point is extracted.
+``D``.  The ratio test only picks ``p > 0``, so ``D`` stays positive.  Values
+become ``Fraction``s only once, when the point is extracted.
 
 The starting matrix is built one column at a time, with ``D = 1``.  Each
 structural column of the standardized program is multiplied by its own
@@ -23,24 +28,28 @@ phase-one program with every row multiplied by ``R`` and variable ``y_j``
 replaced by ``(k_j / R) * z_j``, and Bland's rule cannot tell the two apart:
 
 - a column scaled by ``k > 0`` has its reduced cost scaled by ``k``, so
-  every reduced cost keeps its sign (phase two scales the costs of ``z_j``
-  by ``k_j`` to match);
+  every reduced cost keeps its sign;
 - every ratio in the ratio test's column is divided by the same ``k``, so
-  the least ratio and its ties stay where they were;
-- no zero becomes nonzero or the other way, so the drive-out pivots and the
-  dropped rows are the same.
+  the least ratio and its ties stay where they were.
 
 The basis sequence and the returned point are those of the rational
 simplex.  Multiplying every row of the standardized program by one positive
 constant leaves the starting matrix as it is, so a caller may build its
 program in integers, every constraint times one common denominator, without
-changing a pivot (as long as no variable has two bounds: a cap row is not a
-constraint the caller multiplies); ``integer_points`` gives the callers
-their points that way.  The entries stay as small as the primitive columns
-allow: in the search programs a lifted point's column is, up to a small
-factor, the homogeneous coordinates ``(p, 1)`` of the original point, not
-the lift's shared denominators.  Scaling *rows* by different factors would break all this:
-the phase-one reduced costs sum the rows, so rows must share one scale.
+changing a pivot; ``integer_points`` gives the callers their points that
+way.  The entries stay as small as the primitive columns allow: in the
+search programs a lifted point's column is, up to a small factor, the
+homogeneous coordinates ``(p, 1)`` of the original point, not the lift's
+shared denominators.  Scaling *rows* by different factors would break all
+this: the phase-one reduced costs sum the rows, so rows must share one
+scale.
+
+A feasible phase one reads its point straight from its own tableau.  An
+artificial variable still basic there has the value 0, since the artificials
+sum to 0 and none is negative.  So a pivot that drove it out of the basis
+would be degenerate, on a row whose right-hand side is 0, and change no
+basic value, and a row it could not drive out would hold only that 0: the
+point is the same without the drive-out pass.
 
 An infeasible verdict keeps its proof.  When phase one ends with a positive
 minimum, artificial column ``i`` of the objective row holds ``D * (1 - u_i)``
@@ -73,11 +82,13 @@ GREATER_EQUAL = ">="
 
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
-UNBOUNDED = "unbounded"
 
 # A program's numbers: ``int`` where the caller built it in integers.
 Rational = Union[int, Fraction]
 Bound = tuple[Optional[Rational], Optional[Rational]]
+
+# Each supported bound and the signs of the columns that carry its variable.
+_COLUMN_SIGNS = {(0, None): (1,), (None, 0): (-1,), (None, None): (1, -1)}
 
 
 @dataclass(frozen=True)
@@ -89,35 +100,27 @@ class Constraint:
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """``num_vars`` variables, linear constraints, optional maximization.
+    """``num_vars`` variables and linear constraints: a feasibility question.
 
-    ``bounds`` holds one (lower, upper) pair per variable with ``None`` for an
-    unbounded side; when ``bounds`` itself is ``None`` every variable is free.
-    ``objective`` is maximized; leave it ``None`` for pure feasibility.
+    ``bounds`` holds one (lower, upper) pair per variable, ``(0, None)``,
+    ``(None, 0)`` or ``(None, None)``; when ``bounds`` itself is ``None``
+    every variable is free.
     """
 
     num_vars: int
     constraints: tuple[Constraint, ...]
-    objective: Optional[tuple[Rational, ...]] = None
     bounds: Optional[tuple[Bound, ...]] = None
 
 
 @dataclass(frozen=True)
 class LpResult:
     """The verdict, the point of a feasible program, and on an infeasible
-    verdict from phase one the Farkas multipliers of the program's
-    constraints (see ``lp_solve``); they take no part in equality."""
+    verdict the Farkas multipliers of the program's constraints (see
+    ``lp_solve``); they take no part in equality."""
 
     status: str
     point: Optional[tuple[Fraction, ...]] = None
     multipliers: Optional[tuple[int, ...]] = field(default=None, compare=False)
-
-
-def constraint(coeffs: Sequence, relation: str, rhs) -> Constraint:
-    """A constraint over exact rationals; ``int`` values stay ``int``."""
-    if relation not in (LESS_EQUAL, EQUAL, GREATER_EQUAL):
-        raise ValueError(f"unknown relation: {relation!r}")
-    return Constraint(tuple(_exact(c) for c in coeffs), relation, _exact(rhs))
 
 
 def integer_points(
@@ -134,10 +137,6 @@ def integer_points(
     points = list(points)
     q = common_denominator(c for p in points for c in p)
     return q, [scaled(p, q) for p in points]
-
-
-def _exact(value) -> Rational:
-    return value if type(value) is int else Fraction(value)
 
 
 def satisfies(lp: LinearProgram, point: Sequence[Fraction]) -> bool:
@@ -170,29 +169,27 @@ def satisfies(lp: LinearProgram, point: Sequence[Fraction]) -> bool:
 
 
 def lp_solve(lp: LinearProgram) -> LpResult:
-    """Solve ``lp`` exactly: a feasible (optimal, if asked) point, or the
-    verdict ``infeasible`` / ``unbounded``.
+    """Decide ``lp`` exactly: a feasible point, or the verdict
+    ``infeasible`` with its proof.
 
-    An infeasible verdict from phase one carries ``multipliers``, one
-    integer ``y_i`` per constraint: a positive multiple of phase one's dual,
-    and so a Farkas certificate.  For a program whose variables are all
-    bounded below by zero and above by nothing, ``y . A_j <= 0`` for every
-    column ``A_j``, ``y . b > 0``, ``y_i <= 0`` on a ``<=`` row and
-    ``y_i >= 0`` on a ``>=`` row: no ``x >= 0`` can satisfy the program,
-    since ``y . (A x) <= 0 < y . b``.  Other bounds shift and split the
-    columns first (``_standardize``), and a variable with two bounds adds
-    a cap row whose multiplier is not reported.
+    An infeasible verdict carries ``multipliers``, one integer ``y_i`` per
+    constraint: a positive multiple of phase one's dual, and so a Farkas
+    certificate.  For a program whose variables are all bounded below by
+    zero and above by nothing, ``y . A_j <= 0`` for every column ``A_j``,
+    ``y . b > 0``, ``y_i <= 0`` on a ``<=`` row and ``y_i >= 0`` on a ``>=``
+    row: no ``x >= 0`` can satisfy the program, since ``y . (A x) <= 0 <
+    y . b``.  A nonpositive variable is carried by the column ``-A_j`` and a
+    free one by both ``A_j`` and ``-A_j`` (``_standardize``), so there
+    ``y . A_j >= 0`` and ``y . A_j = 0`` instead.
     """
     _validate(lp)
-    std = _standardize(lp)
-    if std is None:
-        return LpResult(INFEASIBLE)
-    rows, rhs, col_var, base, width, flipped = std
+    rows, rhs, col_var, width, flipped = _standardize(lp)
     m = len(rows)
 
-    # Phase one: minimize the sum of one artificial variable per row, on
-    # primitive structural columns beside an identity, with D = 1 (see the
-    # module docstring).
+    # Minimize the sum of one artificial variable per row, on primitive
+    # structural columns beside an identity, with D = 1 (see the module
+    # docstring).  The objective row starts as the reduced costs: minus the
+    # column sums on the structural columns, 0 on the basic artificials.
     columns = [_primitive([row[c] for row in rows]) for c in range(width)]
     scales = [k for _, k in columns]
     b, rhs_scale = _primitive(rhs)
@@ -203,35 +200,17 @@ def lp_solve(lp: LinearProgram) -> LpResult:
         for i in range(m)
     ]
     basis = [width + i for i in range(m)]
-    d = 1
-    obj = _reduced_costs(tab, basis, [0] * width + [1] * m, d)
-    status, d = _minimize(tab, obj, basis, d)
-    if status != "optimal":
-        raise InternalError("phase-one objective is bounded below zero")
+    obj = [-sum(col) for col, _ in columns] + [0] * m + [-sum(b)]
+    d = _minimize(tab, obj, basis, 1)
     if obj[-1] != 0:
         # Farkas multipliers, D * u_i (see the module docstring).
         multipliers = tuple(
             -(d - obj[width + i]) if flipped[i] else d - obj[width + i]
-            for i in range(len(lp.constraints))
+            for i in range(m)
         )
         return LpResult(INFEASIBLE, multipliers=multipliers)
-    d = _drive_out_artificials(tab, basis, width, d)
-    tab = [row[:width] + [row[-1]] for row in tab]
 
-    if lp.objective is not None:
-        # Minimize -objective; column c's cost carries its scale k_c.
-        cost2 = [0] * width
-        for c, (j, s) in enumerate(col_var):
-            coeff = lp.objective[j]
-            if coeff:
-                cost2[c] = (-coeff if s > 0 else coeff) * Fraction(*scales[c])
-        # Any positive multiple of the costs has the same reduced-cost signs.
-        obj = _reduced_costs(tab, basis, _primitive(cost2)[0], d)
-        status, d = _minimize(tab, obj, basis, d)
-        if status == "unbounded":
-            return LpResult(UNBOUNDED)
-
-    point = _extract(tab, basis, col_var, base, scales, rhs_scale, d)
+    point = _extract(tab, basis, col_var, lp.num_vars, scales, rhs_scale, d)
     if not satisfies(lp, point):
         raise InternalError("simplex returned a point violating its own program")
     return LpResult(FEASIBLE, point)
@@ -243,47 +222,33 @@ def _validate(lp: LinearProgram) -> None:
     for con in lp.constraints:
         if len(con.coeffs) != lp.num_vars:
             raise ValueError("constraint arity does not match variable count")
-    if lp.objective is not None and len(lp.objective) != lp.num_vars:
-        raise ValueError("objective arity does not match variable count")
-    if lp.bounds is not None and len(lp.bounds) != lp.num_vars:
-        raise ValueError("bounds arity does not match variable count")
+        if con.relation not in (LESS_EQUAL, EQUAL, GREATER_EQUAL):
+            raise ValueError(f"unknown relation: {con.relation!r}")
+    if lp.bounds is not None:
+        if len(lp.bounds) != lp.num_vars:
+            raise ValueError("bounds arity does not match variable count")
+        for bound in lp.bounds:
+            if bound not in _COLUMN_SIGNS:
+                raise ValueError(
+                    f"unsupported bound {bound!r}: a variable is nonnegative "
+                    "(0, None), nonpositive (None, 0) or free (None, None)"
+                )
 
 
 def _standardize(lp: LinearProgram):
     """Rewrite as rows @ y = rhs with y >= 0 and rhs >= 0.
 
-    Returns (rows, rhs, col_var, base, width, flipped) where col_var maps
-    each structural column to (original variable, sign), the original value
-    is base[j] plus the signed column contributions, and flipped[i] says
-    whether row i was negated to make its right-hand side nonnegative (the
-    program's constraints first, then one cap row per variable with two
-    bounds).  Returns None when a bound pair is contradictory on its own.
-    Every value is an exact rational: the program's own, or an ``int`` (the
-    ``0`` and ``±1`` placeholders).
+    Returns (rows, rhs, col_var, width, flipped) where col_var maps each
+    structural column to (original variable, sign), the original value is
+    the sum of its signed column values, and flipped[i] says whether row i
+    was negated to make its right-hand side nonnegative.  The slack columns
+    follow the structural ones, up to ``width``.  Every value is an exact
+    rational: the program's own, or an ``int`` (the ``0`` and ``±1``
+    placeholders).
     """
-    n = lp.num_vars
-    bounds = lp.bounds if lp.bounds is not None else ((None, None),) * n
-    base: list[Rational] = [0] * n
-    col_var: list[tuple[int, int]] = []
-    cap_rows: list[tuple[int, Rational]] = []
-    for j, (lo, hi) in enumerate(bounds):
-        if lo is None and hi is None:
-            col_var.append((j, 1))
-            col_var.append((j, -1))
-        elif hi is None:
-            base[j] = lo
-            col_var.append((j, 1))
-        elif lo is None:
-            base[j] = hi
-            col_var.append((j, -1))
-        else:
-            if lo > hi:
-                return None
-            base[j] = lo
-            cap_rows.append((len(col_var), hi - lo))
-            col_var.append((j, 1))
-
-    nslack = sum(1 for c in lp.constraints if c.relation != EQUAL) + len(cap_rows)
+    bounds = lp.bounds if lp.bounds is not None else ((None, None),) * lp.num_vars
+    col_var = [(j, s) for j, bound in enumerate(bounds) for s in _COLUMN_SIGNS[bound]]
+    nslack = sum(1 for c in lp.constraints if c.relation != EQUAL)
     width = len(col_var) + nslack
     rows: list[list[Rational]] = []
     rhs: list[Rational] = []
@@ -294,10 +259,6 @@ def _standardize(lp: LinearProgram):
             a = con.coeffs[j]
             if a:
                 row[c] = a if s > 0 else -a
-        shift = sum(
-            (con.coeffs[j] * base[j] for j in range(n) if base[j] and con.coeffs[j]),
-            0,
-        )
         if con.relation == LESS_EQUAL:
             row[k] = 1
             k += 1
@@ -305,20 +266,13 @@ def _standardize(lp: LinearProgram):
             row[k] = -1
             k += 1
         rows.append(row)
-        rhs.append(con.rhs - shift)
-    for c, cap in cap_rows:
-        row = [0] * width
-        row[c] = 1
-        row[k] = 1
-        k += 1
-        rows.append(row)
-        rhs.append(cap)
+        rhs.append(con.rhs)
     flipped = [v < 0 for v in rhs]
     for i in range(len(rows)):
         if flipped[i]:
             rows[i] = [-v for v in rows[i]]
             rhs[i] = -rhs[i]
-    return rows, rhs, tuple(col_var), base, width, flipped
+    return rows, rhs, tuple(col_var), width, flipped
 
 
 def _primitive(values: Sequence[Rational]) -> tuple[list[int], tuple[int, int]]:
@@ -335,25 +289,14 @@ def _primitive(values: Sequence[Rational]) -> tuple[list[int], tuple[int, int]]:
     return ints, (den, g)
 
 
-def _reduced_costs(tab, basis, cost, d):
-    """The objective row ``D * cost - cost_B * T``: the real reduced costs
-    times ``D``, in the tableau's integer form."""
-    obj = [d * c for c in cost] + [0]
-    for i, b in enumerate(basis):
-        cb = cost[b]
-        if cb:
-            obj = [o - cb * t if t else o for o, t in zip(obj, tab[i])]
-    return obj
-
-
-def _minimize(tab, obj, basis, d) -> tuple[str, int]:
+def _minimize(tab, obj, basis, d) -> int:
     """Bland's rule simplex loop; ``tab``, ``obj`` and ``basis`` mutate.
-    Returns the verdict and the new denominator."""
+    Returns the new denominator."""
     ncols = len(obj) - 1
     while True:
         pc = next((j for j in range(ncols) if obj[j] < 0), None)
         if pc is None:
-            return "optimal", d
+            return d
         # Ratio test: least rhs / a over a > 0, compared by cross-multiplying
         # (D cancels); ties go to the lower basis index.
         pr = None
@@ -369,26 +312,19 @@ def _minimize(tab, obj, basis, d) -> tuple[str, int]:
                 if lhs < rhs or (lhs == rhs and basis[i] < basis[pr]):
                     pr, best_v, best_a = i, v, a
         if pr is None:
-            return "unbounded", d
+            raise InternalError("phase-one objective is bounded below zero")
         d = _pivot(tab, obj, basis, pr, pc, d)
 
 
 def _pivot(tab, obj, basis, pr, pc, d) -> int:
-    """Fraction-free pivot on ``tab[pr][pc]``; returns the new denominator.
-
-    A negative pivot (only ``_drive_out_artificials`` makes one) negates its
-    row first, which leaves the real tableau as it is and keeps ``D > 0``.
-    """
+    """Fraction-free pivot on ``tab[pr][pc] > 0``; returns the new
+    denominator."""
     prow = tab[pr]
     p = prow[pc]
-    if p < 0:
-        p = -p
-        tab[pr] = prow = [-v for v in prow]
     for i, row in enumerate(tab):
         if i != pr:
             tab[i] = _eliminate(row, prow, pc, p, d)
-    if obj is not None:
-        obj[:] = _eliminate(obj, prow, pc, p, d)
+    obj[:] = _eliminate(obj, prow, pc, p, d)
     basis[pr] = pc
     return p
 
@@ -407,32 +343,12 @@ def _eliminate(row, prow, pc, p, d) -> list[int]:
     return row
 
 
-def _drive_out_artificials(tab, basis, width, d) -> int:
-    """Pivot zero-valued artificial variables out of the basis; rows that
-    cannot be repaired are redundant and get dropped.  Returns the new
-    denominator.  Dropping a row with its artificial column keeps ``T / D``
-    exact, since that column is a unit vector of the basis."""
-    drop = []
-    for i in range(len(tab)):
-        if basis[i] < width:
-            continue
-        row = tab[i]
-        pc = next((j for j in range(width) if row[j] != 0), None)
-        if pc is None:
-            drop.append(i)
-        else:
-            d = _pivot(tab, None, basis, i, pc, d)
-    for i in reversed(drop):
-        del tab[i]
-        del basis[i]
-    return d
-
-
-def _extract(tab, basis, col_var, base, scales, rhs_scale, d) -> tuple[Fraction, ...]:
+def _extract(tab, basis, col_var, n, scales, rhs_scale, d) -> tuple[Fraction, ...]:
     """The original point: basic column ``c`` holds ``z_c = T[i][-1] / D``,
-    and its variable moves by ``y_c = (k_c / R) * z_c``."""
+    and its variable moves by ``y_c = (k_c / R) * z_c``.  Basic artificial
+    columns lie past ``col_var`` and hold 0."""
     values = {b: tab[i][-1] for i, b in enumerate(basis)}
-    x = list(base)
+    x: list[Rational] = [0] * n
     r_num, r_den = rhs_scale
     for c, (j, s) in enumerate(col_var):
         v = values.get(c)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import replace
 from fractions import Fraction
-from typing import Optional, Sequence
 
 from .errors import InternalError, MuTooLarge, ParseError
 from .model import (
@@ -71,7 +70,7 @@ def plus_minus_partition(config: Configuration) -> PlusMinusCertificate:
             f"at most r-1 = {config.r - 1} allowed"
         )
     if config.mu:
-        hyperplane = separating_hyperplane(config, config.mu)
+        hyperplane = separating_hyperplane(config)
     else:
         hyperplane = trivial_hyperplane(config)
     lifted = lift_configuration(config, hyperplane)
@@ -98,16 +97,14 @@ def plus_minus_partition(config: Configuration) -> PlusMinusCertificate:
     return cert
 
 
-def corollary_coloring(
-    config: Configuration, mu: Optional[Sequence[int]] = None
-) -> tuple[tuple[int, ...], ...]:
-    """The canonical coloring induced by the marked face.
+def corollary_coloring(config: Configuration) -> tuple[tuple[int, ...], ...]:
+    """The canonical coloring induced by the marked face ``config.mu``.
 
     Class 0 is the face itself; the remaining vertices are chunked in index
     order into classes of exactly r - 1 vertices, the last one possibly
     smaller.  Requires a nonempty face of at most r - 1 vertices and prime r.
     """
-    face = tuple(sorted(config.mu if mu is None else mu))
+    face = tuple(sorted(config.mu))
     if not face:
         raise ParseError("the induced coloring needs a nonempty marked face")
     if not is_prime(config.r):

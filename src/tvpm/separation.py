@@ -14,56 +14,51 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
-from .errors import DegenerateLift, InternalError, SeparationInfeasible
+from .errors import DegenerateLift, SeparationInfeasible
 from .linalg import ONE, dot
-from .lp import FEASIBLE, LinearProgram, constraint, integer_points, lp_solve
+from .lp import FEASIBLE, Constraint, LinearProgram, integer_points, lp_solve
 from .model import Configuration, Hyperplane
 
 
 @dataclass(frozen=True)
 class LiftedConfiguration:
     """Images of the configuration points, all satisfying
-    <point, w_prime> = 1, together with the per-vertex factors."""
+    <point, (w, -alpha)> = 1, together with the per-vertex factors."""
 
     points: tuple[tuple[Fraction, ...], ...]
-    w_prime: tuple[Fraction, ...]
     sign_factors: tuple[Fraction, ...]
 
 
-def separating_hyperplane(
-    config: Configuration, mu: Sequence[int]
-) -> Hyperplane:
-    """A hyperplane with the mu-points strictly below and the rest strictly
-    above, or SeparationInfeasible when the two hulls intersect."""
-    face = tuple(mu)
-    if not face:
+def separating_hyperplane(config: Configuration) -> Hyperplane:
+    """A hyperplane with the marked points (``config.mu``) strictly below
+    and the rest strictly above, or SeparationInfeasible when the two hulls
+    intersect.
+
+    Every point of the program's solution meets its margin row, ``s <= -1``
+    or ``s >= 1`` for ``s = <p, w> - alpha``, which ``lp_solve`` checks
+    exactly before it returns the point.
+    """
+    if not config.mu:
         raise ValueError("separating hyperplane needs a nonempty marked face")
-    members = set(face)
+    members = set(config.mu)
     if len(members) >= len(config.points):
         raise ValueError("the complementary face must be nonempty")
     d = config.d
     q, points = integer_points(config.points)
     cons = []
     for i, p in enumerate(points):
-        coeffs = p + [-q]
+        coeffs = tuple(p) + (-q,)
         if i in members:
-            cons.append(constraint(coeffs, "<=", -q))
+            cons.append(Constraint(coeffs, "<=", -q))
         else:
-            cons.append(constraint(coeffs, ">=", q))
+            cons.append(Constraint(coeffs, ">=", q))
     result = lp_solve(LinearProgram(d + 1, tuple(cons)))
     if result.status != FEASIBLE:
         raise SeparationInfeasible(
             "the marked face's hull meets the complementary hull"
         )
-    w = result.point[:d]
-    alpha = result.point[d]
-    for i, p in enumerate(config.points):
-        s = dot(p, w) - alpha
-        if (i in members) != (s < 0) or s == 0:
-            raise InternalError("separation margin lost in re-substitution")
-    return Hyperplane(w, alpha)
+    return Hyperplane(result.point[:d], result.point[d])
 
 
 def trivial_hyperplane(config: Configuration) -> Hyperplane:
@@ -87,5 +82,4 @@ def lift_configuration(
         inv = ONE / s
         factors.append(s)
         lifted.append(tuple(c * inv for c in p) + (inv,))
-    w_prime = tuple(w) + (-alpha,)
-    return LiftedConfiguration(tuple(lifted), w_prime, tuple(factors))
+    return LiftedConfiguration(tuple(lifted), tuple(factors))

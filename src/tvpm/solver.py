@@ -226,8 +226,7 @@ def _hulls_program(
     ``q * sum(x_t : t in B_j) = q``, one per block ``j``, and for each block
     ``j >= 1`` and axis ``m``, ``sum(P_t[m] x_t : t in B_0) - sum(P_t[m] x_t
     : t in B_j) = 0``.  Every row is the rational program's row times ``q``,
-    all ``int``s, so ``Constraint`` takes them without ``constraint``'s
-    conversions.
+    all ``int``s.
     """
     dim = len(blocks[0][0])
     sizes = [len(b) for b in blocks]

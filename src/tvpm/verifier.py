@@ -13,16 +13,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .linalg import ONE, ZERO, dot
+from .linalg import ZERO, dot
 from .model import (
     COLORED,
     Configuration,
-    Hyperplane,
     PlusMinusCertificate,
     validate_configuration,
 )
-from .lp import FEASIBLE, LinearProgram, constraint, integer_points, lp_solve
-from .separation import separating_hyperplane, trivial_hyperplane
+from .lp import FEASIBLE, Constraint, LinearProgram, integer_points, lp_solve
 from .solver import Blocks, enumerate_partitions
 
 
@@ -149,50 +147,17 @@ def signed_presentation(
         coeffs = [0] * nvar
         for i in block:
             coeffs[position[i]] = q
-        cons.append(constraint(coeffs, "=", q))
+        cons.append(Constraint(tuple(coeffs), "=", q))
     for block in blocks:
         for m in range(d):
             coeffs = [0] * nvar
             for i in block:
                 coeffs[position[i]] = points[i][m]
             coeffs[len(flat) + m] = -q
-            cons.append(constraint(coeffs, "=", 0))
+            cons.append(Constraint(tuple(coeffs), "=", 0))
     result = lp_solve(LinearProgram(nvar, tuple(cons), bounds=bounds))
     if result.status != FEASIBLE:
         return None
     coefficients = {i: result.point[position[i]] for i in flat}
     b = tuple(result.point[len(flat) :])
     return coefficients, b
-
-
-def certificate_for_partition(
-    config: Configuration,
-    blocks: Blocks,
-    hyperplane: Optional[Hyperplane] = None,
-) -> Optional[PlusMinusCertificate]:
-    """Build a certificate for ``blocks`` from the direct solve, or None.
-
-    The normalizer is pinned by the certificate identity
-    beta * (<b, w> - alpha) = 1; it is positive whenever some block avoids
-    the marked face, which the face-size precondition guarantees.
-    """
-    solution = signed_presentation(config, blocks)
-    if solution is None:
-        return None
-    coefficients, b = solution
-    if hyperplane is None:
-        if config.mu:
-            hyperplane = separating_hyperplane(config, config.mu)
-        else:
-            hyperplane = trivial_hyperplane(config)
-    denom = dot(b, hyperplane.w) - hyperplane.alpha
-    if denom <= 0:
-        return None
-    return PlusMinusCertificate(
-        blocks=blocks,
-        coefficients=coefficients,
-        point_b=b,
-        beta=ONE / denom,
-        hyperplane=hyperplane,
-        rainbow=config.mode == COLORED,
-    )

@@ -1,10 +1,15 @@
-"""Test-only reference: the two-phase Bland simplex over ``Fraction``.
+"""Test-only reference: the phase-one Bland simplex over ``Fraction``.
 
 This is the tableau kernel ``tvpm.lp`` used before it switched to
 fraction-free integer pivoting.  It shares ``_standardize`` with the package
 and nothing else, so comparing ``reference_lp_solve`` with ``lp_solve`` on
 the same program checks the integer kernel's pivots, verdicts and points
 against the plain rational arithmetic they must reproduce.
+
+Unlike the package, it still drives every zero-valued artificial variable
+out of the basis after a feasible phase one, dropping the rows where none
+can leave, before it reads its point.  Those pivots are degenerate, so the
+point must come out the same as the package's, which reads it without them.
 
 ``trace``, when given, receives one event per drive-out step: ``("pivot",
 value)`` for a pivot that moves a zero-valued artificial variable out of the
@@ -20,7 +25,6 @@ from tvpm.errors import InternalError
 from tvpm.lp import (
     FEASIBLE,
     INFEASIBLE,
-    UNBOUNDED,
     LinearProgram,
     LpResult,
     _standardize,
@@ -34,10 +38,7 @@ ONE = Fraction(1)
 
 def reference_lp_solve(lp: LinearProgram, trace: Optional[list] = None) -> LpResult:
     _validate(lp)
-    std = _standardize(lp)
-    if std is None:
-        return LpResult(INFEASIBLE)
-    rows, rhs, col_var, base, width, _ = std
+    rows, rhs, col_var, width, _ = _standardize(lp)
     m = len(rows)
 
     # ``_standardize`` keeps a program's ``int``s: make every entry a
@@ -51,25 +52,13 @@ def reference_lp_solve(lp: LinearProgram, trace: Optional[list] = None) -> LpRes
     basis = [width + i for i in range(m)]
     cost1 = [ZERO] * width + [ONE] * m
     obj = _reduced_costs(tab, basis, cost1)
-    if _minimize(tab, obj, basis) != "optimal":
-        raise InternalError("phase-one objective is bounded below zero")
+    _minimize(tab, obj, basis)
     if -obj[-1] != 0:
         return LpResult(INFEASIBLE)
     _drive_out_artificials(tab, basis, width, trace)
-    tab = [row[:width] + [row[-1]] for row in tab]
-
-    if lp.objective is not None:
-        cost2 = [ZERO] * width
-        for c, (j, s) in enumerate(col_var):
-            coeff = lp.objective[j]
-            if coeff:
-                cost2[c] = -coeff if s > 0 else coeff
-        obj = _reduced_costs(tab, basis, cost2)
-        if _minimize(tab, obj, basis) == "unbounded":
-            return LpResult(UNBOUNDED)
 
     values = {b: tab[i][-1] for i, b in enumerate(basis)}
-    x = list(base)
+    x = [ZERO] * lp.num_vars
     for c, (j, s) in enumerate(col_var):
         v = values.get(c, ZERO)
         if v:
@@ -92,12 +81,12 @@ def _reduced_costs(tab, basis, cost):
     return obj
 
 
-def _minimize(tab, obj, basis) -> str:
+def _minimize(tab, obj, basis) -> None:
     ncols = len(obj) - 1
     while True:
         pc = next((j for j in range(ncols) if obj[j] < 0), None)
         if pc is None:
-            return "optimal"
+            return
         pr = None
         best = None
         for i, row in enumerate(tab):
@@ -112,7 +101,7 @@ def _minimize(tab, obj, basis) -> str:
                     best = ratio
                     pr = i
         if pr is None:
-            return "unbounded"
+            raise InternalError("phase-one objective is bounded below zero")
         _pivot(tab, obj, basis, pr, pc)
 
 

@@ -14,7 +14,8 @@ import random
 from fractions import Fraction
 
 from tvpm import Configuration, tverberg_point_count
-from tvpm.linalg import Point, solve_linear_system
+from bareiss import solve_linear_system
+from tvpm.linalg import Point
 from tvpm.model import CLASSICAL, COLORED
 
 NUMERATOR_RANGE = 40

@@ -22,7 +22,8 @@ import pytest
 import gen
 from tvpm import Configuration
 from tvpm.cli import main as cli_main
-from tvpm.linalg import affine_dependence, dot
+from bareiss import affine_dependence
+from tvpm.linalg import dot
 from tvpm.model import (
     CLASSICAL,
     PlusMinusCertificate,
@@ -162,14 +163,15 @@ def test_criterion_04_lift_invariants(plusminus_corpus):
     for run in runs:
         config = run.config
         if config.mu:
-            hyperplane = separating_hyperplane(config, config.mu)
+            hyperplane = separating_hyperplane(config)
         else:
             hyperplane = trivial_hyperplane(config)
         assert hyperplane == run.cert.hyperplane
         lifted = lift_configuration(config, hyperplane)
+        w_prime = hyperplane.w + (-hyperplane.alpha,)
         marked = set(config.mu)
         for i, q in enumerate(lifted.points):
-            assert dot(q, lifted.w_prime) == 1
+            assert dot(q, w_prime) == 1
             assert (lifted.sign_factors[i] < 0) == (i in marked)
         checked += 1
     ok = checked == len(runs)

@@ -9,13 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tvpm.linalg import (
-    affine_dependence,
-    dot,
-    format_scalar,
-    parse_scalar,
-    solve_linear_system,
-)
+from bareiss import affine_dependence, solve_linear_system
+from tvpm.linalg import dot, format_scalar, parse_scalar
 
 F = Fraction
 

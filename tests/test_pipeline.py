@@ -159,7 +159,7 @@ class TestCorollary:
     def test_oversized_face_rejected(self):
         config = gen.separable_configuration("cor-mu", d=1, r=3, mu_size=2)
         with pytest.raises(MuTooLarge):
-            corollary_coloring(config, mu=(0, 1, 2))
+            corollary_coloring(replace(config, mu=(0, 1, 2)))
 
     def test_worked_instance(self):
         cert = run_corollary(LINE3)

@@ -38,11 +38,11 @@ def margins(config, hyperplane):
 class TestSeparatingHyperplane:
     def test_worked_instance_is_deterministic(self):
         config = line3()
-        assert separating_hyperplane(config, (2,)) == Hyperplane((F(-1),), F(-2))
+        assert separating_hyperplane(config) == Hyperplane((F(-1),), F(-2))
 
     def test_margins_have_unit_magnitude_floor(self):
         config = line3()
-        h = separating_hyperplane(config, (2,))
+        h = separating_hyperplane(config)
         for i, m in enumerate(margins(config, h)):
             if i == 2:
                 assert m <= -1
@@ -57,21 +57,21 @@ class TestSeparatingHyperplane:
             mode=CLASSICAL,
             mu=(0,),
         )
-        m = margins(config, separating_hyperplane(config, config.mu))
+        m = margins(config, separating_hyperplane(config))
         assert m[0] <= -1
         assert m[1] >= 1 and m[2] >= 1
 
     def test_interior_point_is_not_separable(self):
         with pytest.raises(SeparationInfeasible):
-            separating_hyperplane(line3(mu=(1,)), (1,))
+            separating_hyperplane(line3(mu=(1,)))
 
     def test_empty_face_rejected(self):
         with pytest.raises(ValueError):
-            separating_hyperplane(line3(), ())
+            separating_hyperplane(line3(mu=()))
 
     def test_full_face_rejected(self):
         with pytest.raises(ValueError):
-            separating_hyperplane(line3(), (0, 1, 2))
+            separating_hyperplane(line3(mu=(0, 1, 2)))
 
     def test_agrees_with_hull_intersection_oracle(self):
         # Separability of mu from its complement is exactly disjointness
@@ -96,9 +96,9 @@ class TestSeparatingHyperplane:
             assert overlap == bool(i % 2)
             if overlap:
                 with pytest.raises(SeparationInfeasible):
-                    separating_hyperplane(config, mu)
+                    separating_hyperplane(config)
             else:
-                h = separating_hyperplane(config, mu)
+                h = separating_hyperplane(config)
                 for j, m in enumerate(margins(config, h)):
                     assert (m <= -1) if j in mu else (m >= 1)
 
@@ -127,7 +127,6 @@ class TestLift:
             (F(-3), F(-1)),
         )
         assert lifted.sign_factors == (F(2), F(1), F(-1))
-        assert lifted.w_prime == (F(-1), F(2))
 
     def test_single_point_values(self):
         # With w=1, alpha=0: the factor equals the coordinate itself, so 2
@@ -145,11 +144,11 @@ class TestLift:
     def test_unit_product_and_sign_pattern(self):
         for i in range(10):
             config = gen.separable_configuration(f"lift{i}", d=2, r=3, mu_size=2)
-            h = separating_hyperplane(config, config.mu)
+            h = separating_hyperplane(config)
             lifted = lift_configuration(config, h)
             marked = set(config.mu)
             for j, q in enumerate(lifted.points):
-                assert dot(q, lifted.w_prime) == 1
+                assert dot(q, h.w + (-h.alpha,)) == 1
                 assert (lifted.sign_factors[j] < 0) == (j in marked)
 
     def test_point_on_hyperplane_degenerates(self):

@@ -12,7 +12,7 @@ import pytest
 import gen
 from tvpm import plus_minus_partition, solver
 from tvpm.errors import InternalError
-from tvpm.linalg import affine_dependence
+from bareiss import affine_dependence
 from tvpm.lp import INFEASIBLE, LpResult, integer_points, lp_solve
 from tvpm.separation import lift_configuration, separating_hyperplane
 from tvpm.solver import (
@@ -102,7 +102,7 @@ def boxes_meet(points, blocks) -> bool:
 
 def lifted(seed, d, r, mu_size, colored):
     config = gen.separable_configuration(seed, d, r, mu_size, colored)
-    hyperplane = separating_hyperplane(config, config.mu)
+    hyperplane = separating_hyperplane(config)
     points = lift_configuration(config, hyperplane).points
     return points, config.coloring if colored else None
 

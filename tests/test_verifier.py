@@ -5,9 +5,11 @@ from __future__ import annotations
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
+from typing import Optional
 
 import gen
 from tvpm import Configuration, Hyperplane, plus_minus_partition
+from tvpm.linalg import dot
 from tvpm.model import (
     CLASSICAL,
     COLORED,
@@ -15,8 +17,8 @@ from tvpm.model import (
     parse_certificate,
     parse_configuration,
 )
+from tvpm.separation import separating_hyperplane, trivial_hyperplane
 from tvpm.verifier import (
-    certificate_for_partition,
     oracle_enumerate,
     signed_presentation,
     verify_certificate,
@@ -29,6 +31,39 @@ LINE3 = parse_configuration((FIXTURES / "line3.txt").read_text())
 LINE3_CERT = parse_certificate((FIXTURES / "line3.cert").read_text())
 PLANE7 = parse_configuration((FIXTURES / "colored_plane7.txt").read_text())
 PLANE7_CERT = parse_certificate((FIXTURES / "colored_plane7.cert").read_text())
+
+
+def certificate_for_partition(
+    config: Configuration,
+    blocks,
+    hyperplane: Optional[Hyperplane] = None,
+) -> Optional[PlusMinusCertificate]:
+    """Build a certificate for ``blocks`` from the direct solve, or None.
+
+    The normalizer is pinned by the certificate identity
+    beta * (<b, w> - alpha) = 1; it is positive whenever some block avoids
+    the marked face, which the face-size precondition guarantees.
+    """
+    solution = signed_presentation(config, blocks)
+    if solution is None:
+        return None
+    coefficients, b = solution
+    if hyperplane is None:
+        if config.mu:
+            hyperplane = separating_hyperplane(config)
+        else:
+            hyperplane = trivial_hyperplane(config)
+    denom = dot(b, hyperplane.w) - hyperplane.alpha
+    if denom <= 0:
+        return None
+    return PlusMinusCertificate(
+        blocks=blocks,
+        coefficients=coefficients,
+        point_b=b,
+        beta=1 / denom,
+        hyperplane=hyperplane,
+        rainbow=config.mode == COLORED,
+    )
 
 
 def reason(config, cert):
