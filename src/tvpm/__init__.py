@@ -47,7 +47,6 @@ from .separation import (
     trivial_hyperplane,
 )
 from .solver import (
-    colored_tverberg_partition,
     enumerate_partitions,
     hulls_intersect,
     tverberg_partition,
@@ -82,7 +81,6 @@ __all__ = [
     "TvpmError",
     "TverbergPartition",
     "VerifyResult",
-    "colored_tverberg_partition",
     "corollary_coloring",
     "dot",
     "enumerate_partitions",

@@ -26,7 +26,7 @@ from .separation import (
     separating_hyperplane,
     trivial_hyperplane,
 )
-from .solver import colored_tverberg_partition, tverberg_partition
+from .solver import tverberg_partition
 from .verifier import verify_certificate
 
 
@@ -74,12 +74,7 @@ def plus_minus_partition(config: Configuration) -> PlusMinusCertificate:
     else:
         hyperplane = trivial_hyperplane(config)
     lifted = lift_configuration(config, hyperplane)
-    if config.mode == COLORED:
-        partition = colored_tverberg_partition(
-            lifted.points, config.r, config.coloring
-        )
-    else:
-        partition = tverberg_partition(lifted.points, config.r)
+    partition = tverberg_partition(lifted.points, config.r, config.coloring)
     beta, coefficients, b = pull_back_coefficients(partition, lifted)
     cert = PlusMinusCertificate(
         blocks=partition.blocks,

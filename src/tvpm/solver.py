@@ -9,26 +9,25 @@ results are deterministic.
 Hulls can only meet where the blocks' bounding boxes do, so the search walks
 a box-pruned enumeration (``enumerate_partitions`` given the points) and asks
 the exact LP (``hulls_intersect``'s program) only about partitions whose
-boxes meet.
-Once per search every coordinate is replaced by its rank among the distinct
-values on its axis: an integer that orders exactly as the rational does,
-ties included, so the box test needs no ``Fraction`` comparison.  As blocks
-are fixed the walk keeps a running box, per axis ``lo`` = the largest block
-minimum and ``hi`` = the smallest block maximum, and drops a block's whole
-subtree when
+boxes meet.  The walk compares the integer coordinates the search's LPs are
+built on (``integer_points``: every point times one ``q > 0``, so order and
+ties are the rationals').  As blocks are fixed it keeps a running box, per
+axis ``lo`` = the largest block minimum and ``hi`` = the smallest block
+maximum, and drops a block's whole subtree when, on some axis,
 
-- ``lo > hi`` on some axis: more blocks can only raise ``lo`` and lower
-  ``hi``; or
-- the vertices left cannot serve the ``k`` blocks still to come: each of
-  them needs a vertex at or above ``lo`` and one at or below ``hi`` on every
-  axis, because its box must meet the final box, which lies inside the
-  running one.
+    max(lo, left[k-1]) > min(hi, left[-k])
 
-Neither cut drops a partition whose boxes meet, and every partition listed
-has boxes that meet (its last block passes the second cut with ``k = 1``).
-So the LP sees exactly the partitions a full box test on each complete
-partition would pass, in the same canonical order: the same first hit, the
-same Bland pivots, the same certificate bytes.
+with ``left`` the sorted coordinates of the vertices left over and ``k`` the
+number of blocks still to come: no single value in ``[lo, hi]`` has ``k``
+leftover vertices at or below it and ``k`` at or above it.  The cut is
+necessary.  The final box's ``lo`` lies in the running box, and each block
+to come has a vertex at or below it (its minimum) and one at or above it
+(its maximum, at least the final ``hi``).  With ``k = 1`` the leftover
+vertices are the last block and the cut is the full box test on the
+complete partition, so every partition listed has boxes that meet.  The LP
+thus sees exactly the partitions a full box test on each complete partition
+would pass, in the same canonical order: the same first hit, the same Bland
+pivots, the same certificate bytes.
 
 An infeasible LP also proves more than its own partition's failure.  Its
 Farkas multipliers (``LpResult.multipliers``) give one affine function
@@ -70,7 +69,7 @@ from .lp import (
 from .model import TverbergPartition, is_prime
 
 Blocks = tuple[tuple[int, ...], ...]
-# Per axis, the running box (lo, hi) in rank keys.
+# Per axis, the running box (lo, hi) in the walk's coordinates.
 _Box = list[tuple[int, int]]
 
 
@@ -78,33 +77,33 @@ def enumerate_partitions(
     n_points: int,
     r: int,
     coloring: Optional[Sequence[Sequence[int]]] = None,
-    points: Optional[Sequence[Point]] = None,
+    points: Optional[Sequence[Sequence]] = None,
 ) -> Iterator[Blocks]:
     """All partitions of 0..n_points-1 into exactly r nonempty blocks.
 
-    With a coloring, only partitions whose blocks repeat no color survive
-    (at most one vertex of each class per block).  With ``points`` (one
-    coordinate tuple per index), only partitions whose blocks' bounding
-    boxes share a point survive: a subtree is dropped as soon as no
-    completion of the blocks fixed so far can have meeting boxes (see the
-    module docstring).  Survivors keep their canonical order either way.
+    With a coloring, which must put every index in exactly one class, only
+    partitions whose blocks repeat no color survive (at most one vertex of
+    each class per block).  With ``points`` (one coordinate tuple per index,
+    all of one length, in any ordered numbers), only partitions whose
+    blocks' bounding boxes share a point survive: a subtree is dropped as
+    soon as no completion of the blocks fixed so far can have meeting boxes
+    (see the module docstring).  Survivors keep their canonical order either
+    way.
     """
     if r < 1:
         raise ValueError("r must be at least 1")
     if n_points < r:
         raise ValueError(f"cannot split {n_points} points into {r} nonempty blocks")
-    if points is not None and len(points) != n_points:
-        raise ValueError(f"got {len(points)} points for {n_points} indices")
-    color_of = None
-    if coloring is not None:
-        color_of = {}
-        for ci, cls in enumerate(coloring):
-            for v in cls:
-                color_of[v] = ci
-
-    # Without points there are no axes: ``_narrow`` gives the empty box and
-    # ``_room`` holds vacuously, so the same walk lists every partition.
-    axes = [] if points is None else _rank_axes(points)
+    color_of = None if coloring is None else _color_of(coloring, n_points)
+    # Without points there are no axes: ``_narrow`` gives the empty box, so
+    # the same walk lists every partition.
+    axes = []
+    if points is not None:
+        if len(points) != n_points:
+            raise ValueError(f"got {len(points)} points for {n_points} indices")
+        if len({len(p) for p in points}) > 1:
+            raise ValueError("points have unequal lengths")
+        axes = list(zip(*points))
 
     def walk(pool: tuple[int, ...], k: int, box: _Box) -> Iterator[Blocks]:
         if k == 1:
@@ -114,52 +113,53 @@ def enumerate_partitions(
         for block in _subsets_with_least(pool, color_of):
             if len(pool) - len(block) < k - 1:
                 continue
-            narrowed = _narrow(axes, block, box)
-            if narrowed is None:
-                continue
             taken = set(block)
             rest = tuple(e for e in pool if e not in taken)
-            if not _room(axes, rest, narrowed, k - 1):
+            narrowed = _narrow(axes, block, rest, box, k - 1)
+            if narrowed is None:
                 continue
             for tail in walk(rest, k - 1, narrowed):
                 yield (block,) + tail
 
-    yield from walk(tuple(range(n_points)), r, [(0, n_points)] * len(axes))
+    yield from walk(tuple(range(n_points)), r, [(min(a), max(a)) for a in axes])
 
 
-def _rank_axes(points: Sequence[Point]) -> list[list[int]]:
-    """Per axis, each point's rank among the distinct values on that axis.
-
-    Ranks are integers that order exactly as the coordinates do, ties
-    included, so box tests on them are box tests on the points."""
-    axes = []
-    for column in zip(*points):
-        rank = {v: i for i, v in enumerate(sorted(set(column)))}
-        axes.append([rank[v] for v in column])
-    return axes
-
-
-def _room(axes: list[list[int]], pool: Sequence[int], box: _Box, count: int) -> bool:
-    """Whether ``pool`` has ``count`` vertices at or above lo and ``count``
-    at or below hi on every axis: what ``count`` more blocks need when each
-    of their boxes must meet ``box``."""
-    for keys, (lo, hi) in zip(axes, box):
-        values = sorted([keys[v] for v in pool])
-        if values[-count] < lo or values[count - 1] > hi:
-            return False
-    return True
+def _color_of(coloring: Sequence[Sequence[int]], n_points: int) -> dict[int, int]:
+    """Each index's class; ValueError unless every index 0..n_points-1 is in
+    exactly one class."""
+    color_of: dict[int, int] = {}
+    for ci, cls in enumerate(coloring):
+        for v in cls:
+            if v in color_of:
+                raise ValueError(
+                    f"vertex {v} is in color classes {color_of[v]} and {ci}"
+                )
+            color_of[v] = ci
+    if sorted(color_of) != list(range(n_points)):
+        raise ValueError(
+            f"color classes must cover exactly the indices 0..{n_points - 1}"
+        )
+    return color_of
 
 
 def _narrow(
-    axes: list[list[int]], block: Sequence[int], box: _Box
+    axes: Sequence[Sequence[int]],
+    block: Sequence[int],
+    rest: Sequence[int],
+    box: _Box,
+    k: int,
 ) -> Optional[_Box]:
-    """The running box cut down by ``block``'s box, or None once empty."""
+    """The running box cut down to ``block``'s box, or None when the ``k``
+    blocks still to come out of ``rest`` cannot all meet it: on some axis no
+    value in the box has ``k`` keys of ``rest`` at or below it and ``k`` at
+    or above it."""
     narrowed = []
     for keys, (lo, hi) in zip(axes, box):
         values = [keys[v] for v in block]
         lo = max(lo, min(values))
         hi = min(hi, max(values))
-        if lo > hi:
+        left = sorted([keys[v] for v in rest])
+        if max(lo, left[k - 1]) > min(hi, left[-k]):
             return None
         narrowed.append((lo, hi))
     return narrowed
@@ -209,6 +209,8 @@ def hulls_intersect(
     blocks = [list(b) for b in point_blocks]
     if not blocks or any(not b for b in blocks):
         raise ValueError("every block needs at least one point")
+    if len({len(p) for blk in blocks for p in blk}) > 1:
+        raise ValueError("points have unequal lengths")
     q, points = integer_points(p for blk in blocks for p in blk)
     ints = iter(points)
     result = lp_solve(_hulls_program(q, [[next(ints) for _ in b] for b in blocks]))
@@ -342,53 +344,42 @@ def _assignable(allowed: Sequence[int], used: int) -> bool:
     return False
 
 
-def tverberg_partition(points: Sequence[Point], r: int) -> TverbergPartition:
+def tverberg_partition(
+    points: Sequence[Point],
+    r: int,
+    coloring: Optional[Sequence[Sequence[int]]] = None,
+) -> TverbergPartition:
     """First partition in canonical order whose r blocks' hulls intersect.
 
     The point count must fit r blocks: (r-1)*(dim+1)+1 points spanning the
     ambient space, or (r-1)*dim+1 points lying on a hyperplane of it (the
-    shape produced by the projective lift).
+    shape produced by the projective lift).  With a coloring only rainbow
+    partitions count; it requires prime r and color classes of at most
+    r - 1 vertices each.
     """
     pts = tuple(tuple(p) for p in points)
-    _check_count(len(pts), r, len(pts[0]) if pts else 0)
-    return _search(pts, r, None)
-
-
-def colored_tverberg_partition(
-    points: Sequence[Point], r: int, coloring: Sequence[Sequence[int]]
-) -> TverbergPartition:
-    """Like tverberg_partition, restricted to rainbow partitions.
-
-    Requires prime r and color classes of at most r - 1 vertices each.
-    """
-    pts = tuple(tuple(p) for p in points)
-    if not is_prime(r):
-        raise ValueError(f"rainbow search requires prime r, got {r}")
-    for ci, cls in enumerate(coloring):
-        if len(cls) > r - 1:
-            raise ValueError(f"color class {ci} exceeds r-1 = {r - 1} vertices")
-    _check_count(len(pts), r, len(pts[0]) if pts else 0)
-    return _search(pts, r, coloring)
-
-
-def _check_count(count: int, r: int, dim: int) -> None:
+    if coloring is not None:
+        if not is_prime(r):
+            raise ValueError(f"rainbow search requires prime r, got {r}")
+        for ci, cls in enumerate(coloring):
+            if len(cls) > r - 1:
+                raise ValueError(f"color class {ci} exceeds r-1 = {r - 1} vertices")
+    dim = len(pts[0]) if pts else 0
     full = (r - 1) * (dim + 1) + 1
     flat = (r - 1) * dim + 1
-    if count not in (full, flat):
+    if len(pts) not in (full, flat):
         raise ValueError(
             f"need {full} points (or {flat} on a hyperplane) for r={r} "
-            f"in dimension {dim}, got {count}"
+            f"in dimension {dim}, got {len(pts)}"
         )
-
-
-def _search(pts, r, coloring) -> TverbergPartition:
-    # Every partition covers all the points, so one scaling serves them all
-    # and each program is the one ``hulls_intersect`` would build.  The LP
-    # is called through this module's ``lp_solve``, which the benchmark's
+    # Every partition covers all the points, so one scaling serves them all:
+    # each program is the one ``hulls_intersect`` would build, and the walk
+    # compares the same integers.  ``enumerate_partitions`` and ``lp_solve``
+    # are called through this module's globals, which the benchmark's
     # tracer wraps.
     q, ints = integer_points(pts)
     refuters: list[list[int]] = []
-    for blocks in enumerate_partitions(len(pts), r, coloring, pts):
+    for blocks in enumerate_partitions(len(pts), r, coloring, ints):
         # Newest first: partitions close in the canonical order share
         # blocks, so a recent certificate is the likeliest to refute.
         if any(_refutes(masks, blocks) for masks in reversed(refuters)):

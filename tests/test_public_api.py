@@ -25,7 +25,6 @@ PUBLIC_NAMES = [
     "TvpmError",
     "TverbergPartition",
     "VerifyResult",
-    "colored_tverberg_partition",
     "corollary_coloring",
     "dot",
     "enumerate_partitions",

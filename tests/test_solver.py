@@ -16,7 +16,6 @@ from bareiss import affine_dependence
 from tvpm.lp import INFEASIBLE, LpResult, integer_points, lp_solve
 from tvpm.separation import lift_configuration, separating_hyperplane
 from tvpm.solver import (
-    colored_tverberg_partition,
     enumerate_partitions,
     hulls_intersect,
     tverberg_partition,
@@ -88,6 +87,16 @@ class TestEnumeratePartitions:
             list(enumerate_partitions(2, 3))
         with pytest.raises(ValueError):
             list(enumerate_partitions(3, 0))
+
+    def test_coloring_must_cover_every_index(self):
+        # Vertex 4 has no class.
+        with pytest.raises(ValueError, match="cover"):
+            list(enumerate_partitions(5, 3, coloring=((0, 1), (2, 3))))
+
+    def test_coloring_must_not_repeat_an_index(self):
+        # Vertex 1 is in classes 0 and 1.
+        with pytest.raises(ValueError, match="vertex 1"):
+            list(enumerate_partitions(5, 3, coloring=((0, 1), (1, 2), (3, 4))))
 
 
 def boxes_meet(points, blocks) -> bool:
@@ -161,6 +170,17 @@ class TestBoxPruning:
         with pytest.raises(ValueError, match="points"):
             list(enumerate_partitions(3, 2, points=((F(0),), (F(1),))))
 
+    def test_one_cut_needs_one_value_for_every_block_to_come(self):
+        # The running box is [0, 10] and the leftover keys are {0, 10}: each
+        # bound alone has a vertex on its side for both blocks to come, but
+        # no single value has two leftover keys at or below it and two at
+        # or above it.
+        axes = [(0, 10, 0, 10)]
+        box = [(0, 10)]
+        assert solver._narrow(axes, (0, 1), (2, 3), box, 2) is None
+        # One block to come: it is the leftover pair, whose box meets.
+        assert solver._narrow(axes, (0, 1), (2, 3), box, 1) == [(0, 10)]
+
     @pytest.mark.parametrize(
         "d, r, mu_size, colored",
         [
@@ -176,10 +196,7 @@ class TestBoxPruning:
                 hit = hulls_intersect([[points[i] for i in b] for b in blocks])
                 if hit is not None:
                     break
-            if coloring is None:
-                partition = tverberg_partition(points, r)
-            else:
-                partition = colored_tverberg_partition(points, r, coloring)
+            partition = tverberg_partition(points, r, coloring)
             witness, per_block = hit
             assert partition.blocks == blocks
             assert partition.witness == witness
@@ -248,12 +265,6 @@ def kept_certificates(monkeypatch) -> list:
     return kept
 
 
-def search(points, r, coloring):
-    if coloring is None:
-        return tverberg_partition(points, r)
-    return colored_tverberg_partition(points, r, coloring)
-
-
 class TestFarkasCache:
     """Each infeasible search LP's Farkas certificate refutes later
     partitions without an LP; it must never refute one whose hulls meet."""
@@ -275,7 +286,7 @@ class TestFarkasCache:
         for seed in range(2):
             points, coloring = lifted(seed, d, r, mu_size, colored)
             kept = kept_certificates(monkeypatch)
-            search(points, r, coloring)
+            tverberg_partition(points, r, coloring)
             monkeypatch.undo()
             assert kept
             listing = enumerate_partitions(
@@ -389,6 +400,10 @@ class TestHullsIntersect:
         with pytest.raises(ValueError):
             hulls_intersect([[(F(0),)], []])
 
+    def test_unequal_lengths_rejected(self):
+        with pytest.raises(ValueError, match="unequal lengths"):
+            hulls_intersect([[(F(0), F(0))], [(F(0), F(0), F(5))]])
+
 
 class TestTverbergPartition:
     def test_three_collinear_points(self):
@@ -449,6 +464,13 @@ class TestTverbergPartition:
         with pytest.raises(ValueError, match="points"):
             tverberg_partition(points, 2)
 
+    def test_unequal_lengths_rejected(self):
+        # The count fits the first point's dimension; the 7 must not be
+        # dropped silently.
+        points = ((F(0),), (F(1),), (F(2), F(7)))
+        with pytest.raises(ValueError, match="unequal lengths"):
+            tverberg_partition(points, 2)
+
     def test_deterministic(self):
         points = gen.separable_configuration("det", d=2, r=2, mu_size=0).points
         assert tverberg_partition(points, 2) == tverberg_partition(points, 2)
@@ -459,7 +481,7 @@ class TestColoredTverbergPartition:
         config = gen.separable_configuration(
             "colored-solver", d=2, r=3, mu_size=0, colored=True
         )
-        partition = colored_tverberg_partition(config.points, 3, config.coloring)
+        partition = tverberg_partition(config.points, 3, config.coloring)
         color_of = {
             v: ci for ci, cls in enumerate(config.coloring) for v in cls
         }
@@ -471,12 +493,12 @@ class TestColoredTverbergPartition:
         points = tuple((F(i), F(i * i)) for i in range(10))
         coloring = tuple((i,) for i in range(10))
         with pytest.raises(ValueError, match="prime"):
-            colored_tverberg_partition(points, 4, coloring)
+            tverberg_partition(points, 4, coloring)
 
     def test_oversized_class_rejected(self):
         points = ((F(0),), (F(1),), (F(2),))
         with pytest.raises(ValueError, match="class"):
-            colored_tverberg_partition(points, 2, ((0, 1), (2,)))
+            tverberg_partition(points, 2, ((0, 1), (2,)))
 
 
 class TestValidatePartition:
@@ -489,7 +511,7 @@ class TestValidatePartition:
     def found(self, request):
         d, r, mu_size, colored = request.param
         points, coloring = lifted(0, d, r, mu_size, colored)
-        return points, search(points, r, coloring)
+        return points, tverberg_partition(points, r, coloring)
 
     def test_search_results_pass(self, found):
         validate_partition(*found)
