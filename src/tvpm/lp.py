@@ -10,22 +10,32 @@ margin into the right-hand side instead.  Each variable is nonnegative,
 nonpositive or free: the bounds ``(0, None)``, ``(None, 0)`` and
 ``(None, None)``, the only ones the callers need.
 
-The tableau is fraction-free (Edmonds 1967, Bareiss 1968): an integer matrix
-``T`` and one shared denominator ``D > 0`` with the real tableau exactly
-``T / D``.  Pivoting on ``p = T[r][c]`` maps every other entry to
-``(p * T[i][j] - T[i][c] * T[r][j]) // D``, a division that is always exact
-because each entry is a minor of the starting matrix, and makes ``p`` the new
-``D``.  The ratio test only picks ``p > 0``, so ``D`` stays positive.  Values
-become ``Fraction``s only once, when the point is extracted.
+The simplex runs on an integer dictionary (Edmonds 1967): one row per
+basic variable, one column per *nonbasic* variable and the right-hand side,
+and one shared denominator ``D > 0``, so that the real dictionary is exactly
+``T / D``.  A basic variable's column in the full tableau is a unit vector,
+so it is never stored and never updated, and the phase-one artificials need
+no identity block: they start basic, every structural column starts
+nonbasic.  Pivoting on ``p = T[r][k]`` maps every entry off the pivot row
+and column to ``(p * T[i][j] - T[i][k] * T[r][j]) // D``, a division that
+is always exact because each entry is a minor of the starting matrix, and
+makes ``p`` the new ``D``.  Position ``k`` then holds the leaving variable's
+column: the old ``D`` in the pivot row and ``-T[i][k]`` in every other row,
+the objective row included.  These are the Bareiss tableau's own entries on
+the nonbasic columns, so the pivots and every value read off are those of
+the full fraction-free tableau.  Bland's rule enters the least *variable
+index* whose reduced cost is negative, and the ratio test only picks
+``p > 0``, so ``D`` stays positive.  Values become ``Fraction``s only once,
+when the point is extracted.
 
-The starting matrix is built one column at a time, with ``D = 1``.  Each
-structural column of the standardized program is multiplied by its own
-``k_j > 0``, the factor that makes it a primitive integer vector (the lcm of
-its denominators over the gcd of the resulting numerators); the right-hand
-side is made primitive the same way by one common factor ``R``; identity
-columns for the artificial variables go in unscaled.  That is the original
-phase-one program with every row multiplied by ``R`` and variable ``y_j``
-replaced by ``(k_j / R) * z_j``, and Bland's rule cannot tell the two apart:
+The starting dictionary is built from one common denominator ``L`` of the
+standardized program, with ``D = 1``.  Each structural column of ``L`` times
+the program is divided by the gcd of its entries, which makes it primitive:
+that is the column times its own ``k_j = L / g_j > 0``.  The right-hand side
+is made primitive the same way by one common factor ``R``.  That is the
+original phase-one program with every row multiplied by ``R`` and variable
+``y_j`` replaced by ``(k_j / R) * z_j``, and Bland's rule cannot tell the
+two apart:
 
 - a column scaled by ``k > 0`` has its reduced cost scaled by ``k``, so
   every reduced cost keeps its sign;
@@ -34,7 +44,7 @@ replaced by ``(k_j / R) * z_j``, and Bland's rule cannot tell the two apart:
 
 The basis sequence and the returned point are those of the rational
 simplex.  Multiplying every row of the standardized program by one positive
-constant leaves the starting matrix as it is, so a caller may build its
+constant leaves the starting dictionary as it is, so a caller may build its
 program in integers, every constraint times one common denominator, without
 changing a pivot; ``integer_points`` gives the callers their points that
 way.  The entries stay as small as the primitive columns allow: in the
@@ -44,7 +54,7 @@ shared denominators.  Scaling *rows* by different factors would break all
 this: the phase-one reduced costs sum the rows, so rows must share one
 scale.
 
-A feasible phase one reads its point straight from its own tableau.  An
+A feasible phase one reads its point straight from its own dictionary.  An
 artificial variable still basic there has the value 0, since the artificials
 sum to 0 and none is negative.  So a pivot that drove it out of the basis
 would be degenerate, on a row whose right-hand side is 0, and change no
@@ -52,14 +62,16 @@ basic value, and a row it could not drive out would hold only that 0: the
 point is the same without the drive-out pass.
 
 An infeasible verdict keeps its proof.  When phase one ends with a positive
-minimum, artificial column ``i`` of the objective row holds ``D * (1 - u_i)``
-for phase one's dual ``u``, so ``D - obj[width + i]`` is ``D * u_i``, an
-integer.  Optimality makes ``u . A_j <= 0`` on every structural column and
-strong duality ``u . b > 0``: Farkas' certificate that no nonnegative point
-solves the standardized rows.  A column scale ``k_j > 0`` only scales
-``u . A_j``, and the common right-hand-side scale only ``u . b``, so ``u``
-is the same for the unscaled program; a row ``_standardize`` negated
-negates its ``u_i`` back.  Reading it off costs no pivot.
+minimum, the reduced cost of artificial ``i`` is ``D * (1 - u_i)`` for phase
+one's dual ``u``: the objective row's entry at the artificial's position
+while it is nonbasic, and 0 while it is basic (where ``u_i = 1``).  So ``D``
+minus that reduced cost is ``D * u_i``, an integer.  Optimality makes
+``u . A_j <= 0`` on every structural column and strong duality ``u . b >
+0``: Farkas' certificate that no nonnegative point solves the standardized
+rows.  A column scale ``k_j > 0`` only scales ``u . A_j``, and the common
+right-hand-side scale only ``u . b``, so ``u`` is the same for the unscaled
+program; a row ``_standardize`` negated negates its ``u_i`` back.  Reading
+it off costs no pivot.
 
 The problems this package generates are tiny (tens of rows and columns), so
 the implementation favours exactness and determinism over sparse-matrix
@@ -186,28 +198,19 @@ def lp_solve(lp: LinearProgram) -> LpResult:
     rows, rhs, col_var, width, flipped = _standardize(lp)
     m = len(rows)
 
-    # Minimize the sum of one artificial variable per row, on primitive
-    # structural columns beside an identity, with D = 1 (see the module
-    # docstring).  The objective row starts as the reduced costs: minus the
-    # column sums on the structural columns, 0 on the basic artificials.
-    columns = [_primitive([row[c] for row in rows]) for c in range(width)]
-    scales = [k for _, k in columns]
-    b, rhs_scale = _primitive(rhs)
-    tab = [
-        [col[i] for col, _ in columns]
-        + [1 if k == i else 0 for k in range(m)]
-        + [b[i]]
-        for i in range(m)
-    ]
+    # Minimize the sum of one artificial variable per row, from the basis
+    # of all artificials, on primitive structural columns with D = 1 (see
+    # the module docstring).
+    tab, obj, scales, rhs_scale = _dictionary(rows, rhs, width)
     basis = [width + i for i in range(m)]
-    obj = [-sum(col) for col, _ in columns] + [0] * m + [-sum(b)]
-    d = _minimize(tab, obj, basis, 1)
+    nonbasic = list(range(width))
+    d = _minimize(tab, obj, basis, nonbasic, 1)
     if obj[-1] != 0:
-        # Farkas multipliers, D * u_i (see the module docstring).
-        multipliers = tuple(
-            -(d - obj[width + i]) if flipped[i] else d - obj[width + i]
-            for i in range(m)
-        )
+        # Farkas multipliers, D * u_i: D minus artificial i's reduced cost,
+        # which is 0 while it is basic (see the module docstring).
+        reduced = dict(zip(nonbasic, obj))
+        u = [d - reduced.get(width + i, 0) for i in range(m)]
+        multipliers = tuple(-y if f else y for y, f in zip(u, flipped))
         return LpResult(INFEASIBLE, multipliers=multipliers)
 
     point = _extract(tab, basis, col_var, lp.num_vars, scales, rhs_scale, d)
@@ -275,33 +278,47 @@ def _standardize(lp: LinearProgram):
     return rows, rhs, tuple(col_var), width, flipped
 
 
-def _primitive(values: Sequence[Rational]) -> tuple[list[int], tuple[int, int]]:
-    """``k * values`` as a primitive integer vector, for the one ``k > 0``
-    that makes it so, and ``k`` as (numerator, denominator).  A zero vector
-    stays zero, with ``k = 1``."""
-    den = common_denominator(v for v in values if v)
-    ints = scaled(values, den)
-    g = gcd(*ints)
-    if g == 0:
-        return ints, (1, 1)
-    if g > 1:
-        ints = [v // g for v in ints]
-    return ints, (den, g)
+def _dictionary(rows, rhs, width):
+    """The starting dictionary ``(tab, obj, scales, rhs_scale)``.
+
+    One common denominator ``L`` of the program makes every entry an
+    integer; then column ``j`` divided by the gcd ``g_j`` of its entries is
+    primitive, with scale ``k_j = L / g_j``, and the right-hand side the
+    same with ``R = L / g_b``.  Scales are (numerator, denominator) pairs; a
+    zero column keeps its zeros, with ``g_j = 1``.  ``obj`` starts as the
+    reduced costs: minus the column sums, and minus the right-hand side's
+    sum last.
+    """
+    den = common_denominator(v for row in (*rows, rhs) for v in row if v)
+    ints = [scaled(row, den) for row in rows]
+    b = scaled(rhs, den)
+    gs = [g or 1 for g in map(gcd, *ints)] if ints else [1] * width
+    gb = gcd(*b) or 1
+    tab = [
+        [v // g for v, g in zip(row, gs)] + [bi // gb] for row, bi in zip(ints, b)
+    ]
+    obj = [-sum(col) for col in zip(*tab)] if tab else [0] * (width + 1)
+    return tab, obj, [(den, g) for g in gs], (den, gb)
 
 
-def _minimize(tab, obj, basis, d) -> int:
-    """Bland's rule simplex loop; ``tab``, ``obj`` and ``basis`` mutate.
-    Returns the new denominator."""
-    ncols = len(obj) - 1
+def _minimize(tab, obj, basis, nonbasic, d) -> int:
+    """Bland's rule simplex loop; ``tab``, ``obj``, ``basis`` and
+    ``nonbasic`` mutate.  Returns the new denominator."""
+    positions = range(len(nonbasic))
     while True:
-        pc = next((j for j in range(ncols) if obj[j] < 0), None)
-        if pc is None:
+        # Entering: the least variable index with a negative reduced cost.
+        pk = min(
+            (k for k in positions if obj[k] < 0),
+            key=nonbasic.__getitem__,
+            default=None,
+        )
+        if pk is None:
             return d
         # Ratio test: least rhs / a over a > 0, compared by cross-multiplying
         # (D cancels); ties go to the lower basis index.
         pr = None
         for i, row in enumerate(tab):
-            a = row[pc]
+            a = row[pk]
             if a > 0:
                 v = row[-1]
                 if pr is None:
@@ -313,31 +330,38 @@ def _minimize(tab, obj, basis, d) -> int:
                     pr, best_v, best_a = i, v, a
         if pr is None:
             raise InternalError("phase-one objective is bounded below zero")
-        d = _pivot(tab, obj, basis, pr, pc, d)
+        d = _pivot(tab, obj, basis, nonbasic, pr, pk, d)
 
 
-def _pivot(tab, obj, basis, pr, pc, d) -> int:
-    """Fraction-free pivot on ``tab[pr][pc] > 0``; returns the new
-    denominator."""
+def _pivot(tab, obj, basis, nonbasic, pr, pk, d) -> int:
+    """Fraction-free pivot on ``tab[pr][pk] > 0``, entering the variable
+    ``nonbasic[pk]`` for ``basis[pr]``; returns the new denominator.
+
+    Position ``pk`` becomes the leaving variable's column: the old ``D`` in
+    the pivot row, ``-f`` in every other row with ``f`` its old entry."""
     prow = tab[pr]
-    p = prow[pc]
+    p = prow[pk]
     for i, row in enumerate(tab):
         if i != pr:
-            tab[i] = _eliminate(row, prow, pc, p, d)
-    obj[:] = _eliminate(obj, prow, pc, p, d)
-    basis[pr] = pc
+            tab[i] = _eliminate(row, prow, pk, p, d)
+    obj[:] = _eliminate(obj, prow, pk, p, d)
+    prow[pk] = d
+    basis[pr], nonbasic[pk] = nonbasic[pk], basis[pr]
     return p
 
 
-def _eliminate(row, prow, pc, p, d) -> list[int]:
-    """``(p * a - f * b) // d`` entrywise, ``f = row[pc]``, ``b`` from the
-    pivot row ``prow``; a row with ``f = 0`` is only rescaled by ``p / d``."""
-    f = row[pc]
+def _eliminate(row, prow, pk, p, d) -> list[int]:
+    """``(p * a - f * b) // d`` entrywise, ``f = row[pk]``, ``b`` from the
+    pivot row ``prow``, and ``-f`` at ``pk``; a row with ``f = 0`` is only
+    rescaled by ``p / d``."""
+    f = row[pk]
     if f:
-        return [
+        new = [
             (p * a - f * b) // d if b else (p * a // d if a else 0)
             for a, b in zip(row, prow)
         ]
+        new[pk] = -f
+        return new
     if p != d:
         return [p * a // d if a else 0 for a in row]
     return row

@@ -5,13 +5,24 @@ from scratch, using nothing but exact substitution.  ``oracle_enumerate``
 decides, for every partition independently, whether signed coefficients with
 the required signs can present a common point; it never builds the
 projective lift, so it cross-checks the pipeline by a different route.
+
+The oracle's program for one partition of ``n`` vertices in dimension ``d``
+into ``r`` blocks has one variable per vertex and ``r + (r - 1) * d`` rows:
+each block's coefficients sum to 1, and each block ``j >= 1`` presents the
+point block 0 presents, axis by axis.  The common point is block 0's signed
+combination, read off a feasible point; it has no variables of its own, so
+the program asks the same feasibility question as one with a free point
+``b`` that every block presents, on ``d`` fewer free variables (``2 * d``
+fewer simplex columns) and ``d`` fewer rows.  ``oracle_enumerate`` scales
+the configuration to integers once (``integer_points``) for all its
+programs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Sequence
 
 from .linalg import ZERO, dot
 from .model import (
@@ -20,7 +31,14 @@ from .model import (
     PlusMinusCertificate,
     validate_configuration,
 )
-from .lp import FEASIBLE, Constraint, LinearProgram, integer_points, lp_solve
+from .lp import (
+    EQUAL,
+    FEASIBLE,
+    Constraint,
+    LinearProgram,
+    integer_points,
+    lp_solve,
+)
 from .solver import Blocks, enumerate_partitions
 
 
@@ -114,16 +132,19 @@ def oracle_enumerate(config: Configuration) -> list[Blocks]:
 
     Checks each partition of the vertices into r nonempty blocks (rainbow
     ones only, in colored mode) with a sign-constrained feasibility program
-    posed directly in the original coordinates: coefficients of marked
-    vertices at most 0, of unmarked vertices at least 0, each block summing
-    to 1 and presenting the same point.  Returns the partitions in canonical
-    enumeration order.
+    posed directly in the original coordinates (``_presentation_program``):
+    coefficients of marked vertices at most 0, of unmarked vertices at
+    least 0, each block summing to 1 and presenting the same point as block
+    0.  Returns the partitions in canonical enumeration order.
     """
     validate_configuration(config)
     coloring = config.coloring if config.mode == COLORED else None
+    q, points = integer_points(config.points)
+    members = set(config.mu)
     found = []
     for blocks in enumerate_partitions(len(config.points), config.r, coloring):
-        if signed_presentation(config, blocks) is not None:
+        program = _presentation_program(q, points, members, blocks)
+        if lp_solve(program).status == FEASIBLE:
             found.append(blocks)
     return found
 
@@ -132,32 +153,54 @@ def signed_presentation(
     config: Configuration, blocks: Blocks
 ) -> Optional[tuple[dict[int, Fraction], tuple[Fraction, ...]]]:
     """Signed coefficients presenting one common point from every block of
-    ``blocks``, or None.  This is the direct solve: no lift involved."""
-    flat = [i for block in blocks for i in block]
-    position = {i: t for t, i in enumerate(flat)}
-    members = set(config.mu)
-    d = config.d
+    ``blocks``, and that point, or None.  This is the direct solve: no lift
+    involved."""
     q, points = integer_points(config.points)
-    nvar = len(flat) + d
-    bounds = tuple(
-        (None, 0) if i in members else (0, None) for i in flat
-    ) + ((None, None),) * d
-    cons = []
-    for block in blocks:
-        coeffs = [0] * nvar
-        for i in block:
-            coeffs[position[i]] = q
-        cons.append(Constraint(tuple(coeffs), "=", q))
-    for block in blocks:
-        for m in range(d):
-            coeffs = [0] * nvar
-            for i in block:
-                coeffs[position[i]] = points[i][m]
-            coeffs[len(flat) + m] = -q
-            cons.append(Constraint(tuple(coeffs), "=", 0))
-    result = lp_solve(LinearProgram(nvar, tuple(cons), bounds=bounds))
+    result = lp_solve(_presentation_program(q, points, set(config.mu), blocks))
     if result.status != FEASIBLE:
         return None
-    coefficients = {i: result.point[position[i]] for i in flat}
-    b = tuple(result.point[len(flat) :])
+    flat = [i for block in blocks for i in block]
+    coefficients = dict(zip(flat, result.point))
+    b = tuple(
+        sum(
+            (c * config.points[i][m] for i, c in zip(blocks[0], result.point) if c),
+            ZERO,
+        )
+        for m in range(config.d)
+    )
     return coefficients, b
+
+
+def _presentation_program(
+    q: int, points: Sequence[Sequence[int]], members: set[int], blocks: Blocks
+) -> LinearProgram:
+    """The oracle's program for ``blocks`` on integer points ``P = q * p``.
+
+    One variable ``x_i`` per vertex of ``blocks``, in block order: at most 0
+    on a marked vertex (one in ``members``), at least 0 on the others.  The
+    rows are ``q * sum(x_i : i in B_j) = q`` for each block ``j``, then for
+    each block ``j >= 1`` and axis ``m``, ``sum(P_i[m] x_i : i in B_0) -
+    sum(P_i[m] x_i : i in B_j) = 0``: every block presents block 0's point,
+    so the point needs no variables of its own.  Every row is the rational
+    program's row times ``q``, all ``int``s.
+    """
+    flat = [i for block in blocks for i in block]
+    nvar = len(flat)
+    bounds = tuple((None, 0) if i in members else (0, None) for i in flat)
+    offsets = [0]
+    for block in blocks:
+        offsets.append(offsets[-1] + len(block))
+    cons = []
+    for j in range(len(blocks)):
+        coeffs = [0] * nvar
+        coeffs[offsets[j] : offsets[j + 1]] = [q] * len(blocks[j])
+        cons.append(Constraint(tuple(coeffs), EQUAL, q))
+    for j in range(1, len(blocks)):
+        for m in range(len(points[0])):
+            coeffs = [0] * nvar
+            for t, i in enumerate(blocks[0]):
+                coeffs[t] = points[i][m]
+            for t, i in enumerate(blocks[j], offsets[j]):
+                coeffs[t] = -points[i][m]
+            cons.append(Constraint(tuple(coeffs), EQUAL, 0))
+    return LinearProgram(nvar, tuple(cons), bounds=bounds)

@@ -1,8 +1,11 @@
-"""Property tests: degenerate configurations against the oracle, and the two
-parsers on arbitrary text."""
+"""Property tests: degenerate configurations against the oracle, the two
+parsers on arbitrary text, and the CLI on arbitrary file bytes."""
 
 from __future__ import annotations
 
+import contextlib
+import io
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
@@ -19,11 +22,14 @@ from tvpm import (
     serialize_certificate,
     tverberg_point_count,
 )
+from tvpm.cli import main
 from tvpm.errors import ParseError, SeparationInfeasible
 from tvpm.model import CLASSICAL, COLORED
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 FIXTURE_TEXTS = [path.read_text() for path in sorted(FIXTURES.iterdir())]
+CONFIG_BYTES = [path.read_bytes() for path in sorted(FIXTURES.glob("*.txt"))]
+CERT_BYTES = [path.read_bytes() for path in sorted(FIXTURES.glob("*.cert"))]
 
 
 @st.composite
@@ -98,3 +104,42 @@ CELLS = [
 def test_certificate_text_round_trips(seed, cell):
     cert = plus_minus_partition(gen.separable_configuration(seed, *cell))
     assert parse_certificate(serialize_certificate(cert)) == cert
+
+
+def file_bytes(fixtures: list[bytes]):
+    """Arbitrary bytes, a fixture with one span replaced by arbitrary bytes
+    (so that most runs get past the first line), or a fixture as it is."""
+
+    @st.composite
+    def edited(draw) -> bytes:
+        data = draw(st.sampled_from(fixtures))
+        start = draw(st.integers(0, len(data)))
+        end = draw(st.integers(start, min(len(data), start + 20)))
+        return data[:start] + draw(st.binary(max_size=20)) + data[end:]
+
+    return st.binary(max_size=200) | edited() | st.sampled_from(fixtures)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(["solve", "verify", "oracle"]),
+    file_bytes(CONFIG_BYTES),
+    file_bytes(CERT_BYTES),
+)
+def test_cli_on_arbitrary_bytes_ends_in_a_documented_exit(command, config, cert):
+    """Every run exits 0-5 with one line on stderr (none for a successful
+    oracle listing), never a traceback."""
+    with tempfile.TemporaryDirectory() as tmp:
+        config_path, cert_path = Path(tmp) / "config", Path(tmp) / "cert"
+        config_path.write_bytes(config)
+        cert_path.write_bytes(cert)
+        argv = [command, "--input", str(config_path)]
+        if command == "verify":
+            argv += ["--cert", str(cert_path)]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in range(6)
+    lines = err.getvalue().splitlines()
+    assert len(lines) == (0 if command == "oracle" and code == 0 else 1), lines
+    assert err.getvalue().endswith("\n") or not lines

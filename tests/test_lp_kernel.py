@@ -1,4 +1,4 @@
-"""The fraction-free integer simplex against the rational reference kernel.
+"""The integer dictionary simplex against the rational reference kernel.
 
 ``fraction_simplex.reference_lp_solve`` runs the same Bland pivots over
 ``Fraction``s.  The integer kernel must return the identical verdict and
@@ -9,6 +9,7 @@ which the reference's drive-out pivots negatively or drops a redundant row.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -182,28 +183,48 @@ class TestDriveOut:
 
     def test_positive_pivots_keep_the_real_tableau(self):
         # Any sequence of positive pivots, the only ones the ratio test
-        # picks, must leave T / D equal to the rational tableau, with D > 0.
+        # picks, must leave T / D equal to the rational tableau on the
+        # nonbasic columns and the right-hand side, with D > 0.  The
+        # dictionary starts on the nonbasic columns beside a basis of
+        # artificials, so the rational tableau starts as [N | I | rhs].
         rng = random.Random("pivot-signs")
         for _ in range(200):
-            rows, cols = rng.randint(1, 4), rng.randint(2, 6)
-            tab = [[rng.randint(-5, 5) for _ in range(cols)] for _ in range(rows)]
-            obj = [rng.randint(-5, 5) for _ in range(cols)]
-            ref_tab = [[F(v) for v in row] for row in tab]
-            ref_obj = [F(v) for v in obj]
-            basis, ref_basis = [0] * rows, [0] * rows
+            rows, cols = rng.randint(1, 4), rng.randint(1, 5)
+            tab = [[rng.randint(-5, 5) for _ in range(cols + 1)] for _ in range(rows)]
+            obj = [rng.randint(-5, 5) for _ in range(cols + 1)]
+            ref_tab = [
+                [F(v) for v in row[:-1]]
+                + [F(int(k == i)) for k in range(rows)]
+                + [F(row[-1])]
+                for i, row in enumerate(tab)
+            ]
+            ref_obj = [F(v) for v in obj[:-1]] + [F(0)] * rows + [F(obj[-1])]
+            basis = [cols + i for i in range(rows)]
+            nonbasic = list(range(cols))
+            ref_basis = list(basis)
             d = 1
             for _ in range(rng.randint(1, 5)):
                 pr = rng.randrange(rows)
-                candidates = [j for j in range(cols) if tab[pr][j] > 0]
+                candidates = [k for k in range(cols) if tab[pr][k] > 0]
                 if not candidates:
                     break
-                pc = rng.choice(candidates)
-                d = lp_module._pivot(tab, obj, basis, pr, pc, d)
-                fraction_simplex._pivot(ref_tab, ref_obj, ref_basis, pr, pc)
+                pk = rng.choice(candidates)
+                entering = nonbasic[pk]
+                d = lp_module._pivot(tab, obj, basis, nonbasic, pr, pk, d)
+                fraction_simplex._pivot(ref_tab, ref_obj, ref_basis, pr, entering)
                 assert d > 0
                 assert basis == ref_basis
-                assert [[F(v, d) for v in row] for row in tab] == ref_tab
-                assert [F(v, d) for v in obj] == ref_obj
+                assert sorted(basis + nonbasic) == list(range(cols + rows))
+                columns = nonbasic + [-1]
+                assert [[F(v, d) for v in row] for row in tab] == [
+                    [row[c] for c in columns] for row in ref_tab
+                ]
+                assert [F(v, d) for v in obj] == [ref_obj[c] for c in columns]
+                # No basic column is stored: the reference's are unit vectors.
+                for i, b in enumerate(basis):
+                    assert [row[b] for row in ref_tab] == [
+                        F(int(k == i)) for k in range(rows)
+                    ]
 
 
 # Large primes as numerators and denominators of the column scales, so
@@ -271,8 +292,8 @@ def test_search_pivot_counts_and_tableau_entry_sizes(monkeypatch, cell):
     seen = {"pivots": 0, "bits": 0}
     original = lp_module._pivot
 
-    def counting_pivot(tab, obj, basis, pr, pc, d):
-        d = original(tab, obj, basis, pr, pc, d)
+    def counting_pivot(tab, obj, basis, nonbasic, pr, pk, d):
+        d = original(tab, obj, basis, nonbasic, pr, pk, d)
         seen["pivots"] += 1
         bits = max(abs(v).bit_length() for row in tab for v in row)
         seen["bits"] = max(seen["bits"], bits)
@@ -285,6 +306,33 @@ def test_search_pivot_counts_and_tableau_entry_sizes(monkeypatch, cell):
     # One common denominator for the whole tableau let entries reach 264 to
     # 579 bits on these cells; primitive columns keep them far lower.
     assert seen["bits"] <= 200, seen
+
+
+# SHA-256 of the Farkas multipliers of every infeasible search LP, one line
+# of space-separated integers per LP in solve order, over seeds 0-4 of three
+# cells.  The search's refuter cache is built from them, yet ``LpResult``
+# equality ignores them; these are the full-tableau kernel's values.
+SEARCH_MULTIPLIERS = (
+    234,
+    "f43da201995d43a61689dc5ef12a6dc41da846c8e437c275f9d9bbd3662dd5ab",
+)
+
+
+def test_search_farkas_multipliers_are_pinned(monkeypatch):
+    lines = []
+
+    def recording_solve(lp):
+        result = lp_solve(lp)
+        if result.status == INFEASIBLE:
+            lines.append(" ".join(map(str, result.multipliers)))
+        return result
+
+    monkeypatch.setattr(solver, "lp_solve", recording_solve)
+    for cell in ((2, 3, 2), (3, 3, 2), (2, 4, 3)):
+        for seed in range(5):
+            plus_minus_partition(gen.separable_configuration(seed, *cell))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert (len(lines), digest) == SEARCH_MULTIPLIERS
 
 
 def integer_program(rng: random.Random) -> LinearProgram:
@@ -397,9 +445,9 @@ def test_integer_points_programs_pivot_like_the_rational_ones(monkeypatch, seed)
     def solve_recording(lp):
         pivots = []
 
-        def recording_pivot(tab, obj, basis, pr, pc, den):
-            pivots.append((pr, pc))
-            return original(tab, obj, basis, pr, pc, den)
+        def recording_pivot(tab, obj, basis, nonbasic, pr, pk, den):
+            pivots.append((pr, nonbasic[pk]))
+            return original(tab, obj, basis, nonbasic, pr, pk, den)
 
         monkeypatch.setattr(lp_module, "_pivot", recording_pivot)
         return lp_solve(lp), pivots

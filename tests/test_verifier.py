@@ -7,6 +7,8 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
+import pytest
+
 import gen
 from tvpm import Configuration, Hyperplane, plus_minus_partition
 from tvpm.linalg import dot
@@ -18,6 +20,9 @@ from tvpm.model import (
     parse_configuration,
 )
 from tvpm.separation import separating_hyperplane, trivial_hyperplane
+from tvpm import verifier
+from tvpm.lp import FEASIBLE, Constraint, LinearProgram, integer_points, lp_solve
+from tvpm.solver import enumerate_partitions
 from tvpm.verifier import (
     oracle_enumerate,
     signed_presentation,
@@ -239,6 +244,107 @@ class TestOracle:
             config = gen.separable_configuration(f"complete{i}", d=2, r=2, mu_size=1)
             cert = plus_minus_partition(config)
             assert cert.blocks in oracle_enumerate(config)
+
+
+def free_point_program(config: Configuration, blocks) -> LinearProgram:
+    """Reference: the oracle's program with the common point ``b`` as ``d``
+    free variables of its own, which every block, block 0 included,
+    presents.  ``r * (d + 1)`` rows on ``n + d`` variables."""
+    flat = [i for block in blocks for i in block]
+    position = {i: t for t, i in enumerate(flat)}
+    members = set(config.mu)
+    d = config.d
+    q, points = integer_points(config.points)
+    nvar = len(flat) + d
+    bounds = tuple(
+        (None, 0) if i in members else (0, None) for i in flat
+    ) + ((None, None),) * d
+    cons = []
+    for block in blocks:
+        coeffs = [0] * nvar
+        for i in block:
+            coeffs[position[i]] = q
+        cons.append(Constraint(tuple(coeffs), "=", q))
+    for block in blocks:
+        for m in range(d):
+            coeffs = [0] * nvar
+            for i in block:
+                coeffs[position[i]] = points[i][m]
+            coeffs[len(flat) + m] = -q
+            cons.append(Constraint(tuple(coeffs), "=", 0))
+    return LinearProgram(nvar, tuple(cons), bounds=bounds)
+
+
+def oracle_programs(monkeypatch, config):
+    """The oracle's listing of ``config`` and every program it solved, with
+    the partition each program was built for."""
+    programs, partitions = [], []
+
+    def recording_solve(lp):
+        programs.append(lp)
+        return lp_solve(lp)
+
+    def recording_partitions(*args):
+        for blocks in enumerate_partitions(*args):
+            partitions.append(blocks)
+            yield blocks
+
+    monkeypatch.setattr(verifier, "lp_solve", recording_solve)
+    monkeypatch.setattr(verifier, "enumerate_partitions", recording_partitions)
+    listing = oracle_enumerate(config)
+    monkeypatch.undo()
+    return listing, list(zip(partitions, programs, strict=True))
+
+
+ORACLE_CONFIGS = {
+    "plain (2,3,2)": gen.separable_configuration(0, 2, 3, 2),
+    "colored (2,3,2)": gen.separable_configuration(0, 2, 3, 2, True),
+    "line3": LINE3,
+    "colored_plane7": PLANE7,
+}
+
+
+class TestOracleProgram:
+    """The oracle couples each block to block 0 instead of to a free point;
+    both programs ask the same question of every partition."""
+
+    @pytest.mark.parametrize("name", list(ORACLE_CONFIGS))
+    def test_same_verdicts_as_the_free_point_program(self, monkeypatch, name):
+        config = ORACLE_CONFIGS[name]
+        listing, solved = oracle_programs(monkeypatch, config)
+        feasible = []
+        for blocks, program in solved:
+            verdict = lp_solve(program).status
+            assert verdict == lp_solve(free_point_program(config, blocks)).status
+            if verdict == FEASIBLE:
+                feasible.append(blocks)
+        assert feasible == listing
+        assert listing
+        if config.r > 2:
+            assert len(listing) < len(solved)
+
+    @pytest.mark.parametrize("name", list(ORACLE_CONFIGS))
+    def test_rows_and_columns(self, monkeypatch, name):
+        config = ORACLE_CONFIGS[name]
+        n, d, r = len(config.points), config.d, config.r
+        _, solved = oracle_programs(monkeypatch, config)
+        for blocks, program in solved:
+            assert program.num_vars == n
+            assert len(program.constraints) == r + (r - 1) * d
+            reference = free_point_program(config, blocks)
+            assert reference.num_vars == n + d
+            assert len(reference.constraints) == r * (d + 1)
+
+    def test_the_point_is_block_zeros_combination(self):
+        config = ORACLE_CONFIGS["plain (2,3,2)"]
+        for blocks in oracle_enumerate(config):
+            coefficients, b = signed_presentation(config, blocks)
+            for block in blocks:
+                assert sum(coefficients[i] for i in block) == 1
+                assert b == tuple(
+                    sum(coefficients[i] * config.points[i][m] for i in block)
+                    for m in range(config.d)
+                )
 
 
 class TestSignedPresentation:

@@ -1,23 +1,27 @@
-"""Interleaved A/B timing of two checkouts on the search workloads' inputs.
+"""Interleaved A/B timing of two checkouts on the benchmark workloads' inputs.
 
     python3 tools/ab.py DIR_A DIR_B
 
 Each checkout's ``src/tvpm`` is copied into a temporary directory under its
 own package name (``tvpm_a``, ``tvpm_b``), so both load into one process.
-The inputs are the first ``INSTANCES`` instances of each search workload at
-the benchmark's reference seed 0, as ``perfbench/workloads.py`` of the
-checkout this script lives in generates them (imported, never written);
-the whole list is solved ``PASSES`` times.  Every instance is solved by A
-and by B back to back, the order alternating from one instance to the
-next, so a drift in the machine's speed falls on both sides alike.  Times
-are thread CPU time.  The two certificates of every instance must
-serialize to the same text, or the script stops with exit 1.
+The inputs are the first ``INSTANCES`` instances of each workload at the
+benchmark's reference seed 0, as ``perfbench/workloads.py`` of the checkout
+this script lives in generates them (imported, never written); the whole
+list is run ``PASSES`` times.  Each search workload instance is solved by
+``plus_minus_partition``, and the two certificates must serialize to the
+same text.  For cli-oracle the instances are the generated plain and
+colored configurations its rounds pass to ``tvpm oracle`` (the fixtures
+left out), each listed by ``oracle_enumerate``, and the two listings must
+be the same.  A difference stops the script with exit 1.  Every instance
+is run by A and by B back to back, the order alternating from one instance
+to the next, so a drift in the machine's speed falls on both sides alike.
+Times are thread CPU time.
 
 The last line per workload is the speed ratio: A's total time over B's, so
 a ratio above 1 means B is faster.  This complements ``perfbench/run.py``,
 which measures one checkout per process in a closed loop: the A/B here
-cancels drift between runs, but measures neither set-up nor memory, and
-only the search workloads.
+cancels drift between runs, but measures neither set-up nor memory, nor
+the CLI's parsing, verifying and printing around the oracle.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-SEARCH_WORKLOADS = ("search-lp", "search-enum")
+WORKLOADS = ("search-lp", "search-enum", "cli-oracle")
 SEED = 0
 INSTANCES = 200
 PASSES = 3
@@ -65,21 +69,38 @@ def solve(package, config) -> tuple[float, str]:
     return elapsed, package.serialize_certificate(cert)
 
 
-def compare(workloads, packages, workload: str) -> int:
-    # The fixtures argument only feeds cli-oracle's inputs.
+def oracle(package, config) -> tuple[float, str]:
+    start = time.thread_time()
+    listing = package.oracle_enumerate(config)
+    elapsed = time.thread_time() - start
+    return elapsed, repr(listing)
+
+
+def inputs(workloads, workload: str) -> list[str]:
     texts = workloads.instance_texts(workload, SEED, ROOT / "tests" / "fixtures")
-    texts = texts[:INSTANCES]
+    if workload == "cli-oracle":
+        # The generated pairs follow the fixtures.
+        texts = texts[len(workloads.FIXTURES) :]
+    return texts[:INSTANCES]
+
+
+def compare(workloads, packages, workload: str) -> int:
+    if workload == "cli-oracle":
+        run, outputs = oracle, "oracle listings"
+    else:
+        run, outputs = solve, "certificates"
+    texts = inputs(workloads, workload)
     configs = [[p.parse_configuration(t) for t in texts] for p in packages]
     totals = [0.0, 0.0]
     ratios = []
     for _ in range(PASSES):
         for i in range(len(texts)):
             order = (0, 1) if i % 2 == 0 else (1, 0)
-            times, certs = [0.0, 0.0], ["", ""]
+            times, results = [0.0, 0.0], ["", ""]
             for side in order:
-                times[side], certs[side] = solve(packages[side], configs[side][i])
-            if certs[0] != certs[1]:
-                print(f"{workload} instance {i}: the certificates differ")
+                times[side], results[side] = run(packages[side], configs[side][i])
+            if results[0] != results[1]:
+                print(f"{workload} instance {i}: the {outputs} differ")
                 return 1
             totals[0] += times[0]
             totals[1] += times[1]
@@ -107,7 +128,7 @@ def main(argv=None) -> int:
             load_package(dir_a, "tvpm_a", Path(tmp)),
             load_package(dir_b, "tvpm_b", Path(tmp)),
         ]
-        for workload in SEARCH_WORKLOADS:
+        for workload in WORKLOADS:
             if compare(workloads, packages, workload):
                 return 1
     return 0
