@@ -5,10 +5,13 @@ point, never which point is best, so the solver is phase one of the simplex
 alone: it minimizes the sum of one artificial variable per row, with Bland's
 rule for both the entering and the leaving variable, so it terminates on
 every input and identical programs always produce identical answers.
+
+A program has one form: ``A x = b`` with every variable ``x >= 0``.  Each
+caller poses its own question in it: a free variable is the difference of
+two columns ``A_j`` and ``-A_j``, a nonpositive one is carried by ``-A_j``,
+and an inequality row gets a slack column ``+1`` or ``-1`` of its own.
 Strict inequalities never appear here; callers that need strictness encode a
-margin into the right-hand side instead.  Each variable is nonnegative,
-nonpositive or free: the bounds ``(0, None)``, ``(None, 0)`` and
-``(None, None)``, the only ones the callers need.
+margin into the right-hand side instead.
 
 The simplex runs on an integer dictionary (Edmonds 1967): one row per
 basic variable, one column per *nonbasic* variable and the right-hand side,
@@ -29,13 +32,13 @@ index* whose reduced cost is negative, and the ratio test only picks
 when the point is extracted.
 
 The starting dictionary is built from one common denominator ``L`` of the
-standardized program, with ``D = 1``.  Each structural column of ``L`` times
-the program is divided by the gcd of its entries, which makes it primitive:
-that is the column times its own ``k_j = L / g_j > 0``.  The right-hand side
-is made primitive the same way by one common factor ``R``.  That is the
-original phase-one program with every row multiplied by ``R`` and variable
-``y_j`` replaced by ``(k_j / R) * z_j``, and Bland's rule cannot tell the
-two apart:
+program, with ``D = 1``, after every row with a negative right-hand side is
+negated.  Each structural column of ``L`` times the program is divided by
+the gcd of its entries, which makes it primitive: that is the column times
+its own ``k_j = L / g_j > 0``.  The right-hand side is made primitive the
+same way by one common factor ``R``.  That is the original phase-one
+program with every row multiplied by ``R`` and variable ``y_j`` replaced by
+``(k_j / R) * z_j``, and Bland's rule cannot tell the two apart:
 
 - a column scaled by ``k > 0`` has its reduced cost scaled by ``k``, so
   every reduced cost keeps its sign;
@@ -43,9 +46,9 @@ two apart:
   the least ratio and its ties stay where they were.
 
 The basis sequence and the returned point are those of the rational
-simplex.  Multiplying every row of the standardized program by one positive
-constant leaves the starting dictionary as it is, so a caller may build its
-program in integers, every constraint times one common denominator, without
+simplex.  Multiplying every row of the program by one positive constant
+leaves the starting dictionary as it is, so a caller may build its program
+in integers, every constraint times one common denominator, without
 changing a pivot; ``integer_points`` gives the callers their points that
 way.  The entries stay as small as the primitive columns allow: in the
 search programs a lifted point's column is, up to a small factor, the
@@ -67,11 +70,11 @@ one's dual ``u``: the objective row's entry at the artificial's position
 while it is nonbasic, and 0 while it is basic (where ``u_i = 1``).  So ``D``
 minus that reduced cost is ``D * u_i``, an integer.  Optimality makes
 ``u . A_j <= 0`` on every structural column and strong duality ``u . b >
-0``: Farkas' certificate that no nonnegative point solves the standardized
-rows.  A column scale ``k_j > 0`` only scales ``u . A_j``, and the common
+0``: Farkas' certificate that no nonnegative point solves the rows.  A
+column scale ``k_j > 0`` only scales ``u . A_j``, and the common
 right-hand-side scale only ``u . b``, so ``u`` is the same for the unscaled
-program; a row ``_standardize`` negated negates its ``u_i`` back.  Reading
-it off costs no pivot.
+program; a row negated for its right-hand side negates its ``u_i`` back.
+Reading it off costs no pivot.
 
 The problems this package generates are tiny (tens of rows and columns), so
 the implementation favours exactness and determinism over sparse-matrix
@@ -88,40 +91,28 @@ from typing import Iterable, Optional, Sequence, Union
 from .errors import InternalError
 from .linalg import common_denominator, scaled
 
-LESS_EQUAL = "<="
-EQUAL = "="
-GREATER_EQUAL = ">="
-
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
 
 # A program's numbers: ``int`` where the caller built it in integers.
 Rational = Union[int, Fraction]
-Bound = tuple[Optional[Rational], Optional[Rational]]
-
-# Each supported bound and the signs of the columns that carry its variable.
-_COLUMN_SIGNS = {(0, None): (1,), (None, 0): (-1,), (None, None): (1, -1)}
 
 
 @dataclass(frozen=True)
 class Constraint:
+    """The row ``coeffs . x = rhs``."""
+
     coeffs: tuple[Rational, ...]
-    relation: str
     rhs: Rational
 
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """``num_vars`` variables and linear constraints: a feasibility question.
-
-    ``bounds`` holds one (lower, upper) pair per variable, ``(0, None)``,
-    ``(None, 0)`` or ``(None, None)``; when ``bounds`` itself is ``None``
-    every variable is free.
-    """
+    """``num_vars`` variables, each ``>= 0``, and equality rows: a
+    feasibility question."""
 
     num_vars: int
     constraints: tuple[Constraint, ...]
-    bounds: Optional[tuple[Bound, ...]] = None
 
 
 @dataclass(frozen=True)
@@ -152,68 +143,52 @@ def integer_points(
 
 
 def satisfies(lp: LinearProgram, point: Sequence[Fraction]) -> bool:
-    """Exact re-substitution check of every bound and constraint.
+    """Exact re-substitution check: ``point >= 0`` and every row holds.
 
     It runs on ``X = q * point``, ``q`` the point's common denominator, where
-    ``a . point <= b`` holds exactly when ``a . X <= q * b``: integer
+    ``a . point = b`` holds exactly when ``a . X = q * b``: integer
     arithmetic throughout when the program is in integers.
     """
-    if len(point) != lp.num_vars:
+    if len(point) != lp.num_vars or any(x < 0 for x in point):
         return False
     q = common_denominator(point)
     xs = scaled(point, q)
-    if lp.bounds is not None:
-        for x, (lo, hi) in zip(xs, lp.bounds):
-            if lo is not None and x < lo * q:
-                return False
-            if hi is not None and x > hi * q:
-                return False
-    for con in lp.constraints:
-        value = sum(a * x for a, x in zip(con.coeffs, xs) if a and x)
-        rhs = con.rhs * q
-        if con.relation == LESS_EQUAL and value > rhs:
-            return False
-        if con.relation == GREATER_EQUAL and value < rhs:
-            return False
-        if con.relation == EQUAL and value != rhs:
-            return False
-    return True
+    return all(
+        sum(a * x for a, x in zip(con.coeffs, xs) if a and x) == con.rhs * q
+        for con in lp.constraints
+    )
 
 
 def lp_solve(lp: LinearProgram) -> LpResult:
-    """Decide ``lp`` exactly: a feasible point, or the verdict
+    """Decide ``A x = b, x >= 0`` exactly: a feasible point, or the verdict
     ``infeasible`` with its proof.
 
     An infeasible verdict carries ``multipliers``, one integer ``y_i`` per
     constraint: a positive multiple of phase one's dual, and so a Farkas
-    certificate.  For a program whose variables are all bounded below by
-    zero and above by nothing, ``y . A_j <= 0`` for every column ``A_j``,
-    ``y . b > 0``, ``y_i <= 0`` on a ``<=`` row and ``y_i >= 0`` on a ``>=``
-    row: no ``x >= 0`` can satisfy the program, since ``y . (A x) <= 0 <
-    y . b``.  A nonpositive variable is carried by the column ``-A_j`` and a
-    free one by both ``A_j`` and ``-A_j`` (``_standardize``), so there
-    ``y . A_j >= 0`` and ``y . A_j = 0`` instead.
+    certificate.  ``y . A_j <= 0`` for every column ``A_j`` and ``y . b >
+    0``, so no ``x >= 0`` can satisfy the program, since ``y . (A x) <= 0 <
+    y . b``.
     """
     _validate(lp)
-    rows, rhs, col_var, width, flipped = _standardize(lp)
-    m = len(rows)
+    n = lp.num_vars
+    m = len(lp.constraints)
 
     # Minimize the sum of one artificial variable per row, from the basis
-    # of all artificials, on primitive structural columns with D = 1 (see
-    # the module docstring).
-    tab, obj, scales, rhs_scale = _dictionary(rows, rhs, width)
-    basis = [width + i for i in range(m)]
-    nonbasic = list(range(width))
+    # of all artificials, on primitive columns with D = 1 (see the module
+    # docstring).
+    tab, obj, scales, rhs_scale, flipped = _dictionary(lp)
+    basis = [n + i for i in range(m)]
+    nonbasic = list(range(n))
     d = _minimize(tab, obj, basis, nonbasic, 1)
     if obj[-1] != 0:
         # Farkas multipliers, D * u_i: D minus artificial i's reduced cost,
         # which is 0 while it is basic (see the module docstring).
         reduced = dict(zip(nonbasic, obj))
-        u = [d - reduced.get(width + i, 0) for i in range(m)]
+        u = [d - reduced.get(n + i, 0) for i in range(m)]
         multipliers = tuple(-y if f else y for y, f in zip(u, flipped))
         return LpResult(INFEASIBLE, multipliers=multipliers)
 
-    point = _extract(tab, basis, col_var, lp.num_vars, scales, rhs_scale, d)
+    point = _extract(tab, basis, n, scales, rhs_scale, d)
     if not satisfies(lp, point):
         raise InternalError("simplex returned a point violating its own program")
     return LpResult(FEASIBLE, point)
@@ -225,80 +200,33 @@ def _validate(lp: LinearProgram) -> None:
     for con in lp.constraints:
         if len(con.coeffs) != lp.num_vars:
             raise ValueError("constraint arity does not match variable count")
-        if con.relation not in (LESS_EQUAL, EQUAL, GREATER_EQUAL):
-            raise ValueError(f"unknown relation: {con.relation!r}")
-    if lp.bounds is not None:
-        if len(lp.bounds) != lp.num_vars:
-            raise ValueError("bounds arity does not match variable count")
-        for bound in lp.bounds:
-            if bound not in _COLUMN_SIGNS:
-                raise ValueError(
-                    f"unsupported bound {bound!r}: a variable is nonnegative "
-                    "(0, None), nonpositive (None, 0) or free (None, None)"
-                )
 
 
-def _standardize(lp: LinearProgram):
-    """Rewrite as rows @ y = rhs with y >= 0 and rhs >= 0.
+def _dictionary(lp: LinearProgram):
+    """The starting dictionary ``(tab, obj, scales, rhs_scale, flipped)``.
 
-    Returns (rows, rhs, col_var, width, flipped) where col_var maps each
-    structural column to (original variable, sign), the original value is
-    the sum of its signed column values, and flipped[i] says whether row i
-    was negated to make its right-hand side nonnegative.  The slack columns
-    follow the structural ones, up to ``width``.  Every value is an exact
-    rational: the program's own, or an ``int`` (the ``0`` and ``±1``
-    placeholders).
+    ``flipped[i]`` says whether row ``i`` was negated to make its
+    right-hand side nonnegative.  One common denominator ``L`` of the
+    program makes every entry an integer; then column ``j`` divided by the
+    gcd ``g_j`` of its entries is primitive, with scale ``k_j = L / g_j``,
+    and the right-hand side the same with ``R = L / g_b``.  Scales are
+    (numerator, denominator) pairs; a zero column keeps its zeros, with
+    ``g_j = 1``.  ``obj`` starts as the reduced costs: minus the column
+    sums, and minus the right-hand side's sum last.
     """
-    bounds = lp.bounds if lp.bounds is not None else ((None, None),) * lp.num_vars
-    col_var = [(j, s) for j, bound in enumerate(bounds) for s in _COLUMN_SIGNS[bound]]
-    nslack = sum(1 for c in lp.constraints if c.relation != EQUAL)
-    width = len(col_var) + nslack
-    rows: list[list[Rational]] = []
-    rhs: list[Rational] = []
-    k = len(col_var)
-    for con in lp.constraints:
-        row = [0] * width
-        for c, (j, s) in enumerate(col_var):
-            a = con.coeffs[j]
-            if a:
-                row[c] = a if s > 0 else -a
-        if con.relation == LESS_EQUAL:
-            row[k] = 1
-            k += 1
-        elif con.relation == GREATER_EQUAL:
-            row[k] = -1
-            k += 1
-        rows.append(row)
-        rhs.append(con.rhs)
-    flipped = [v < 0 for v in rhs]
-    for i in range(len(rows)):
-        if flipped[i]:
-            rows[i] = [-v for v in rows[i]]
-            rhs[i] = -rhs[i]
-    return rows, rhs, tuple(col_var), width, flipped
-
-
-def _dictionary(rows, rhs, width):
-    """The starting dictionary ``(tab, obj, scales, rhs_scale)``.
-
-    One common denominator ``L`` of the program makes every entry an
-    integer; then column ``j`` divided by the gcd ``g_j`` of its entries is
-    primitive, with scale ``k_j = L / g_j``, and the right-hand side the
-    same with ``R = L / g_b``.  Scales are (numerator, denominator) pairs; a
-    zero column keeps its zeros, with ``g_j = 1``.  ``obj`` starts as the
-    reduced costs: minus the column sums, and minus the right-hand side's
-    sum last.
-    """
-    den = common_denominator(v for row in (*rows, rhs) for v in row if v)
-    ints = [scaled(row, den) for row in rows]
-    b = scaled(rhs, den)
-    gs = [g or 1 for g in map(gcd, *ints)] if ints else [1] * width
+    cons = lp.constraints
+    den = common_denominator(v for con in cons for v in (*con.coeffs, con.rhs) if v)
+    flipped = [con.rhs < 0 for con in cons]
+    # ``scaled`` by ``-L`` is exact too: it negates the row.
+    ints = [scaled(con.coeffs, -den if f else den) for con, f in zip(cons, flipped)]
+    b = [abs(v) for v in scaled((con.rhs for con in cons), den)]
+    gs = [g or 1 for g in map(gcd, *ints)] if ints else [1] * lp.num_vars
     gb = gcd(*b) or 1
     tab = [
         [v // g for v, g in zip(row, gs)] + [bi // gb] for row, bi in zip(ints, b)
     ]
-    obj = [-sum(col) for col in zip(*tab)] if tab else [0] * (width + 1)
-    return tab, obj, [(den, g) for g in gs], (den, gb)
+    obj = [-sum(col) for col in zip(*tab)] if tab else [0] * (lp.num_vars + 1)
+    return tab, obj, [(den, g) for g in gs], (den, gb), flipped
 
 
 def _minimize(tab, obj, basis, nonbasic, d) -> int:
@@ -367,17 +295,15 @@ def _eliminate(row, prow, pk, p, d) -> list[int]:
     return row
 
 
-def _extract(tab, basis, col_var, n, scales, rhs_scale, d) -> tuple[Fraction, ...]:
+def _extract(tab, basis, n, scales, rhs_scale, d) -> tuple[Fraction, ...]:
     """The original point: basic column ``c`` holds ``z_c = T[i][-1] / D``,
-    and its variable moves by ``y_c = (k_c / R) * z_c``.  Basic artificial
-    columns lie past ``col_var`` and hold 0."""
-    values = {b: tab[i][-1] for i, b in enumerate(basis)}
-    x: list[Rational] = [0] * n
+    and variable ``c`` is ``(k_c / R) * z_c``.  Basic artificial columns lie
+    past ``n`` and hold 0."""
+    x = [Fraction(0)] * n
     r_num, r_den = rhs_scale
-    for c, (j, s) in enumerate(col_var):
-        v = values.get(c)
-        if v:
+    for row, c in zip(tab, basis):
+        v = row[-1]
+        if c < n and v:
             k_num, k_den = scales[c]
-            v = Fraction(v * k_num * r_den, d * k_den * r_num)
-            x[j] = x[j] + v if s > 0 else x[j] - v
-    return tuple(Fraction(v) for v in x)
+            x[c] = Fraction(v * k_num * r_den, d * k_den * r_num)
+    return tuple(x)

@@ -35,30 +35,41 @@ def separating_hyperplane(config: Configuration) -> Hyperplane:
     and the rest strictly above, or SeparationInfeasible when the two hulls
     intersect.
 
-    Every point of the program's solution meets its margin row, ``s <= -1``
-    or ``s >= 1`` for ``s = <p, w> - alpha``, which ``lp_solve`` checks
-    exactly before it returns the point.
+    The program is posed on integer points ``P = q * p`` in the kernel's
+    form, every variable ``>= 0``: the free ``w_m`` and ``alpha`` are the
+    differences ``w_m+ - w_m-`` and ``alpha+ - alpha-``, in the columns
+    ``w_1+, w_1-, ..., w_d+, w_d-, alpha+, alpha-``, followed by one slack
+    ``t_i`` per point.  Row ``i`` is ``P_i . w - q * alpha + t_i = -q`` for a
+    marked point and ``P_i . w - q * alpha - t_i = q`` for the others: the
+    margin rows ``s <= -1`` and ``s >= 1`` for ``s = <p, w> - alpha``, times
+    ``q``, which ``lp_solve`` checks exactly before it returns the point.
     """
     if not config.mu:
         raise ValueError("separating hyperplane needs a nonempty marked face")
     members = set(config.mu)
-    if len(members) >= len(config.points):
+    n = len(config.points)
+    if len(members) >= n:
         raise ValueError("the complementary face must be nonempty")
     d = config.d
     q, points = integer_points(config.points)
+    width = 2 * (d + 1)
     cons = []
     for i, p in enumerate(points):
-        coeffs = tuple(p) + (-q,)
+        coeffs = [v for a in (*p, -q) for v in (a, -a)] + [0] * n
         if i in members:
-            cons.append(Constraint(coeffs, "<=", -q))
+            coeffs[width + i] = 1
+            cons.append(Constraint(tuple(coeffs), -q))
         else:
-            cons.append(Constraint(coeffs, ">=", q))
-    result = lp_solve(LinearProgram(d + 1, tuple(cons)))
+            coeffs[width + i] = -1
+            cons.append(Constraint(tuple(coeffs), q))
+    result = lp_solve(LinearProgram(width + n, tuple(cons)))
     if result.status != FEASIBLE:
         raise SeparationInfeasible(
             "the marked face's hull meets the complementary hull"
         )
-    return Hyperplane(result.point[:d], result.point[d])
+    x = result.point
+    w = tuple(x[2 * m] - x[2 * m + 1] for m in range(d))
+    return Hyperplane(w, x[2 * d] - x[2 * d + 1])
 
 
 def trivial_hyperplane(config: Configuration) -> Hyperplane:
@@ -75,10 +86,10 @@ def lift_configuration(
     w, alpha = hyperplane.w, hyperplane.alpha
     factors = []
     lifted = []
-    for p in config.points:
+    for i, p in enumerate(config.points):
         s = dot(p, w) - alpha
         if s == 0:
-            raise DegenerateLift(f"point {p} lies on the separating hyperplane")
+            raise DegenerateLift(f"point {i} lies on the separating hyperplane")
         inv = ONE / s
         factors.append(s)
         lifted.append(tuple(c * inv for c in p) + (inv,))

@@ -58,14 +58,7 @@ from typing import Iterator, Optional, Sequence
 
 from .errors import InternalError
 from .linalg import ZERO, Point
-from .lp import (
-    EQUAL,
-    FEASIBLE,
-    Constraint,
-    LinearProgram,
-    integer_points,
-    lp_solve,
-)
+from .lp import FEASIBLE, Constraint, LinearProgram, integer_points, lp_solve
 from .model import TverbergPartition, is_prime
 
 Blocks = tuple[tuple[int, ...], ...]
@@ -239,7 +232,7 @@ def _hulls_program(
         coeffs = [0] * nvar
         for t in range(sizes[j]):
             coeffs[offsets[j] + t] = q
-        cons.append(Constraint(tuple(coeffs), EQUAL, q))
+        cons.append(Constraint(tuple(coeffs), q))
     for j in range(1, len(blocks)):
         for m in range(dim):
             coeffs = [0] * nvar
@@ -247,8 +240,8 @@ def _hulls_program(
                 coeffs[offsets[0] + t] = p[m]
             for t, p in enumerate(blocks[j]):
                 coeffs[offsets[j] + t] = -p[m]
-            cons.append(Constraint(tuple(coeffs), EQUAL, 0))
-    return LinearProgram(nvar, tuple(cons), bounds=((0, None),) * nvar)
+            cons.append(Constraint(tuple(coeffs), 0))
+    return LinearProgram(nvar, tuple(cons))
 
 
 def _meeting_point(

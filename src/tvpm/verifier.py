@@ -31,14 +31,7 @@ from .model import (
     PlusMinusCertificate,
     validate_configuration,
 )
-from .lp import (
-    EQUAL,
-    FEASIBLE,
-    Constraint,
-    LinearProgram,
-    integer_points,
-    lp_solve,
-)
+from .lp import FEASIBLE, Constraint, LinearProgram, integer_points, lp_solve
 from .solver import Blocks, enumerate_partitions
 
 
@@ -156,16 +149,16 @@ def signed_presentation(
     ``blocks``, and that point, or None.  This is the direct solve: no lift
     involved."""
     q, points = integer_points(config.points)
-    result = lp_solve(_presentation_program(q, points, set(config.mu), blocks))
+    members = set(config.mu)
+    result = lp_solve(_presentation_program(q, points, members, blocks))
     if result.status != FEASIBLE:
         return None
     flat = [i for block in blocks for i in block]
-    coefficients = dict(zip(flat, result.point))
+    # A marked vertex's variable is its coefficient's negation.
+    signed = [-y if i in members else y for i, y in zip(flat, result.point)]
+    coefficients = dict(zip(flat, signed))
     b = tuple(
-        sum(
-            (c * config.points[i][m] for i, c in zip(blocks[0], result.point) if c),
-            ZERO,
-        )
+        sum((c * config.points[i][m] for i, c in zip(blocks[0], signed) if c), ZERO)
         for m in range(config.d)
     )
     return coefficients, b
@@ -176,31 +169,33 @@ def _presentation_program(
 ) -> LinearProgram:
     """The oracle's program for ``blocks`` on integer points ``P = q * p``.
 
-    One variable ``x_i`` per vertex of ``blocks``, in block order: at most 0
-    on a marked vertex (one in ``members``), at least 0 on the others.  The
-    rows are ``q * sum(x_i : i in B_j) = q`` for each block ``j``, then for
-    each block ``j >= 1`` and axis ``m``, ``sum(P_i[m] x_i : i in B_0) -
+    One variable ``y_i >= 0`` per vertex of ``blocks``, in block order: the
+    coefficient ``x_i = y_i`` of an unmarked vertex, and ``x_i = -y_i`` of a
+    marked one (in ``members``), so a marked vertex's column is negated.
+    The rows are ``q * sum(x_i : i in B_j) = q`` for each block ``j``, then
+    for each block ``j >= 1`` and axis ``m``, ``sum(P_i[m] x_i : i in B_0) -
     sum(P_i[m] x_i : i in B_j) = 0``: every block presents block 0's point,
     so the point needs no variables of its own.  Every row is the rational
     program's row times ``q``, all ``int``s.
     """
     flat = [i for block in blocks for i in block]
     nvar = len(flat)
-    bounds = tuple((None, 0) if i in members else (0, None) for i in flat)
+    signs = [-1 if i in members else 1 for i in flat]
     offsets = [0]
     for block in blocks:
         offsets.append(offsets[-1] + len(block))
     cons = []
     for j in range(len(blocks)):
         coeffs = [0] * nvar
-        coeffs[offsets[j] : offsets[j + 1]] = [q] * len(blocks[j])
-        cons.append(Constraint(tuple(coeffs), EQUAL, q))
+        for t in range(offsets[j], offsets[j + 1]):
+            coeffs[t] = signs[t] * q
+        cons.append(Constraint(tuple(coeffs), q))
     for j in range(1, len(blocks)):
         for m in range(len(points[0])):
             coeffs = [0] * nvar
             for t, i in enumerate(blocks[0]):
-                coeffs[t] = points[i][m]
+                coeffs[t] = signs[t] * points[i][m]
             for t, i in enumerate(blocks[j], offsets[j]):
-                coeffs[t] = -points[i][m]
-            cons.append(Constraint(tuple(coeffs), EQUAL, 0))
-    return LinearProgram(nvar, tuple(cons), bounds=bounds)
+                coeffs[t] = -signs[t] * points[i][m]
+            cons.append(Constraint(tuple(coeffs), 0))
+    return LinearProgram(nvar, tuple(cons))

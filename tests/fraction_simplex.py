@@ -1,9 +1,11 @@
 """Test-only reference: the phase-one Bland simplex over ``Fraction``.
 
 This is the tableau kernel ``tvpm.lp`` used before it switched to
-fraction-free integer pivoting.  It shares ``_standardize`` with the package
-and nothing else, so comparing ``reference_lp_solve`` with ``lp_solve`` on
-the same program checks the integer kernel's pivots, verdicts and points
+fraction-free integer pivoting.  It takes the package's one program form,
+``A x = b`` with every ``x >= 0``, and negates each row with a negative
+right-hand side itself; it shares only ``_validate`` and ``satisfies`` with
+the package.  So comparing ``reference_lp_solve`` with ``lp_solve`` on the
+same program checks the integer kernel's pivots, verdicts and points
 against the plain rational arithmetic they must reproduce.
 
 Unlike the package, it still drives every zero-valued artificial variable
@@ -27,7 +29,6 @@ from tvpm.lp import (
     INFEASIBLE,
     LinearProgram,
     LpResult,
-    _standardize,
     _validate,
     satisfies,
 )
@@ -38,17 +39,19 @@ ONE = Fraction(1)
 
 def reference_lp_solve(lp: LinearProgram, trace: Optional[list] = None) -> LpResult:
     _validate(lp)
-    rows, rhs, col_var, width, _ = _standardize(lp)
-    m = len(rows)
+    width = lp.num_vars
+    m = len(lp.constraints)
 
-    # ``_standardize`` keeps a program's ``int``s: make every entry a
-    # ``Fraction`` so that ``/`` below stays exact.
-    tab = [
-        [Fraction(v) for v in rows[i]]
-        + [ONE if k == i else ZERO for k in range(m)]
-        + [Fraction(rhs[i])]
-        for i in range(m)
-    ]
+    # Rows with a negative right-hand side are negated, and every entry made
+    # a ``Fraction`` so that ``/`` below stays exact.
+    tab = []
+    for i, con in enumerate(lp.constraints):
+        sign = -1 if con.rhs < 0 else 1
+        tab.append(
+            [Fraction(sign * v) for v in con.coeffs]
+            + [ONE if k == i else ZERO for k in range(m)]
+            + [Fraction(sign * con.rhs)]
+        )
     basis = [width + i for i in range(m)]
     cost1 = [ZERO] * width + [ONE] * m
     obj = _reduced_costs(tab, basis, cost1)
@@ -57,12 +60,10 @@ def reference_lp_solve(lp: LinearProgram, trace: Optional[list] = None) -> LpRes
         return LpResult(INFEASIBLE)
     _drive_out_artificials(tab, basis, width, trace)
 
-    values = {b: tab[i][-1] for i, b in enumerate(basis)}
-    x = [ZERO] * lp.num_vars
-    for c, (j, s) in enumerate(col_var):
-        v = values.get(c, ZERO)
-        if v:
-            x[j] = x[j] + v if s > 0 else x[j] - v
+    # The drive-out leaves only structural columns in the basis.
+    x = [ZERO] * width
+    for row, b in zip(tab, basis):
+        x[b] = row[-1]
     point = tuple(x)
     if not satisfies(lp, point):
         raise InternalError("simplex returned a point violating its own program")

@@ -2,9 +2,11 @@
 
 ``fraction_simplex.reference_lp_solve`` runs the same Bland pivots over
 ``Fraction``s.  The integer kernel must return the identical verdict and
-point on every program: random ones with every kind of bound, the programs
-the search, the separation step and the oracle build, and the programs on
-which the reference's drive-out pivots negatively or drops a redundant row.
+point on every program: random ones in the one form ``A x = b, x >= 0``
+with ``int`` and ``Fraction`` entries and right-hand sides of either sign,
+the programs the search, the separation step and the oracle build, and the
+programs on which the reference's drive-out pivots negatively or drops a
+redundant row.
 """
 
 from __future__ import annotations
@@ -40,35 +42,33 @@ def random_scalar(rng: random.Random) -> Fraction:
     return F(rng.randint(-4, 4), rng.choice((1, 1, 2, 3, 5)))
 
 
-# The bounds ``lp_solve`` takes: nonnegative, nonpositive and free.
-BOUND_KINDS = ((0, None), (None, 0), (None, None))
+def random_number(rng: random.Random):
+    """An ``int`` or a ``Fraction``: programs come in both."""
+    return rng.randint(-4, 4) if rng.random() < 0.3 else random_scalar(rng)
 
 
-def random_program(rng: random.Random) -> LinearProgram:
-    n = rng.randint(1, 4)
-    cons = []
-    for _ in range(rng.randint(0, 4)):
-        coeffs = tuple(random_scalar(rng) for _ in range(n))
-        relation = rng.choice(("<=", ">=", "="))
-        cons.append(Constraint(coeffs, relation, random_scalar(rng)))
-    bounds = tuple(rng.choice(BOUND_KINDS) for _ in range(n))
-    return LinearProgram(
-        num_vars=n,
-        constraints=tuple(cons),
-        bounds=bounds if rng.random() < 0.8 else None,
+def random_program(rng: random.Random, min_rows: int = 0) -> LinearProgram:
+    n = rng.randint(1, 6)
+    cons = tuple(
+        Constraint(
+            tuple(random_number(rng) for _ in range(n)), random_number(rng)
+        )
+        for _ in range(rng.randint(min_rows, 4))
     )
+    return LinearProgram(n, cons)
 
 
 def test_random_programs_match_the_reference():
     rng = random.Random("integer-kernel")
-    seen = {FEASIBLE: 0, INFEASIBLE: 0}
+    seen = {FEASIBLE: 0, INFEASIBLE: 0, "negated": 0}
     for _ in range(600):
         lp = random_program(rng)
         result = lp_solve(lp)
         assert result == reference_lp_solve(lp)
         seen[result.status] += 1
-    # Every verdict must occur often enough for the comparison to mean
-    # something.
+        seen["negated"] += any(con.rhs < 0 for con in lp.constraints)
+    # Every verdict, and rows the kernel negates, must occur often enough
+    # for the comparison to mean something.
     assert min(seen.values()) >= 30, seen
 
 
@@ -125,18 +125,18 @@ def test_oracle_programs_match_the_reference(monkeypatch, colored):
 def test_ratio_ties_leave_by_the_lower_basis_index():
     # Phase one's first pivot brings in x, and the first two rows both give
     # the ratio 2.  The row whose basic variable has the lower index leaves;
-    # the other choice ends at the vertex (0, 1) instead.
+    # the other choice ends at the vertex (0, 1) instead.  The last three
+    # variables are the rows' slacks.
     lp = LinearProgram(
-        num_vars=2,
+        num_vars=5,
         constraints=(
-            Constraint((1, 0), "<=", 2),
-            Constraint((1, -2), "<=", 2),
-            Constraint((-1, 1), "<=", 1),
+            Constraint((1, 0, 1, 0, 0), 2),
+            Constraint((1, -2, 0, 1, 0), 2),
+            Constraint((-1, 1, 0, 0, 1), 1),
         ),
-        bounds=((F(0), None),) * 2,
     )
     expected = reference_lp_solve(lp)
-    assert expected.point == (F(2), F(3))
+    assert expected.point == (F(2), F(3), F(0), F(6), F(0))
     assert lp_solve(lp) == expected
 
 
@@ -148,20 +148,20 @@ class TestDriveOut:
     def test_negative_pivot(self):
         # The second row's artificial variable is still basic at zero after
         # phase one, and its first nonzero entry is -5/3: the reference
-        # pivots on a negative entry there.
+        # pivots on a negative entry there.  The third variable is the first
+        # row's slack.
         lp = LinearProgram(
-            num_vars=2,
+            num_vars=3,
             constraints=(
-                Constraint((F(-1, 3), -1), "<=", -2),
-                Constraint((2, 1), "=", 2),
+                Constraint((F(-1, 3), -1, 1), -2),
+                Constraint((2, 1, 0), 2),
             ),
-            bounds=((F(0), None), (F(0), None)),
         )
         trace = []
         expected = reference_lp_solve(lp, trace)
         assert trace == [("pivot", F(-5, 3))]
         assert expected == lp_solve(lp)
-        assert expected.point == (F(0), F(2))
+        assert expected.point == (F(0), F(2), F(0))
 
     def test_redundant_equality_row_is_dropped(self):
         # The third row is the sum of the first two, so one artificial
@@ -169,11 +169,10 @@ class TestDriveOut:
         lp = LinearProgram(
             num_vars=3,
             constraints=(
-                Constraint((1, 1, 1), "=", 1),
-                Constraint((F(1, 2), -1, 0), "=", 0),
-                Constraint((F(3, 2), 0, 1), "=", 1),
+                Constraint((1, 1, 1), 1),
+                Constraint((F(1, 2), -1, 0), 0),
+                Constraint((F(3, 2), 0, 1), 1),
             ),
-            bounds=((F(0), None),) * 3,
         )
         trace = []
         expected = reference_lp_solve(lp, trace)
@@ -232,34 +231,21 @@ class TestDriveOut:
 PRIMES = (2, 3, 104729, 998244353, 1000000007, 1000000009, 2**61 - 1)
 
 
-def bounded_program(rng: random.Random) -> LinearProgram:
-    n = rng.randint(1, 4)
-    cons = []
-    for _ in range(rng.randint(1, 4)):
-        coeffs = tuple(random_scalar(rng) for _ in range(n))
-        relation = rng.choice(("<=", ">=", "="))
-        cons.append(Constraint(coeffs, relation, random_scalar(rng)))
-    bounds = tuple(rng.choice(BOUND_KINDS) for _ in range(n))
-    return LinearProgram(n, tuple(cons), bounds)
-
-
 def scale_columns(lp: LinearProgram, k: list[Fraction]) -> LinearProgram:
     """Column j times k[j] > 0: the same program in the variables
-    x_j / k[j], since every bound is 0 or absent."""
+    x_j / k[j], which are nonnegative exactly when the x_j are."""
     cons = tuple(
-        Constraint(
-            tuple(a * kj for a, kj in zip(con.coeffs, k)), con.relation, con.rhs
-        )
+        Constraint(tuple(a * kj for a, kj in zip(con.coeffs, k)), con.rhs)
         for con in lp.constraints
     )
-    return LinearProgram(lp.num_vars, cons, lp.bounds)
+    return LinearProgram(lp.num_vars, cons)
 
 
 def test_column_scaling_keeps_the_verdict_and_maps_the_point():
     rng = random.Random("column-scaling")
     seen = {FEASIBLE: 0, INFEASIBLE: 0}
     for _ in range(300):
-        lp = bounded_program(rng)
+        lp = random_program(rng, min_rows=1)
         k = [F(rng.choice(PRIMES), rng.choice(PRIMES)) for _ in range(lp.num_vars)]
         scaled_lp = scale_columns(lp, k)
         result = lp_solve(lp)
@@ -336,26 +322,21 @@ def test_search_farkas_multipliers_are_pinned(monkeypatch):
 
 
 def integer_program(rng: random.Random) -> LinearProgram:
-    n = rng.randint(1, 4)
-    cons = []
-    for _ in range(rng.randint(0, 4)):
-        coeffs = tuple(rng.randint(-9, 9) for _ in range(n))
-        cons.append(Constraint(coeffs, rng.choice(("<=", ">=", "=")), rng.randint(-9, 9)))
-    bounds = tuple(rng.choice(BOUND_KINDS) for _ in range(n))
-    return LinearProgram(n, tuple(cons), bounds)
+    n = rng.randint(1, 6)
+    cons = tuple(
+        Constraint(tuple(rng.randint(-9, 9) for _ in range(n)), rng.randint(-9, 9))
+        for _ in range(rng.randint(0, 4))
+    )
+    return LinearProgram(n, cons)
 
 
 def as_fractions(lp: LinearProgram) -> LinearProgram:
-    def frac(v):
-        return None if v is None else F(v)
-
     return LinearProgram(
         lp.num_vars,
         tuple(
-            Constraint(tuple(F(a) for a in con.coeffs), con.relation, F(con.rhs))
+            Constraint(tuple(F(a) for a in con.coeffs), F(con.rhs))
             for con in lp.constraints
         ),
-        tuple((frac(lo), frac(hi)) for lo, hi in lp.bounds),
     )
 
 
@@ -396,22 +377,18 @@ def test_infeasible_search_programs_create_no_fraction(monkeypatch):
 
 def test_satisfies_rejects_each_violation_of_an_integer_program():
     lp = LinearProgram(
-        num_vars=2,
+        num_vars=3,
         constraints=(
-            Constraint((2, 1), "<=", 4),
-            Constraint((1, -1), ">=", -1),
-            Constraint((1, 1), "=", 2),
+            Constraint((2, 1, 1), 4),
+            Constraint((1, 1, 0), 2),
         ),
-        bounds=((0, 3), (None, 2)),
     )
-    assert satisfies(lp, (F(1), F(1)))
-    assert satisfies(lp, (F(1, 2), F(3, 2)))
-    assert not satisfies(lp, (F(1),))  # wrong length
-    assert not satisfies(lp, (F(-1, 3), F(7, 3)))  # below a lower bound
-    assert not satisfies(lp, (F(10, 3), F(-4, 3)))  # above an upper bound
-    assert not satisfies(lp, (F(7, 3), F(-1, 3)))  # "<=" broken
-    assert not satisfies(lp, (F(1, 3), F(5, 3) + F(1, 10**9)))  # ">=" and "=" broken
-    assert not satisfies(lp, (F(1, 2), F(3, 2) - F(1, 10**12)))  # "=" broken
+    assert satisfies(lp, (F(1), F(1), F(1)))
+    assert satisfies(lp, (F(1, 2), F(3, 2), F(3, 2)))
+    assert not satisfies(lp, (F(1), F(1)))  # wrong length
+    assert not satisfies(lp, (F(-1, 3), F(7, 3), F(7, 3)))  # a negative value
+    assert not satisfies(lp, (F(1), F(1), F(1) + F(1, 10**9)))  # first row broken
+    assert not satisfies(lp, (F(1), F(1) - F(1, 10**12), F(1) + F(1, 10**12)))
 
 
 def test_integer_points_scale_by_the_least_common_denominator():
@@ -426,7 +403,8 @@ def test_integer_points_scale_by_the_least_common_denominator():
 @pytest.mark.parametrize("seed", range(20))
 def test_integer_points_programs_pivot_like_the_rational_ones(monkeypatch, seed):
     """A separation-style program over the rational points and the same one
-    over ``integer_points``, constants times ``q``: same pivots, same point."""
+    over ``integer_points``, constants times ``q``: same pivots, the same
+    ``(w, alpha)``, and every slack times ``q``."""
     rng = random.Random(f"integer-points-{seed}")
     d = rng.randint(1, 3)
     pts = [tuple(random_scalar(rng) for _ in range(d)) for _ in range(rng.randint(2, 7))]
@@ -434,11 +412,16 @@ def test_integer_points_programs_pivot_like_the_rational_ones(monkeypatch, seed)
     q, ints = integer_points(pts)
 
     def program(points, one):
-        return LinearProgram(d + 1, tuple(
-            Constraint(tuple(p) + (-one,), "<=" if i in members else ">=",
-                       -one if i in members else one)
-            for i, p in enumerate(points)
-        ))
+        # Free (w, alpha) as column pairs, then one slack per point.
+        n = len(points)
+        cons = []
+        for i, p in enumerate(points):
+            pairs = [v for a in (*p, -one) for v in (a, -a)]
+            slacks = [0] * n
+            slacks[i] = 1 if i in members else -1
+            rhs = -one if i in members else one
+            cons.append(Constraint(tuple(pairs + slacks), rhs))
+        return LinearProgram(2 * (d + 1) + n, tuple(cons))
 
     original = lp_module._pivot
 
@@ -454,15 +437,19 @@ def test_integer_points_programs_pivot_like_the_rational_ones(monkeypatch, seed)
 
     rational, rational_pivots = solve_recording(program(pts, F(1)))
     integer, integer_pivots = solve_recording(program(ints, q))
-    assert integer == rational
+    assert integer.status == rational.status
     assert integer_pivots == rational_pivots
+    if rational.point is not None:
+        width = 2 * (d + 1)
+        slacks = tuple(q * t for t in rational.point[width:])
+        assert integer.point == rational.point[:width] + slacks
 
 
 def test_infeasible_verdicts_carry_a_farkas_certificate():
-    """On programs over variables ``>= 0``: ``y . A_j <= 0``, ``y . b > 0``
-    and the inequality rows' signs, on integer and rational programs."""
+    """``y . A_j <= 0`` and ``y . b > 0``, on integer and rational programs
+    with right-hand sides of either sign."""
     rng = random.Random("farkas")
-    infeasible = 0
+    infeasible = negated = 0
     for trial in range(800):
         n = rng.randint(1, 4)
 
@@ -470,14 +457,10 @@ def test_infeasible_verdicts_carry_a_farkas_certificate():
             return rng.randint(-6, 6) if trial % 2 else random_scalar(rng)
 
         cons = tuple(
-            Constraint(
-                tuple(number() for _ in range(n)),
-                rng.choice(("<=", ">=", "=")),
-                number(),
-            )
+            Constraint(tuple(number() for _ in range(n)), number())
             for _ in range(rng.randint(1, 5))
         )
-        lp = LinearProgram(n, cons, bounds=((0, None),) * n)
+        lp = LinearProgram(n, cons)
         result = lp_solve(lp)
         assert result == reference_lp_solve(lp)
         if result.status != INFEASIBLE:
@@ -489,11 +472,7 @@ def test_infeasible_verdicts_carry_a_farkas_certificate():
         for j in range(n):
             assert sum(v * con.coeffs[j] for v, con in zip(y, cons)) <= 0
         assert sum(v * con.rhs for v, con in zip(y, cons)) > 0
-        for v, con in zip(y, cons):
-            if con.relation == "<=":
-                assert v <= 0
-            elif con.relation == ">=":
-                assert v >= 0
+        negated += any(con.rhs < 0 for con in cons)
         # The multipliers take no part in equality.
         assert result == lp_module.LpResult(INFEASIBLE)
-    assert infeasible >= 100, infeasible
+    assert infeasible >= 100 and negated >= 50, (infeasible, negated)

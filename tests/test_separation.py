@@ -155,6 +155,18 @@ class TestLift:
         with pytest.raises(DegenerateLift):
             lift_configuration(line3(), Hyperplane((F(1),), F(1)))
 
+    def test_degenerate_lift_names_the_point_not_its_coordinates(self):
+        # The message must not grow with the point's coordinates.
+        big = F(10**3999 + 7, 3)
+        config = Configuration(
+            d=2, r=2, points=((F(0), F(1)), (big, F(2))), mode=CLASSICAL
+        )
+        with pytest.raises(DegenerateLift) as info:
+            lift_configuration(config, Hyperplane((F(1), F(0)), big))
+        message = str(info.value)
+        assert message == "point 1 lies on the separating hyperplane"
+        assert "\n" not in message and len(message.encode()) < 200
+
     def test_last_coordinate_is_inverse_factor(self):
         config = line3()
         lifted = lift_configuration(config, Hyperplane((F(-1),), F(-2)))

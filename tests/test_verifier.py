@@ -249,30 +249,30 @@ class TestOracle:
 def free_point_program(config: Configuration, blocks) -> LinearProgram:
     """Reference: the oracle's program with the common point ``b`` as ``d``
     free variables of its own, which every block, block 0 included,
-    presents.  ``r * (d + 1)`` rows on ``n + d`` variables."""
+    presents.  ``r * (d + 1)`` rows on ``n + 2 * d`` nonnegative variables:
+    one per vertex, its column negated on a marked vertex, and each ``b_m``
+    as the difference of a column pair."""
     flat = [i for block in blocks for i in block]
     position = {i: t for t, i in enumerate(flat)}
-    members = set(config.mu)
+    sign = {i: -1 if i in config.mu else 1 for i in flat}
     d = config.d
     q, points = integer_points(config.points)
-    nvar = len(flat) + d
-    bounds = tuple(
-        (None, 0) if i in members else (0, None) for i in flat
-    ) + ((None, None),) * d
+    nvar = len(flat) + 2 * d
     cons = []
     for block in blocks:
         coeffs = [0] * nvar
         for i in block:
-            coeffs[position[i]] = q
-        cons.append(Constraint(tuple(coeffs), "=", q))
+            coeffs[position[i]] = sign[i] * q
+        cons.append(Constraint(tuple(coeffs), q))
     for block in blocks:
         for m in range(d):
             coeffs = [0] * nvar
             for i in block:
-                coeffs[position[i]] = points[i][m]
-            coeffs[len(flat) + m] = -q
-            cons.append(Constraint(tuple(coeffs), "=", 0))
-    return LinearProgram(nvar, tuple(cons), bounds=bounds)
+                coeffs[position[i]] = sign[i] * points[i][m]
+            coeffs[len(flat) + 2 * m] = -q
+            coeffs[len(flat) + 2 * m + 1] = q
+            cons.append(Constraint(tuple(coeffs), 0))
+    return LinearProgram(nvar, tuple(cons))
 
 
 def oracle_programs(monkeypatch, config):
@@ -332,7 +332,7 @@ class TestOracleProgram:
             assert program.num_vars == n
             assert len(program.constraints) == r + (r - 1) * d
             reference = free_point_program(config, blocks)
-            assert reference.num_vars == n + d
+            assert reference.num_vars == n + 2 * d
             assert len(reference.constraints) == r * (d + 1)
 
     def test_the_point_is_block_zeros_combination(self):
