@@ -116,15 +116,22 @@ class TestBasicSolves:
 
 
 class TestValidate:
-    def test_old_style_programs_raise_type_error(self):
-        # Under the one form an old program cannot be silently re-read:
-        # its relation and its bounds have no field to go to.
+    # Under the one form an old program cannot be silently re-read: its
+    # relation and its bounds have no field to go to.
+    def test_unknown_relation_is_refused(self):
+        with pytest.raises(TypeError):
+            Constraint((1,), "<", 5)
         with pytest.raises(TypeError):
             Constraint((1,), "=", 5)
+
+    @pytest.mark.parametrize(
+        "bound", [(1, None), (None, F(-1, 2)), (0, 3), (F(2), F(1))], ids=str
+    )
+    def test_unsupported_bound_is_refused(self, bound):
+        with pytest.raises(TypeError, match="bounds"):
+            LinearProgram(1, (Constraint((1,), 5),), bounds=(bound,))
         with pytest.raises(TypeError):
-            LinearProgram(1, (Constraint((1,), 5),), bounds=((None, None),))
-        with pytest.raises(TypeError):
-            LinearProgram(1, (Constraint((1,), 5),), ((0, None),))
+            LinearProgram(1, (Constraint((1,), 5),), (bound,))
 
     def test_arity_is_checked(self):
         with pytest.raises(ValueError, match="arity"):
