@@ -135,7 +135,8 @@ def cmd_solve(args) -> int:
             handle.write(text)
     else:
         sys.stdout.write(text)
-    marked = [i for i in cert.coefficients if i in set(effective.mu)]
+    members = set(effective.mu)
+    marked = [i for i in cert.coefficients if i in members]
     negative = sum(1 for i in marked if cert.coefficients[i] < 0)
     zero = sum(1 for i in marked if cert.coefficients[i] == 0)
     print(

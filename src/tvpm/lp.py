@@ -50,8 +50,12 @@ simplex.  Multiplying every row of the program by one positive constant
 leaves the starting dictionary as it is, so a caller may build its program
 in integers, every constraint times one common denominator, without
 changing a pivot; ``integer_points`` gives the callers their points that
-way.  The entries stay as small as the primitive columns allow: in the
-search programs a lifted point's column is, up to a small factor, the
+way.  Every caller in this package does, and a program of ``int``s alone
+is its own integer form with ``L = 1``: the start takes its column gcds
+straight away, with no denominator pass and no rescaling.  ``math.gcd``
+refuses a ``Fraction``, and that sends any other program through ``L``.
+The entries stay as small as the primitive columns allow: in the search
+programs a lifted point's column is, up to a small factor, the
 homogeneous coordinates ``(p, 1)`` of the original point, not the lift's
 shared denominators.  Scaling *rows* by different factors would break all
 this: the phase-one reduced costs sum the rows, so rows must share one
@@ -209,24 +213,39 @@ def _dictionary(lp: LinearProgram):
     right-hand side nonnegative.  One common denominator ``L`` of the
     program makes every entry an integer; then column ``j`` divided by the
     gcd ``g_j`` of its entries is primitive, with scale ``k_j = L / g_j``,
-    and the right-hand side the same with ``R = L / g_b``.  Scales are
-    (numerator, denominator) pairs; a zero column keeps its zeros, with
-    ``g_j = 1``.  ``obj`` starts as the reduced costs: minus the column
-    sums, and minus the right-hand side's sum last.
+    and the right-hand side the same with ``R = L / g_b``.  A program whose
+    entries are all ``int``s has ``L = 1`` and is used as it is: ``gcd``
+    refuses a ``Fraction``, and that refusal sends the program through
+    ``L``.  Scales are (numerator, denominator) pairs; a zero column keeps
+    its zeros, with ``g_j = 1``.  ``obj`` starts as the reduced costs: minus
+    the column sums, and minus the right-hand side's sum last.
     """
     cons = lp.constraints
-    den = common_denominator(v for con in cons for v in (*con.coeffs, con.rhs) if v)
-    flipped = [con.rhs < 0 for con in cons]
-    # ``scaled`` by ``-L`` is exact too: it negates the row.
-    ints = [scaled(con.coeffs, -den if f else den) for con, f in zip(cons, flipped)]
-    b = [abs(v) for v in scaled((con.rhs for con in cons), den)]
-    gs = [g or 1 for g in map(gcd, *ints)] if ints else [1] * lp.num_vars
-    gb = gcd(*b) or 1
-    tab = [
-        [v // g for v, g in zip(row, gs)] + [bi // gb] for row, bi in zip(ints, b)
-    ]
+    rows = [con.coeffs for con in cons]
+    b = [con.rhs for con in cons]
+    try:
+        gs, gb = _gcds(rows, b, lp.num_vars)
+        den = 1
+    except TypeError:
+        den = common_denominator(v for con in cons for v in (*con.coeffs, con.rhs) if v)
+        rows = [scaled(row, den) for row in rows]
+        b = scaled(b, den)
+        gs, gb = _gcds(rows, b, lp.num_vars)
+    flipped = [bi < 0 for bi in b]
+    tab = []
+    for row, bi in zip(rows, b):
+        if bi < 0:
+            row, bi = [-v for v in row], -bi
+        tab.append([v // g for v, g in zip(row, gs)] + [bi // gb])
     obj = [-sum(col) for col in zip(*tab)] if tab else [0] * (lp.num_vars + 1)
     return tab, obj, [(den, g) for g in gs], (den, gb), flipped
+
+
+def _gcds(rows, b, num_vars) -> tuple[list[int], int]:
+    """Each column's gcd and the right-hand side's, 0 read as 1; a
+    ``TypeError`` on any ``Fraction`` entry."""
+    gs = [g or 1 for g in map(gcd, *rows)] if rows else [1] * num_vars
+    return gs, gcd(*b) or 1
 
 
 def _minimize(tab, obj, basis, nonbasic, d) -> int:

@@ -29,6 +29,19 @@ thus sees exactly the partitions a full box test on each complete partition
 would pass, in the same canonical order: the same first hit, the same Bland
 pivots, the same certificate bytes.
 
+The lift puts every point on the hyperplane ``<x, (w, -alpha)> = 1``.
+On such points block ``j``'s sum-to-one row follows from block 0's and
+block ``j``'s coupling rows, so the search decides once, exactly, whether
+its points are homogeneous, some ``v`` with ``<P, v> = 1`` for every
+point (``_homogeneous``), and if they are its programs keep block 0's sum
+row alone: ``1 + (r-1)D`` rows instead of ``r + (r-1)D`` on points of
+dimension ``D``.  Other points, such as a flat count on a line through the
+origin, get every row.  The rows dropped are implied, so every verdict
+stays.  Bland's rule follows the rows it is given, so a feasible
+program's point, and with it the certificate's bytes, can differ only
+where the program has more than one feasible point; an infeasible
+program's multipliers read 0 on each dropped row (``_refuter``).
+
 An infeasible LP also proves more than its own partition's failure.  Its
 Farkas multipliers (``LpResult.multipliers``) give one affine function
 ``h_j`` per block, ``>= 0`` on that block's points, the ``r`` of them adding
@@ -213,7 +226,7 @@ def hulls_intersect(
 
 
 def _hulls_program(
-    q: int, blocks: Sequence[Sequence[Sequence[int]]]
+    q: int, blocks: Sequence[Sequence[Sequence[int]]], homogeneous: bool = False
 ) -> LinearProgram:
     """The program of ``hulls_intersect`` on integer points ``P = q * p``.
 
@@ -222,13 +235,18 @@ def _hulls_program(
     ``j >= 1`` and axis ``m``, ``sum(P_t[m] x_t : t in B_0) - sum(P_t[m] x_t
     : t in B_j) = 0``.  Every row is the rational program's row times ``q``,
     all ``int``s.
+
+    With ``homogeneous`` (every point has ``<P, v> = 1`` for one ``v``,
+    ``_homogeneous``) only block 0's sum row is written: ``v`` applied to
+    block ``j``'s coupling rows gives ``sum(x_t : t in B_0) = sum(x_t : t in
+    B_j)``, so block 0's row implies block ``j``'s.
     """
     dim = len(blocks[0][0])
     sizes = [len(b) for b in blocks]
     offsets = [sum(sizes[:j]) for j in range(len(blocks))]
     nvar = sum(sizes)
     cons = []
-    for j in range(len(blocks)):
+    for j in range(1 if homogeneous else len(blocks)):
         coeffs = [0] * nvar
         for t in range(sizes[j]):
             coeffs[offsets[j] + t] = q
@@ -266,13 +284,16 @@ def _refuter(
     points: Sequence[Sequence[int]],
     blocks: Blocks,
     multipliers: Optional[Sequence[int]],
+    homogeneous: bool = False,
 ) -> list[int]:
     """Per point, the bitmask of the Farkas functions that are ``>= 0`` on it.
 
-    ``multipliers`` certify that ``_hulls_program`` on ``blocks`` is
-    infeasible: sum-row multipliers ``s_j`` and coupling-row multipliers
-    ``u_j`` (``j >= 1``) with ``y . A_t <= 0`` on every column and
-    ``y . b = q * sum(s_j) > 0``.  A column of block 0 reads
+    ``multipliers`` certify that ``_hulls_program`` on ``blocks`` (with the
+    same ``homogeneous``) is infeasible: sum-row multipliers ``s_j`` and
+    coupling-row multipliers ``u_j`` (``j >= 1``) with ``y . A_t <= 0`` on
+    every column and ``y . b = q * sum(s_j) > 0``.  A homogeneous program
+    has no sum row for ``j >= 1``, and ``s_j = 0`` there: the same ``y``
+    with those zeros certifies the full program.  A column of block 0 reads
     ``q*s_0 + sum_j <u_j, P>`` and one of block ``j`` reads
     ``q*s_j - <u_j, P>``, so the affine functions
 
@@ -285,10 +306,11 @@ def _refuter(
     """
     r = len(blocks)
     dim = len(points[0])
-    if multipliers is None or len(multipliers) != r + (r - 1) * dim:
+    sums = 1 if homogeneous else r
+    if multipliers is None or len(multipliers) != sums + (r - 1) * dim:
         raise InternalError("infeasible search LP came without its multipliers")
-    s = multipliers[:r]
-    u = [multipliers[r + (j - 1) * dim : r + j * dim] for j in range(1, r)]
+    s = list(multipliers[:sums]) + [0] * (r - sums)
+    u = [multipliers[sums + (j - 1) * dim : sums + j * dim] for j in range(1, r)]
     if sum(s) <= 0:
         raise InternalError("search LP multipliers do not sum to a positive bound")
     masks = []
@@ -366,23 +388,28 @@ def tverberg_partition(
             f"in dimension {dim}, got {len(pts)}"
         )
     # Every partition covers all the points, so one scaling serves them all:
-    # each program is the one ``hulls_intersect`` would build, and the walk
-    # compares the same integers.  ``enumerate_partitions`` and ``lp_solve``
-    # are called through this module's globals, which the benchmark's
-    # tracer wraps.
+    # each program is the one ``hulls_intersect`` would build, less the
+    # sum rows homogeneous points imply, and the walk compares the same
+    # integers.  ``enumerate_partitions`` and ``lp_solve`` are called
+    # through this module's globals, which the benchmark's tracer wraps.
     q, ints = integer_points(pts)
+    homogeneous = _homogeneous(ints)
     refuters: list[list[int]] = []
     for blocks in enumerate_partitions(len(pts), r, coloring, ints):
         # Newest first: partitions close in the canonical order share
         # blocks, so a recent certificate is the likeliest to refute.
         if any(_refutes(masks, blocks) for masks in reversed(refuters)):
             continue
-        program = _hulls_program(q, [[ints[i] for i in block] for block in blocks])
+        program = _hulls_program(
+            q, [[ints[i] for i in block] for block in blocks], homogeneous
+        )
         result = lp_solve(program)
         if result.status != FEASIBLE:
             # Two-block certificates refute only their own partition.
             if r > 2:
-                refuters.append(_refuter(q, ints, blocks, result.multipliers))
+                refuters.append(
+                    _refuter(q, ints, blocks, result.multipliers, homogeneous)
+                )
             continue
         witness, per_block = _meeting_point(
             [[pts[i] for i in block] for block in blocks], result.point
@@ -396,6 +423,32 @@ def tverberg_partition(
     raise InternalError(
         "partition search exhausted although a partition must exist"
     )
+
+
+def _homogeneous(points: Sequence[Sequence[int]]) -> bool:
+    """Whether some ``v`` has ``<P, v> = 1`` for every point ``P``: whether
+    the all-ones vector lies in the points' column space.
+
+    Fraction-free (Bareiss) elimination on the rows ``(P, 1)``, one axis at
+    a time: a row with a nonzero entry on the axis is the pivot and leaves,
+    and every other row loses that axis, divided exactly by the previous
+    pivot.  The rows left over have no axis entry, so ``v`` exists exactly
+    when their last entries are 0.
+    """
+    rows = [(*p, 1) for p in points]
+    prev = 1
+    for _ in range(len(points[0])):
+        k = next((i for i, row in enumerate(rows) if row[0]), None)
+        if k is None:
+            rows = [row[1:] for row in rows]
+            continue
+        a, *pivot = rows.pop(k)
+        rows = [
+            [(a * x - f * y) // prev for x, y in zip(rest, pivot)]
+            for f, *rest in rows
+        ]
+        prev = a
+    return not any(row[-1] for row in rows)
 
 
 def validate_partition(points: Sequence[Point], partition: TverbergPartition) -> None:

@@ -116,6 +116,9 @@ def test_oracle_programs_match_the_reference(monkeypatch, colored):
     programs = _captured_programs(monkeypatch, (verifier,), run)
     statuses = set()
     for lp in programs:
+        # Built in integers, like the search's and the separation's.
+        assert all(type(a) is int for con in lp.constraints for a in con.coeffs)
+        assert all(type(con.rhs) is int for con in lp.constraints)
         result = lp_solve(lp)
         assert result == reference_lp_solve(lp)
         statuses.add(result.status)
@@ -265,11 +268,14 @@ def test_column_scaling_keeps_the_verdict_and_maps_the_point():
 # kept Farkas certificate refutes; the LPs it still runs pivot as before.
 # The colored (1, 5, 3) count was 231 while a feasible phase one still
 # drove a zero-valued artificial out of the basis, once, on these seeds.
+# The counts were 587, 583, 255 and 230 while the search wrote one sum row
+# per block; on the lift only block 0's is left, so the programs have
+# fewer rows and the Farkas cache skips more of them.
 SEARCH_PIVOTS = {
-    (2, 3, 2, False): 587,
-    (4, 2, 1, False): 583,
-    (1, 5, 2, False): 255,
-    (1, 5, 3, True): 230,
+    (2, 3, 2, False): 472,
+    (4, 2, 1, False): 563,
+    (1, 5, 2, False): 205,
+    (1, 5, 3, True): 195,
 }
 
 
@@ -297,10 +303,12 @@ def test_search_pivot_counts_and_tableau_entry_sizes(monkeypatch, cell):
 # SHA-256 of the Farkas multipliers of every infeasible search LP, one line
 # of space-separated integers per LP in solve order, over seeds 0-4 of three
 # cells.  The search's refuter cache is built from them, yet ``LpResult``
-# equality ignores them; these are the full-tableau kernel's values.
+# equality ignores them; these are the full-tableau kernel's values.  They
+# are the multipliers of the lift's programs with block 0's sum row only
+# (234 infeasible LPs, digest f43da201..., with every sum row).
 SEARCH_MULTIPLIERS = (
-    234,
-    "f43da201995d43a61689dc5ef12a6dc41da846c8e437c275f9d9bbd3662dd5ab",
+    197,
+    "abbba8ad9899944b7a74a3da23e25e996e6ee9cd7b61bb147c0bfc3538335bb0",
 )
 
 
@@ -353,6 +361,21 @@ def test_integer_programs_solve_like_their_fraction_twins():
             assert all(type(x) is Fraction for x in result.point)
         seen[result.status] += 1
     assert min(seen.values()) >= 20, seen
+
+
+def test_integer_programs_start_without_a_denominator_pass(monkeypatch):
+    """An all-``int`` program is its own integer form: its starting
+    dictionary is its ``Fraction`` twin's, built without ``L``."""
+    rng = random.Random("integer-start")
+    programs = [integer_program(rng) for _ in range(300)]
+    expected = [lp_module._dictionary(as_fractions(lp)) for lp in programs]
+
+    def refused(*args):
+        raise AssertionError("an int program went through a common denominator")
+
+    monkeypatch.setattr(lp_module, "common_denominator", refused)
+    monkeypatch.setattr(lp_module, "scaled", refused)
+    assert [lp_module._dictionary(lp) for lp in programs] == expected
 
 
 def test_infeasible_search_programs_create_no_fraction(monkeypatch):
