@@ -56,8 +56,8 @@ straight away, with no denominator pass and no rescaling.  ``math.gcd``
 refuses a ``Fraction``, and that sends any other program through ``L``.
 The entries stay as small as the primitive columns allow: in the search
 programs a lifted point's column is, up to a small factor, the
-homogeneous coordinates ``(p, 1)`` of the original point, not the lift's
-shared denominators.  Scaling *rows* by different factors would break all
+homogeneous coordinates ``(p, 1)`` of the original point, which is the
+form the pipeline builds the lift in (``separation``).  Scaling *rows* by different factors would break all
 this: the phase-one reduced costs sum the rows, so rows must share one
 scale.
 

@@ -5,9 +5,23 @@ with a margin of 1 on both sides, which turns the strict inequalities into
 weak ones without losing exactness: any feasible point separates strictly,
 and scaling shows a strict separator yields a margin-1 point.
 
-Lifting divides (p, 1) by the signed distance factor <p, w> - alpha, moving
-every point onto the hyperplane of vectors whose product with (w, -alpha)
-is 1.  Marked points have negative factors, unmarked ones positive.
+The lift is the projective map ``p -> (p, 1) / s(p)``, ``s(p) = <p, w> -
+alpha``, which moves every point onto the hyperplane of vectors whose
+product with ``(w, -alpha)`` is 1.  Marked points have negative factors,
+unmarked ones positive.  In homogeneous coordinates the map only flips a
+sign: point ``i`` goes to the ray of ``sign(s_i) * (p_i, 1)``.  So the lift
+is kept as integer vectors on those rays, with no ``Fraction`` and no
+common denominator over the lifted points.  With ``P_i = q * p_i`` (the
+points' ``integer_points``), ``W = K * w`` and ``A = K * alpha`` (``K``
+the hyperplane's common denominator), ``S_i = <P_i, W> - q * A = q * K *
+s_i``, and point ``i`` becomes
+
+    H_i = sign(S_i) * K * (P_i, q)    with weight    N_i = |S_i|,
+
+so that ``H_i / N_i`` is the lifted point exactly and ``N_i / (q * K)`` is
+``|s_i|``.  The search poses its programs on ``H`` and ``N``
+(``solver._first_hit``), and the pull-back needs only ``sign(S_i)``, the
+sign of ``H_i``'s last entry.
 """
 
 from __future__ import annotations
@@ -16,18 +30,39 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DegenerateLift, SeparationInfeasible
-from .linalg import ONE, dot
+from .linalg import ONE, common_denominator, scaled
 from .lp import FEASIBLE, Constraint, LinearProgram, integer_points, lp_solve
 from .model import Configuration, Hyperplane
 
 
 @dataclass(frozen=True)
 class LiftedConfiguration:
-    """Images of the configuration points, all satisfying
-    <point, (w, -alpha)> = 1, together with the per-vertex factors."""
+    """The lift in homogeneous integer coordinates: per configuration
+    point, the vector ``H_i = sign(S_i) * K * (P_i, q)`` and the weight
+    ``N_i = |S_i| > 0``, and ``scale = q * K`` (see the module docstring).
 
-    points: tuple[tuple[Fraction, ...], ...]
-    sign_factors: tuple[Fraction, ...]
+    ``points`` and ``sign_factors`` give the rational lift, each lifted
+    point ``H_i / N_i`` on ``<point, (w, -alpha)> = 1`` and its factor
+    ``s_i = sign(S_i) * N_i / scale``; the solve itself never builds them.
+    """
+
+    vectors: tuple[tuple[int, ...], ...]
+    weights: tuple[int, ...]
+    scale: int
+
+    @property
+    def points(self) -> tuple[tuple[Fraction, ...], ...]:
+        return tuple(
+            tuple(Fraction(h, n) for h in vector)
+            for vector, n in zip(self.vectors, self.weights)
+        )
+
+    @property
+    def sign_factors(self) -> tuple[Fraction, ...]:
+        return tuple(
+            Fraction(n if vector[-1] > 0 else -n, self.scale)
+            for vector, n in zip(self.vectors, self.weights)
+        )
 
 
 def separating_hyperplane(config: Configuration) -> Hyperplane:
@@ -82,15 +117,19 @@ def trivial_hyperplane(config: Configuration) -> Hyperplane:
 def lift_configuration(
     config: Configuration, hyperplane: Hyperplane
 ) -> LiftedConfiguration:
-    """Divide (p, 1) by <p, w> - alpha for every configuration point."""
-    w, alpha = hyperplane.w, hyperplane.alpha
-    factors = []
-    lifted = []
-    for i, p in enumerate(config.points):
-        s = dot(p, w) - alpha
+    """The lift of every configuration point, ``(p, 1) / (<p, w> - alpha)``,
+    as the integer vectors and weights of the module docstring."""
+    q, points = integer_points(config.points)
+    coefficients = (*hyperplane.w, hyperplane.alpha)
+    k = common_denominator(coefficients)
+    *w, alpha = scaled(coefficients, k)
+    vectors = []
+    weights = []
+    for i, p in enumerate(points):
+        s = sum(a * c for a, c in zip(p, w) if a and c) - q * alpha
         if s == 0:
             raise DegenerateLift(f"point {i} lies on the separating hyperplane")
-        inv = ONE / s
-        factors.append(s)
-        lifted.append(tuple(c * inv for c in p) + (inv,))
-    return LiftedConfiguration(tuple(lifted), tuple(factors))
+        sign = k if s > 0 else -k
+        vectors.append(tuple(sign * c for c in p) + (sign * q,))
+        weights.append(abs(s))
+    return LiftedConfiguration(tuple(vectors), tuple(weights), q * k)

@@ -6,14 +6,26 @@ partitions is lexicographic on that nested-tuple form.  The search returns
 the first enumerated partition whose blocks' convex hulls share a point, so
 results are deterministic.
 
+The search (``_first_hit``) runs on integer vectors ``H_t`` with weights
+``N_t > 0``, the point ``H_t / N_t`` standing for point ``t``.
+``tverberg_partition`` gives it ``H = P = q * p`` (``integer_points``) and
+``N = q``; the plus-minus pipeline gives it the lift in homogeneous integer
+coordinates (``separation``), where ``H_t / N_t`` is the lifted point.  The
+LP of a partition (``_hulls_program``) asks for ``x >= 0`` with block 0's
+weighted sum ``sum(N_t x_t)`` a fixed positive total and every block's
+``sum(H_t x_t)`` equal: ``N_t x_t / total`` are then convex weights of the
+points ``H_t / N_t`` with one common point.  Each column is a positive
+multiple of the rational program's column, so the kernel, which divides
+every column to a primitive one, pivots as it would on the rationals.
+
 Hulls can only meet where the blocks' bounding boxes do, so the search walks
 a box-pruned enumeration (``enumerate_partitions`` given the points) and asks
-the exact LP (``hulls_intersect``'s program) only about partitions whose
-boxes meet.  The walk compares the integer coordinates the search's LPs are
-built on (``integer_points``: every point times one ``q > 0``, so order and
-ties are the rationals').  As blocks are fixed it keeps a running box, per
-axis ``lo`` = the largest block minimum and ``hi`` = the smallest block
-maximum, and drops a block's whole subtree when, on some axis,
+the exact LP only about partitions whose boxes meet.  The walk compares the
+coordinates ``H_t[m] / N_t`` as integers over one common multiple of the
+weights, so order and ties are the rationals'.  As blocks are fixed it
+keeps a running box, per axis ``lo`` = the largest block minimum and ``hi``
+= the smallest block maximum, and drops a block's whole subtree when, on
+some axis,
 
     max(lo, left[k-1]) > min(hi, left[-k])
 
@@ -29,18 +41,37 @@ thus sees exactly the partitions a full box test on each complete partition
 would pass, in the same canonical order: the same first hit, the same Bland
 pivots, the same certificate bytes.
 
-The lift puts every point on the hyperplane ``<x, (w, -alpha)> = 1``.
-On such points block ``j``'s sum-to-one row follows from block 0's and
-block ``j``'s coupling rows, so the search decides once, exactly, whether
-its points are homogeneous, some ``v`` with ``<P, v> = 1`` for every
-point (``_homogeneous``), and if they are its programs keep block 0's sum
-row alone: ``1 + (r-1)D`` rows instead of ``r + (r-1)D`` on points of
-dimension ``D``.  Other points, such as a flat count on a line through the
-origin, get every row.  The rows dropped are implied, so every verdict
-stays.  Bland's rule follows the rows it is given, so a feasible
-program's point, and with it the certificate's bytes, can differ only
-where the program has more than one feasible point; an infeasible
+The lift puts every point on the hyperplane ``<x, (w, -alpha)> = 1``, and
+its weights are linear in its vectors: ``N_t = <H_t, v>`` for one ``v``.
+Then block ``j``'s sum row follows from block 0's and block ``j``'s
+coupling rows, so the search decides once, exactly, whether its columns
+are homogeneous in that sense (``_dependences``), and if they are its
+programs keep block 0's sum row alone: ``1 + (r-1)D`` rows instead of ``r +
+(r-1)D`` on vectors of length ``D``.  Other points, such as a flat count on
+a line through the origin, get every row.  The rows dropped are implied,
+so every verdict stays.  Bland's rule follows the rows it is given, so a
+feasible program's point, and with it the certificate's bytes, can differ
+only where the program has more than one feasible point; an infeasible
 program's multipliers read 0 on each dropped row (``_refuter``).
+
+With two blocks the ``d + 2`` columns ``(H_t, N_t)`` of a lift have, when
+the points affinely span ``R^d``, a single linear dependence ``lambda``
+(Radon 1921), and its signs decide every partition: this is the plus-minus Radon
+case of Barany and Soberon (Tverberg plus minus, 2018).  A point ``x`` of
+the program on ``(B_0, B_1)`` makes ``eps_t * x_t`` a dependence, with
+``eps = +1`` on block 0 and ``-1`` on block 1 (the coupling rows give the
+``H`` part; the sum rows, or the homogeneity, the ``N`` part), nonzero on
+block 0 since its weighted sum is positive.  So the program has a point
+exactly when ``lambda`` is nonzero on block 0 and ``eps_t * lambda_t`` has
+one sign everywhere, and a multiple of ``eps * lambda`` is then that point
+(``_admits``; with positive weights a nonzero ``lambda`` has both signs,
+so the first condition follows from the second).  The search computes
+``lambda`` once, by the same fraction-free elimination that decides
+homogeneity, and skips every listed partition it rules out without an LP.
+The first partition it admits still gets its LP, so the hit, its point and
+its bytes stay; an infeasible verdict there is an InternalError.  Inputs
+whose dependences span two or more dimensions (repeated, coincident or
+collinear points) keep one LP per listed partition.
 
 An infeasible LP also proves more than its own partition's failure.  Its
 Farkas multipliers (``LpResult.multipliers``) give one affine function
@@ -56,7 +87,8 @@ been checked to refute its own partition.  A feasible partition is never
 refuted and the order is unchanged, so the first hit and its bytes stay the
 same.  With two blocks the regions ``h_0 >= 0`` and ``h_1 >= 0`` are
 disjoint, so a certificate refutes only its own partition, which the walk
-never lists again: two-block searches keep none.
+never lists again: two-block searches keep no certificate, and use the
+dependence instead where it is one-dimensional.
 
 The search returns its first hit as the LP gives it.  The pipeline checks
 the certificate it pulls back from that hit with ``verify_certificate``, the
@@ -67,6 +99,8 @@ itself; nothing in the solve calls it.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
+from math import lcm
 from typing import Iterator, Optional, Sequence
 
 from .errors import InternalError
@@ -218,46 +252,56 @@ def hulls_intersect(
     if len({len(p) for blk in blocks for p in blk}) > 1:
         raise ValueError("points have unequal lengths")
     q, points = integer_points(p for blk in blocks for p in blk)
-    ints = iter(points)
-    result = lp_solve(_hulls_program(q, [[next(ints) for _ in b] for b in blocks]))
+    starts = [0, *accumulate(len(b) for b in blocks)]
+    indices = tuple(tuple(range(a, b)) for a, b in zip(starts, starts[1:]))
+    result = lp_solve(_hulls_program(q, points, [q] * len(points), indices))
     if result.status != FEASIBLE:
         return None
     return _meeting_point(blocks, result.point)
 
 
 def _hulls_program(
-    q: int, blocks: Sequence[Sequence[Sequence[int]]], homogeneous: bool = False
+    total: int,
+    vectors: Sequence[Sequence[int]],
+    weights: Sequence[int],
+    blocks: Blocks,
+    homogeneous: bool = False,
 ) -> LinearProgram:
-    """The program of ``hulls_intersect`` on integer points ``P = q * p``.
+    """The program of ``blocks`` (tuples of indices into ``vectors``) on the
+    vectors ``H_t`` with weights ``N_t > 0``.
 
     One variable ``x_t >= 0`` per point, in block order; then the rows
-    ``q * sum(x_t : t in B_j) = q``, one per block ``j``, and for each block
-    ``j >= 1`` and axis ``m``, ``sum(P_t[m] x_t : t in B_0) - sum(P_t[m] x_t
-    : t in B_j) = 0``.  Every row is the rational program's row times ``q``,
-    all ``int``s.
+    ``sum(N_t x_t : t in B_j) = total``, one per block ``j``, and for each
+    block ``j >= 1`` and axis ``m``, ``sum(H_t[m] x_t : t in B_0) -
+    sum(H_t[m] x_t : t in B_j) = 0``.  It has a point exactly when the
+    blocks' hulls of the points ``H_t / N_t`` meet: ``N_t x_t / total`` are
+    the convex weights.  ``hulls_intersect`` and ``tverberg_partition`` use
+    the integer points ``P = q * p`` with ``N_t = total = q``, the rational
+    program times ``q``; the plus-minus search uses the lift's vectors and
+    weights (``separation``), whose columns are positive multiples of
+    those.
 
-    With ``homogeneous`` (every point has ``<P, v> = 1`` for one ``v``,
-    ``_homogeneous``) only block 0's sum row is written: ``v`` applied to
-    block ``j``'s coupling rows gives ``sum(x_t : t in B_0) = sum(x_t : t in
-    B_j)``, so block 0's row implies block ``j``'s.
+    With ``homogeneous`` (every weight is ``<H_t, v>`` for one ``v``,
+    ``_dependences``) only block 0's sum row is written: ``v`` applied to
+    block ``j``'s coupling rows gives ``sum(N_t x_t : t in B_0) = sum(N_t
+    x_t : t in B_j)``, so block 0's row implies block ``j``'s.
     """
-    dim = len(blocks[0][0])
-    sizes = [len(b) for b in blocks]
-    offsets = [sum(sizes[:j]) for j in range(len(blocks))]
-    nvar = sum(sizes)
+    dim = len(vectors[0])
+    starts = [0, *accumulate(len(b) for b in blocks)]
+    nvar = starts[-1]
     cons = []
     for j in range(1 if homogeneous else len(blocks)):
         coeffs = [0] * nvar
-        for t in range(sizes[j]):
-            coeffs[offsets[j] + t] = q
-        cons.append(Constraint(tuple(coeffs), q))
+        for t, i in enumerate(blocks[j], starts[j]):
+            coeffs[t] = weights[i]
+        cons.append(Constraint(tuple(coeffs), total))
     for j in range(1, len(blocks)):
         for m in range(dim):
             coeffs = [0] * nvar
-            for t, p in enumerate(blocks[0]):
-                coeffs[offsets[0] + t] = p[m]
-            for t, p in enumerate(blocks[j]):
-                coeffs[offsets[j] + t] = -p[m]
+            for t, i in enumerate(blocks[0]):
+                coeffs[t] = vectors[i][m]
+            for t, i in enumerate(blocks[j], starts[j]):
+                coeffs[t] = -vectors[i][m]
             cons.append(Constraint(tuple(coeffs), 0))
     return LinearProgram(nvar, tuple(cons))
 
@@ -266,7 +310,7 @@ def _meeting_point(
     blocks: Sequence[Sequence[Point]], point: Sequence[Fraction]
 ) -> tuple[tuple[Fraction, ...], list[list[Fraction]]]:
     """The witness and per-block coefficients of a feasible point of
-    ``_hulls_program`` built on ``blocks``."""
+    ``_hulls_program`` built on ``blocks`` with ``N_t = total``."""
     per_block = []
     start = 0
     for blk in blocks:
@@ -280,8 +324,8 @@ def _meeting_point(
 
 
 def _refuter(
-    q: int,
-    points: Sequence[Sequence[int]],
+    weights: Sequence[int],
+    vectors: Sequence[Sequence[int]],
     blocks: Blocks,
     multipliers: Optional[Sequence[int]],
     homogeneous: bool = False,
@@ -291,21 +335,23 @@ def _refuter(
     ``multipliers`` certify that ``_hulls_program`` on ``blocks`` (with the
     same ``homogeneous``) is infeasible: sum-row multipliers ``s_j`` and
     coupling-row multipliers ``u_j`` (``j >= 1``) with ``y . A_t <= 0`` on
-    every column and ``y . b = q * sum(s_j) > 0``.  A homogeneous program
-    has no sum row for ``j >= 1``, and ``s_j = 0`` there: the same ``y``
-    with those zeros certifies the full program.  A column of block 0 reads
-    ``q*s_0 + sum_j <u_j, P>`` and one of block ``j`` reads
-    ``q*s_j - <u_j, P>``, so the affine functions
+    every column and ``y . b = total * sum(s_j) > 0``.  A homogeneous
+    program has no sum row for ``j >= 1``, and ``s_j = 0`` there: the same
+    ``y`` with those zeros certifies the full program.  A column of block 0
+    reads ``N*s_0 + sum_j <u_j, H>`` and one of block ``j`` reads ``N*s_j -
+    <u_j, H>``, so divided by ``N > 0`` they are, at the point ``x = H /
+    N``, the affine functions
 
-        h_0(P) = -(q*s_0 + sum_j <u_j, P>),    h_j(P) = -(q*s_j - <u_j, P>)
+        h_0(x) = -(s_0 + sum_j <u_j, x>),    h_j(x) = -(s_j - <u_j, x>),
 
-    are ``>= 0`` on their own block's points and add up to the constant
-    ``-q * sum(s_j) < 0``.  Bit ``j`` of point ``i``'s mask is set iff
-    ``h_j(P_i) >= 0``.  Raises InternalError unless the certificate refutes
-    the partition it came from.
+    ``>= 0`` on their own block's points and adding up to the constant
+    ``-sum(s_j) < 0``.  Bit ``j`` of point ``i``'s mask is set iff
+    ``h_j(H_i / N_i) >= 0``, read off the column without dividing.  Raises
+    InternalError unless the certificate refutes the partition it came
+    from.
     """
     r = len(blocks)
-    dim = len(points[0])
+    dim = len(vectors[0])
     sums = 1 if homogeneous else r
     if multipliers is None or len(multipliers) != sums + (r - 1) * dim:
         raise InternalError("infeasible search LP came without its multipliers")
@@ -314,10 +360,10 @@ def _refuter(
     if sum(s) <= 0:
         raise InternalError("search LP multipliers do not sum to a positive bound")
     masks = []
-    for p in points:
-        dots = [sum(a * c for a, c in zip(uj, p) if a) for uj in u]
-        values = [-(q * s[0] + sum(dots))]
-        values += [dot - q * sj for sj, dot in zip(s[1:], dots)]
+    for h, n in zip(vectors, weights):
+        dots = [sum(a * c for a, c in zip(uj, h) if a) for uj in u]
+        values = [-(n * s[0] + sum(dots))]
+        values += [dot - n * sj for sj, dot in zip(s[1:], dots)]
         masks.append(sum(1 << j for j, v in enumerate(values) if v >= 0))
     for j, block in enumerate(blocks):
         if any(not masks[i] >> j & 1 for i in block):
@@ -359,6 +405,19 @@ def _assignable(allowed: Sequence[int], used: int) -> bool:
     return False
 
 
+def _admits(signs: Sequence[int], blocks: Blocks) -> bool:
+    """Whether the two-block program on ``blocks`` has a point, given the
+    signs of the one linear dependence ``lambda`` of the columns ``(H_t,
+    N_t)``: ``lambda`` is nonzero on block 0 and ``eps_t * lambda_t`` has
+    one sign, ``eps`` being +1 on block 0 and -1 on block 1 (see the module
+    docstring)."""
+    first, second = blocks
+    on_first = {signs[i] for i in first}
+    on_both = on_first | {-signs[i] for i in second}
+    on_both.discard(0)
+    return len(on_both) == 1 and on_first != {0}
+
+
 def tverberg_partition(
     points: Sequence[Point],
     r: int,
@@ -388,56 +447,111 @@ def tverberg_partition(
             f"in dimension {dim}, got {len(pts)}"
         )
     # Every partition covers all the points, so one scaling serves them all:
-    # each program is the one ``hulls_intersect`` would build, less the
-    # sum rows homogeneous points imply, and the walk compares the same
-    # integers.  ``enumerate_partitions`` and ``lp_solve`` are called
-    # through this module's globals, which the benchmark's tracer wraps.
+    # each program is the one ``hulls_intersect`` would build, less the sum
+    # rows homogeneous points imply.
     q, ints = integer_points(pts)
-    homogeneous = _homogeneous(ints)
+    blocks, point = _first_hit(ints, [q] * len(ints), q, r, coloring)
+    witness, per_block = _meeting_point(
+        [[pts[i] for i in block] for block in blocks], point
+    )
+    coefficients = {
+        i: c for block, cs in zip(blocks, per_block) for i, c in zip(block, cs)
+    }
+    return TverbergPartition(blocks, coefficients, witness)
+
+
+def _first_hit(
+    vectors: Sequence[Sequence[int]],
+    weights: Sequence[int],
+    total: int,
+    r: int,
+    coloring: Optional[Sequence[Sequence[int]]] = None,
+) -> tuple[Blocks, tuple[Fraction, ...]]:
+    """The first listed partition of the points ``H_t / N_t`` whose hulls
+    meet, and the point of its ``_hulls_program``.
+
+    The search of ``tverberg_partition`` and of the plus-minus pipeline: the
+    box-pruned walk on the points' coordinates, the two-block dependence
+    test, the Farkas cache and one LP per partition left.  It calls
+    ``enumerate_partitions`` and ``lp_solve`` through this module's
+    globals, which the benchmark's tracer wraps.
+    """
+    homogeneous, signs = _dependences(vectors, weights, r)
+    # The walk compares the points' coordinates H[m] / N, as integers over
+    # one common multiple of the weights: the same order and ties.
+    common = lcm(*weights)
+    keys = [[h * (common // n) for h in v] for v, n in zip(vectors, weights)]
     refuters: list[list[int]] = []
-    for blocks in enumerate_partitions(len(pts), r, coloring, ints):
+    for blocks in enumerate_partitions(len(vectors), r, coloring, keys):
+        if signs is not None and not _admits(signs, blocks):
+            continue
         # Newest first: partitions close in the canonical order share
         # blocks, so a recent certificate is the likeliest to refute.
         if any(_refutes(masks, blocks) for masks in reversed(refuters)):
             continue
-        program = _hulls_program(
-            q, [[ints[i] for i in block] for block in blocks], homogeneous
-        )
+        program = _hulls_program(total, vectors, weights, blocks, homogeneous)
         result = lp_solve(program)
-        if result.status != FEASIBLE:
-            # Two-block certificates refute only their own partition.
-            if r > 2:
-                refuters.append(
-                    _refuter(q, ints, blocks, result.multipliers, homogeneous)
-                )
-            continue
-        witness, per_block = _meeting_point(
-            [[pts[i] for i in block] for block in blocks], result.point
-        )
-        coefficients = {
-            i: c
-            for block, cs in zip(blocks, per_block)
-            for i, c in zip(block, cs)
-        }
-        return TverbergPartition(blocks, coefficients, witness)
+        if result.status == FEASIBLE:
+            return blocks, result.point
+        if signs is not None:
+            raise InternalError(
+                "a two-block partition its dependence admits has no LP point"
+            )
+        # Two-block certificates refute only their own partition.
+        if r > 2:
+            refuters.append(
+                _refuter(weights, vectors, blocks, result.multipliers, homogeneous)
+            )
     raise InternalError(
         "partition search exhausted although a partition must exist"
     )
 
 
-def _homogeneous(points: Sequence[Sequence[int]]) -> bool:
-    """Whether some ``v`` has ``<P, v> = 1`` for every point ``P``: whether
-    the all-ones vector lies in the points' column space.
+def _dependences(
+    vectors: Sequence[Sequence[int]], weights: Sequence[int], r: int
+) -> tuple[bool, Optional[list[int]]]:
+    """``(homogeneous, signs)`` for the columns ``(H_t, N_t)``.
 
-    Fraction-free (Bareiss) elimination on the rows ``(P, 1)``, one axis at
-    a time: a row with a nonzero entry on the axis is the pivot and leaves,
-    and every other row loses that axis, divided exactly by the previous
-    pivot.  The rows left over have no axis entry, so ``v`` exists exactly
-    when their last entries are 0.
+    ``homogeneous`` says whether some ``v`` has ``<H_t, v> = N_t`` for every
+    column: whether the weights lie in the vectors' column space.  ``signs``
+    is None unless ``r == 2`` and the columns have a one-dimensional space
+    of linear dependences, ``sum_t lambda_t * (H_t, N_t) = 0``; it is then
+    the signs (-1, 0 or 1) of its integer generator ``lambda``.
+
+    Both come from one elimination (``_leftover_rows``) on the rows ``(H_t,
+    N_t)``, followed for two blocks by the unit vector ``e_t``.  The rows
+    left over once the axes of ``H`` are cleared are 0 there, so ``v``
+    exists exactly when their ``N`` entries are 0 too.  Once ``N`` is
+    cleared as well, what is left of each leftover row is the coefficients
+    of a combination of the columns that sums to 0, nonzero at the row's
+    own ``t`` and zero at every other leftover row's: a basis of the
+    dependences.
     """
-    rows = [(*p, 1) for p in points]
+    n = len(vectors)
+    units = [[int(t == i) for t in range(n)] if r == 2 else [] for i in range(n)]
+    rows = _leftover_rows(
+        [[*h, w, *e] for h, w, e in zip(vectors, weights, units)], len(vectors[0])
+    )
+    homogeneous = not any(row[0] for row in rows)
+    if r != 2:
+        return homogeneous, None
+    rows = _leftover_rows(rows, 1)
+    if len(rows) != 1:
+        return homogeneous, None
+    return homogeneous, [(v > 0) - (v < 0) for v in rows[0]]
+
+
+def _leftover_rows(rows: list[list[int]], axes: int) -> list[list[int]]:
+    """The rows that take no pivot when fraction-free (Bareiss) elimination
+    clears their first ``axes`` entries, without those entries.
+
+    One axis at a time, a row with a nonzero entry on the axis is the pivot
+    and leaves, and every other row loses that axis, divided exactly by the
+    previous pivot.  Each row left over is an integer combination of the
+    original rows, zero on the first ``axes`` entries.
+    """
     prev = 1
-    for _ in range(len(points[0])):
+    for _ in range(axes):
         k = next((i for i, row in enumerate(rows) if row[0]), None)
         if k is None:
             rows = [row[1:] for row in rows]
@@ -448,7 +562,7 @@ def _homogeneous(points: Sequence[Sequence[int]]) -> bool:
             for f, *rest in rows
         ]
         prev = a
-    return not any(row[-1] for row in rows)
+    return rows
 
 
 def validate_partition(points: Sequence[Point], partition: TverbergPartition) -> None:

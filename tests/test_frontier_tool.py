@@ -7,9 +7,11 @@ import subprocess
 import sys
 from pathlib import Path
 
-from tvpm import solver
+import gen
+from tvpm import plus_minus_partition, solver
 
 ROOT = Path(__file__).resolve().parent.parent
+SEEDS_RUN = range(2)
 
 
 def load_frontier():
@@ -24,7 +26,7 @@ def load_frontier():
 def test_a_small_grid_prints_one_row_per_cell(monkeypatch, capsys):
     frontier = load_frontier()
     monkeypatch.setattr(frontier, "GRID", ((2, 3, 2), (4, 2, 1)))
-    monkeypatch.setattr(frontier, "SEEDS", range(2))
+    monkeypatch.setattr(frontier, "SEEDS", SEEDS_RUN)
     # main() wraps these names and sets these for the process it runs in;
     # give them back after.
     monkeypatch.setattr(solver, "enumerate_partitions", solver.enumerate_partitions)
@@ -39,11 +41,18 @@ def test_a_small_grid_prints_one_row_per_cell(monkeypatch, capsys):
         (2, 3, 2, 7),
         (4, 2, 1, 6),
     ]
+    assert lines[1].endswith("| partitions (sum) | LPs (sum) |")
     for row in rows:
         partitions, lps = int(row[6]), int(row[7])
-        assert 1 <= lps <= partitions
-    # Two blocks keep no certificate, so every listed partition gets an LP.
-    assert rows[1][6] == rows[1][7]
+        assert 2 <= lps <= partitions
+    # Two blocks: the Radon dependence leaves one LP per seed, the hit's.
+    assert int(rows[1][7]) == 2 < int(rows[1][6])
+    # The counts are sums over the seeds, whichever seed ran slowest.
+    counts = {"partitions": 0, "lps": 0}
+    frontier.counting(solver, counts)
+    for seed in SEEDS_RUN:
+        plus_minus_partition(gen.separable_configuration(seed, 2, 3, 2))
+    assert (int(rows[0][6]), int(rows[0][7])) == (counts["partitions"], counts["lps"])
 
 
 def test_a_directory_without_the_package_is_refused(tmp_path):

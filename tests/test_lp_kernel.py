@@ -270,10 +270,14 @@ def test_column_scaling_keeps_the_verdict_and_maps_the_point():
 # drove a zero-valued artificial out of the basis, once, on these seeds.
 # The counts were 587, 583, 255 and 230 while the search wrote one sum row
 # per block; on the lift only block 0's is left, so the programs have
-# fewer rows and the Farkas cache skips more of them.
+# fewer rows and the Farkas cache skips more of them.  The (4, 2, 1) count
+# was 563 while a two-block search ran an LP on every listed partition; its
+# one Radon dependence now rules out all but the hit, whose LP pivots as
+# before, so only each solve's first feasible search LP and its separation
+# LP are left.
 SEARCH_PIVOTS = {
     (2, 3, 2, False): 472,
-    (4, 2, 1, False): 563,
+    (4, 2, 1, False): 167,
     (1, 5, 2, False): 205,
     (1, 5, 3, True): 195,
 }

@@ -10,15 +10,10 @@ from pathlib import Path
 import pytest
 
 import gen
-from tvpm import Configuration, Hyperplane, pipeline, verify_certificate
+from tvpm import Configuration, Hyperplane, pipeline, solver, verify_certificate
 from tvpm.cli import main as cli_main
 from tvpm.errors import InternalError, MuTooLarge, ParseError, SeparationInfeasible
-from tvpm.model import (
-    CLASSICAL,
-    TverbergPartition,
-    parse_certificate,
-    parse_configuration,
-)
+from tvpm.model import CLASSICAL, parse_certificate, parse_configuration
 from tvpm.pipeline import (
     corollary_coloring,
     plus_minus_partition,
@@ -26,7 +21,6 @@ from tvpm.pipeline import (
     run_corollary,
 )
 from tvpm.separation import lift_configuration
-from tvpm.solver import tverberg_partition
 
 F = Fraction
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -39,13 +33,12 @@ PLANE7_CERT = parse_certificate((FIXTURES / "colored_plane7.cert").read_text())
 
 class TestPullBack:
     def test_worked_instance_by_hand(self):
+        # The lift of 0, 1, 3 by s = 2, 1, -1; block 0's convex weight 1
+        # on the lifted point is |s_0| * u_0, and block 1's 3/4 and 1/4 are
+        # |s_1| * u_1 and |s_2| * u_2.
         lifted = lift_configuration(LINE3, Hyperplane((F(-1),), F(-2)))
-        partition = TverbergPartition(
-            blocks=((0,), (1, 2)),
-            coefficients={0: F(1), 1: F(3, 4), 2: F(1, 4)},
-            witness=(F(0), F(1, 2)),
-        )
-        beta, coefficients, b = pull_back_coefficients(partition, lifted)
+        hit = (((0,), (1, 2)), (F(1, 2), F(3, 4), F(1, 4)))
+        beta, coefficients, b = pull_back_coefficients(hit, lifted)
         assert beta == F(1, 2)
         assert coefficients == {0: F(1), 1: F(3, 2), 2: F(-1, 2)}
         assert b == (F(0),)
@@ -55,9 +48,9 @@ class TestPullBack:
         # signed presentation; only beta reflects the choice.
         alternate = Hyperplane((F(-2),), F(-4))
         lifted = lift_configuration(LINE3, alternate)
-        partition = tverberg_partition(lifted.points, LINE3.r)
-        beta, coefficients, b = pull_back_coefficients(partition, lifted)
-        assert partition.blocks == LINE3_CERT.blocks
+        hit = solver._first_hit(lifted.vectors, lifted.weights, lifted.scale, LINE3.r)
+        beta, coefficients, b = pull_back_coefficients(hit, lifted)
+        assert hit[0] == LINE3_CERT.blocks
         assert coefficients == LINE3_CERT.coefficients
         assert b == LINE3_CERT.point_b
         assert beta == F(1, 4)

@@ -2,9 +2,10 @@
 
 Points that all lie on one hyperplane missing the origin, ``<P, v> = 1``,
 make every block's sum row but the first redundant, so the search drops
-them.  The lift's points always lie on such a hyperplane; full-count points
-seldom do.  The digests were recorded while every search program still had
-one sum row per block: the outputs of full-count searches and of
+them; in the search's weighted form, vectors ``H`` whose weights are ``N =
+<H, v>``.  The lift's points always lie on such a hyperplane; full-count
+points seldom do.  The digests were recorded while every search program
+still had one sum row per block: the outputs of full-count searches and of
 ``hulls_intersect``, which keeps the full program, must not move, and the
 blocks of small integer plus-minus solves must not move either.
 """
@@ -56,8 +57,8 @@ def solves_to_one(points) -> bool:
 
 class TestHomogeneity:
     def check(self, points) -> bool:
-        _, ints = integer_points(points)
-        decided = solver._homogeneous(ints)
+        q, ints = integer_points(points)
+        decided, _ = solver._dependences(ints, [q] * len(ints), 3)
         assert decided == solves_to_one(points), points
         return decided
 
@@ -81,6 +82,8 @@ class TestHomogeneity:
                 config = gen.separable_configuration(seed, d, r, mu_size, colored)
                 lift = lift_configuration(config, separating_hyperplane(config))
                 assert self.check(lift.points)
+                # The search's own columns: N = <H, (W, -A)> / K.
+                assert solver._dependences(lift.vectors, lift.weights, r)[0]
 
     def test_points_on_an_affine_hyperplane_with_duplicates(self):
         rng = random.Random("homogeneous-duplicates")
@@ -156,19 +159,19 @@ class TestSearchProgram:
 
 
 def test_dropped_sum_rows_are_implied_and_take_multiplier_zero():
-    """On lifted points the program without block ``j``'s sum rows has the
-    same verdict as the full one.  A feasible point satisfies the full
-    program, and an infeasible verdict's multipliers with 0 for each
-    dropped row are a Farkas certificate of the full program."""
+    """On the lift's vectors and weights the program without block ``j``'s
+    sum rows has the same verdict as the full one.  A feasible point
+    satisfies the full program, and an infeasible verdict's multipliers
+    with 0 for each dropped row are a Farkas certificate of the full
+    program."""
     verdicts = set()
     for d, r, mu_size in ((2, 3, 2), (1, 4, 2)):
         config = gen.separable_configuration(0, d, r, mu_size)
         lift = lift_configuration(config, separating_hyperplane(config))
-        q, ints = integer_points(lift.points)
-        for blocks in enumerate_partitions(len(ints), r):
-            point_blocks = [[ints[i] for i in b] for b in blocks]
-            full = solver._hulls_program(q, point_blocks)
-            reduced = solver._hulls_program(q, point_blocks, homogeneous=True)
+        columns = (lift.scale, lift.vectors, lift.weights)
+        for blocks in enumerate_partitions(len(lift.vectors), r):
+            full = solver._hulls_program(*columns, blocks)
+            reduced = solver._hulls_program(*columns, blocks, homogeneous=True)
             assert len(full.constraints) - len(reduced.constraints) == r - 1
             result = lp_solve(reduced)
             verdicts.add(result.status)

@@ -349,15 +349,16 @@ class TestFarkasCache:
         # both regions, so the regions are the partition itself.
         points, _ = lifted(0, 4, 2, 1, False)
         q, ints = integer_points(points)
+        weights = [q] * len(ints)
         listing = list(enumerate_partitions(len(points), 2))
         certificates = 0
         for blocks in listing[:40]:
-            program = solver._hulls_program(q, [[ints[i] for i in b] for b in blocks])
+            program = solver._hulls_program(q, ints, weights, blocks)
             result = lp_solve(program)
             if result.status != INFEASIBLE:
                 continue
             certificates += 1
-            masks = solver._refuter(q, ints, blocks, result.multipliers)
+            masks = solver._refuter(weights, ints, blocks, result.multipliers)
             assert [b for b in listing if solver._refutes(masks, b)] == [blocks]
         assert certificates > 10
 

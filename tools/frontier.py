@@ -8,11 +8,12 @@ For every cell ``(d, r, |mu|)`` of ``GRID`` it solves
 this script lives in) and the ``tests/gen.py`` of this one, so that two
 checkouts are timed on the same inputs.  It prints one row per cell with the
 columns of ROADMAP's table: the median and the largest solve time over the
-seeds, and for the seed that took longest, the partitions the search listed
+seeds, and, summed over all the seeds, the partitions the search listed
 (items its ``enumerate_partitions`` yielded) and the LPs it ran (its
-``lp_solve`` calls).  Both counts come from wrapping those names in
-``tvpm.solver``, the module the search looks them up in.  Times are thread
-CPU time and include the wrappers' small cost.
+``lp_solve`` calls).  The sums do not depend on which seed ran slowest, so
+rows compare from run to run and between checkouts.  Both counts come from
+wrapping those names in ``tvpm.solver``, the module the search looks them
+up in.  Times are thread CPU time and include the wrappers' small cost.
 
 It uses the standard library only, writes nothing, and takes no options.
 A whole run takes about half a minute on a 2-core machine with the walk's
@@ -30,7 +31,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 # (d, r, |mu|): ROADMAP's frontier table.  The d = 1 cells run one search LP
-# each, so they time the partition walk.
+# each, so they time the partition walk; the two-block cells run one each
+# too, their Radon dependence ruling out the other listed partitions.
 GRID = (
     (2, 3, 2),
     (3, 3, 2),
@@ -41,6 +43,9 @@ GRID = (
     (2, 5, 4),
     (1, 8, 3),
     (1, 10, 4),
+    (6, 2, 1),
+    (8, 2, 1),
+    (10, 2, 1),
 )
 SEEDS = range(5)
 
@@ -89,7 +94,7 @@ def main(argv=None) -> int:
     counts = {"partitions": 0, "lps": 0}
     counting(solver, counts)
     print(f"frontier of {checkout}, seeds {SEEDS.start}-{SEEDS.stop - 1}")
-    print("| d | r | \\|mu\\| | n | median | max | partitions (max seed) | LPs (max seed) |")
+    print("| d | r | \\|mu\\| | n | median | max | partitions (sum) | LPs (sum) |")
     print("|---|---|---|---|---|---|---|---|")
     for d, r, mu_size in GRID:
         runs = []
@@ -99,12 +104,11 @@ def main(argv=None) -> int:
             start = time.thread_time()
             tvpm.plus_minus_partition(config)
             runs.append((time.thread_time() - start, counts["partitions"], counts["lps"]))
-        slowest = max(runs)
-        median = statistics.median(t for t, _, _ in runs)
+        times, partitions, lps = zip(*runs)
         n = len(config.points)
         print(
-            f"| {d} | {r} | {mu_size} | {n} | {seconds(median)} | "
-            f"{seconds(slowest[0])} | {slowest[1]} | {slowest[2]} |",
+            f"| {d} | {r} | {mu_size} | {n} | {seconds(statistics.median(times))} | "
+            f"{seconds(max(times))} | {sum(partitions)} | {sum(lps)} |",
             flush=True,
         )
     return 0
