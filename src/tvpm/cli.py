@@ -108,34 +108,27 @@ def _load_configuration(path: str) -> Configuration:
 
 def cmd_solve(args) -> int:
     config = _load_configuration(args.input)
-    if args.mode == "classical":
-        if config.mu:
-            raise ParseError(
-                "classical mode requires an empty marked face; "
-                "use plusminus to honor mu"
-            )
-        effective = replace(config, mode=CLASSICAL, coloring=None)
-        cert = plus_minus_partition(effective)
-    elif args.mode == "plusminus":
-        effective = replace(config, mode=CLASSICAL, coloring=None)
-        cert = plus_minus_partition(effective)
-    elif args.mode == "colored":
-        if config.mode != COLORED:
-            raise ParseError("colored mode needs a configuration with color classes")
-        effective = config
-        cert = plus_minus_partition(effective)
-    else:
-        effective = config
+    if args.mode == "classical" and config.mu:
+        raise ParseError(
+            "classical mode requires an empty marked face; use plusminus to honor mu"
+        )
+    if args.mode == "colored" and config.mode != COLORED:
+        raise ParseError("colored mode needs a configuration with color classes")
+    if args.mode in ("classical", "plusminus"):
+        config = replace(config, mode=CLASSICAL, coloring=None)
+    if args.mode == "corollary":
         # The rainbow claim refers to the induced coloring, which the input
         # file does not carry, so the emitted certificate cannot assert it.
-        cert = replace(run_corollary(effective), rainbow=False)
+        cert = replace(run_corollary(config), rainbow=False)
+    else:
+        cert = plus_minus_partition(config)
     text = serialize_certificate(cert)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(text)
     else:
         sys.stdout.write(text)
-    members = set(effective.mu)
+    members = set(config.mu)
     marked = [i for i in cert.coefficients if i in members]
     negative = sum(1 for i in marked if cert.coefficients[i] < 0)
     zero = sum(1 for i in marked if cert.coefficients[i] == 0)

@@ -56,22 +56,25 @@ program's multipliers read 0 on each dropped row (``_refuter``).
 
 With two blocks the ``d + 2`` columns ``(H_t, N_t)`` of a lift have, when
 the points affinely span ``R^d``, a single linear dependence ``lambda``
-(Radon 1921), and its signs decide every partition: this is the plus-minus Radon
-case of Barany and Soberon (Tverberg plus minus, 2018).  A point ``x`` of
-the program on ``(B_0, B_1)`` makes ``eps_t * x_t`` a dependence, with
-``eps = +1`` on block 0 and ``-1`` on block 1 (the coupling rows give the
-``H`` part; the sum rows, or the homogeneity, the ``N`` part), nonzero on
-block 0 since its weighted sum is positive.  So the program has a point
-exactly when ``lambda`` is nonzero on block 0 and ``eps_t * lambda_t`` has
-one sign everywhere, and a multiple of ``eps * lambda`` is then that point
-(``_admits``; with positive weights a nonzero ``lambda`` has both signs,
-so the first condition follows from the second).  The search computes
-``lambda`` once, by the same fraction-free elimination that decides
-homogeneity, and skips every listed partition it rules out without an LP.
-The first partition it admits still gets its LP, so the hit, its point and
-its bytes stay; an infeasible verdict there is an InternalError.  Inputs
-whose dependences span two or more dimensions (repeated, coincident or
-collinear points) keep one LP per listed partition.
+(Radon 1921), and it names the answer: this is the plus-minus Radon case
+of Barany and Soberon (Tverberg plus minus, 2018).  A point ``x`` of the
+program on ``(B_0, B_1)`` makes ``eps_t * x_t`` a dependence, with ``eps =
++1`` on block 0 and ``-1`` on block 1 (the coupling rows give the ``H``
+part; the sum rows, or the homogeneity, the ``N`` part), nonzero on block 0
+since its weighted sum is positive.  So the program has a point exactly
+when ``eps * lambda`` has one sign, and that point is its only one, a
+multiple of ``eps * lambda``.  Both signs occur in ``lambda`` since the
+weights are positive, so block 0 must hold one sign class whole and none of
+the other; the first such block in canonical order takes the class of
+``lambda``'s first nonzero entry and every zero of ``lambda`` below that
+class's last index.  The box cut drops no partition whose hulls meet, and
+with two blocks color classes have one vertex, so every partition is
+rainbow: this is the walk's first hit and its LP's point.  The search
+computes ``lambda`` once, by the same fraction-free elimination that
+decides homogeneity, and returns that hit without a walk or an LP, after
+one exact check against its program.  Inputs whose dependences span two or
+more dimensions (repeated, coincident or collinear points) walk as above,
+with one LP per listed partition.
 
 An infeasible LP also proves more than its own partition's failure.  Its
 Farkas multipliers (``LpResult.multipliers``) give one affine function
@@ -87,13 +90,13 @@ been checked to refute its own partition.  A feasible partition is never
 refuted and the order is unchanged, so the first hit and its bytes stay the
 same.  With two blocks the regions ``h_0 >= 0`` and ``h_1 >= 0`` are
 disjoint, so a certificate refutes only its own partition, which the walk
-never lists again: two-block searches keep no certificate, and use the
-dependence instead where it is one-dimensional.
+never lists again: two-block walks keep no certificate.
 
-The search returns its first hit as the LP gives it.  The pipeline checks
-the certificate it pulls back from that hit with ``verify_certificate``, the
-solve's one post-condition.  ``validate_partition`` checks a partition by
-itself; nothing in the solve calls it.
+The search returns its first hit as the LP, or the dependence, gives it.
+The pipeline checks the certificate it pulls back from that hit with
+``verify_certificate``, the solve's one post-condition.
+``validate_partition`` checks a partition by itself; nothing in the solve
+calls it.
 """
 
 from __future__ import annotations
@@ -105,7 +108,7 @@ from typing import Iterator, Optional, Sequence
 
 from .errors import InternalError
 from .linalg import ZERO, Point
-from .lp import FEASIBLE, Constraint, LinearProgram, integer_points, lp_solve
+from .lp import FEASIBLE, Constraint, LinearProgram, integer_points, lp_solve, satisfies
 from .model import TverbergPartition, is_prime
 
 Blocks = tuple[tuple[int, ...], ...]
@@ -405,19 +408,6 @@ def _assignable(allowed: Sequence[int], used: int) -> bool:
     return False
 
 
-def _admits(signs: Sequence[int], blocks: Blocks) -> bool:
-    """Whether the two-block program on ``blocks`` has a point, given the
-    signs of the one linear dependence ``lambda`` of the columns ``(H_t,
-    N_t)``: ``lambda`` is nonzero on block 0 and ``eps_t * lambda_t`` has
-    one sign, ``eps`` being +1 on block 0 and -1 on block 1 (see the module
-    docstring)."""
-    first, second = blocks
-    on_first = {signs[i] for i in first}
-    on_both = on_first | {-signs[i] for i in second}
-    on_both.discard(0)
-    return len(on_both) == 1 and on_first != {0}
-
-
 def tverberg_partition(
     points: Sequence[Point],
     r: int,
@@ -446,6 +436,11 @@ def tverberg_partition(
             f"need {full} points (or {flat} on a hyperplane) for r={r} "
             f"in dimension {dim}, got {len(pts)}"
         )
+    # A two-block search may list no partition, so check what its walk would.
+    if coloring is not None:
+        _color_of(coloring, len(pts))
+    if len({len(p) for p in pts}) > 1:
+        raise ValueError("points have unequal lengths")
     # Every partition covers all the points, so one scaling serves them all:
     # each program is the one ``hulls_intersect`` would build, less the sum
     # rows homogeneous points imply.
@@ -470,21 +465,34 @@ def _first_hit(
     """The first listed partition of the points ``H_t / N_t`` whose hulls
     meet, and the point of its ``_hulls_program``.
 
-    The search of ``tverberg_partition`` and of the plus-minus pipeline: the
-    box-pruned walk on the points' coordinates, the two-block dependence
-    test, the Farkas cache and one LP per partition left.  It calls
-    ``enumerate_partitions`` and ``lp_solve`` through this module's
-    globals, which the benchmark's tracer wraps.
+    The search of ``tverberg_partition`` and of the plus-minus pipeline:
+    the two-block Radon hit where there is one dependence, else the
+    box-pruned walk on the points' coordinates, the Farkas cache and one LP
+    per partition left.  It calls ``enumerate_partitions`` and ``lp_solve``
+    through this module's globals, which the benchmark's tracer wraps.
     """
-    homogeneous, signs = _dependences(vectors, weights, r)
+    homogeneous, dependence = _dependences(vectors, weights, r)
+    if dependence is not None:
+        # The Radon hit (module docstring): block 0 takes the sign class of
+        # lambda's first nonzero entry and every zero below its last index.
+        lead = next(v for v in dependence if v)
+        last = max(t for t, v in enumerate(dependence) if v * lead > 0)
+        first = tuple(t for t in range(last + 1) if dependence[t] * lead >= 0)
+        blocks = (first, tuple(t for t in range(len(vectors)) if t not in first))
+        norm = sum(weights[t] * abs(dependence[t]) for t in first)
+        point = tuple(
+            Fraction(abs(dependence[t]) * total, norm) for b in blocks for t in b
+        )
+        program = _hulls_program(total, vectors, weights, blocks, homogeneous)
+        if not satisfies(program, point):
+            raise InternalError("the Radon point fails its partition's program")
+        return blocks, point
     # The walk compares the points' coordinates H[m] / N, as integers over
     # one common multiple of the weights: the same order and ties.
     common = lcm(*weights)
     keys = [[h * (common // n) for h in v] for v, n in zip(vectors, weights)]
     refuters: list[list[int]] = []
     for blocks in enumerate_partitions(len(vectors), r, coloring, keys):
-        if signs is not None and not _admits(signs, blocks):
-            continue
         # Newest first: partitions close in the canonical order share
         # blocks, so a recent certificate is the likeliest to refute.
         if any(_refutes(masks, blocks) for masks in reversed(refuters)):
@@ -493,10 +501,6 @@ def _first_hit(
         result = lp_solve(program)
         if result.status == FEASIBLE:
             return blocks, result.point
-        if signs is not None:
-            raise InternalError(
-                "a two-block partition its dependence admits has no LP point"
-            )
         # Two-block certificates refute only their own partition.
         if r > 2:
             refuters.append(
@@ -510,13 +514,13 @@ def _first_hit(
 def _dependences(
     vectors: Sequence[Sequence[int]], weights: Sequence[int], r: int
 ) -> tuple[bool, Optional[list[int]]]:
-    """``(homogeneous, signs)`` for the columns ``(H_t, N_t)``.
+    """``(homogeneous, dependence)`` for the columns ``(H_t, N_t)``.
 
     ``homogeneous`` says whether some ``v`` has ``<H_t, v> = N_t`` for every
-    column: whether the weights lie in the vectors' column space.  ``signs``
-    is None unless ``r == 2`` and the columns have a one-dimensional space
-    of linear dependences, ``sum_t lambda_t * (H_t, N_t) = 0``; it is then
-    the signs (-1, 0 or 1) of its integer generator ``lambda``.
+    column: whether the weights lie in the vectors' column space.
+    ``dependence`` is None unless ``r == 2`` and the columns have a
+    one-dimensional space of linear dependences, ``sum_t lambda_t * (H_t,
+    N_t) = 0``; it is then an integer generator ``lambda``.
 
     Both come from one elimination (``_leftover_rows``) on the rows ``(H_t,
     N_t)``, followed for two blocks by the unit vector ``e_t``.  The rows
@@ -538,7 +542,7 @@ def _dependences(
     rows = _leftover_rows(rows, 1)
     if len(rows) != 1:
         return homogeneous, None
-    return homogeneous, [(v > 0) - (v < 0) for v in rows[0]]
+    return homogeneous, rows[0]
 
 
 def _leftover_rows(rows: list[list[int]], axes: int) -> list[list[int]]:

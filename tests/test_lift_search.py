@@ -1,12 +1,13 @@
 """The plus-minus search on the lift's integer vectors, and the two-block
-Radon dependence that settles its partitions without LPs.
+Radon dependence that names its hit without a walk or an LP.
 
 The lift is kept as vectors ``H_i`` and weights ``N_i`` with ``H_i / N_i``
 the lifted point; ``tests/fraction_lift.py`` keeps the rational lift and
 pull-back it replaced, as the reference.  With two blocks the columns
 ``(H_t, N_t)`` of points that affinely span their space have one linear
-dependence, whose signs must decide every partition exactly as the LP
-does.
+dependence, whose signs decide every partition exactly as the LP does
+(``_admits`` here is that decision): the search's hit must be the first
+partition they admit, and its point the LP's.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import gen
 from test_certificate_digests import DIGESTS
 from tvpm import pipeline, plus_minus_partition, solver
 from tvpm.errors import DegenerateLift, InternalError, SeparationInfeasible
-from tvpm.lp import INFEASIBLE, LpResult, integer_points
+from tvpm.lp import integer_points, lp_solve
 from tvpm.model import CLASSICAL, COLORED, Configuration, tverberg_point_count
 from tvpm.separation import (
     lift_configuration,
@@ -142,22 +143,65 @@ def counted(monkeypatch) -> dict:
     return counts
 
 
+def _admits(signs, blocks) -> bool:
+    """The reference decision of the two-block program on ``blocks`` from
+    the signs of the one linear dependence ``lambda`` of the columns ``(H_t,
+    N_t)``: ``lambda`` is nonzero on block 0 and ``eps_t * lambda_t`` has
+    one sign, ``eps`` being +1 on block 0 and -1 on block 1 (see the solver
+    module's docstring)."""
+    first, second = blocks
+    on_first = {signs[i] for i in first}
+    on_both = on_first | {-signs[i] for i in second}
+    on_both.discard(0)
+    return len(on_both) == 1 and on_first != {0}
+
+
+def signs_of(vectors, weights) -> list:
+    _, dependence = solver._dependences(vectors, weights, 2)
+    assert dependence is not None
+    return [(v > 0) - (v < 0) for v in dependence]
+
+
+def check_the_hit(vectors, weights, total, points) -> tuple:
+    """Assert the search's hit on the columns is the first partition, in
+    canonical order, that both the reference decision and
+    ``hulls_intersect`` on ``points`` accept, and that its point is the
+    LP's on that partition; return the hit."""
+    signs = signs_of(vectors, weights)
+    expected = next(
+        blocks
+        for blocks in enumerate_partitions(len(points), 2)
+        if _admits(signs, blocks)
+        and hulls_intersect([[points[i] for i in b] for b in blocks]) is not None
+    )
+    blocks, point = solver._first_hit(vectors, weights, total, 2)
+    assert blocks == expected
+    homogeneous, _ = solver._dependences(vectors, weights, 2)
+    program = solver._hulls_program(total, vectors, weights, blocks, homogeneous)
+    assert lp_solve(program).point == point
+    return blocks, point
+
+
 def agree_on_every_partition(config) -> set:
-    """Assert the dependence test agrees with the LP on every partition of
-    ``config``'s lift, on the lift's own columns and on the rational lift's
-    integer points; return the verdicts seen."""
+    """Assert the reference decision agrees with the LP on every partition
+    of ``config``'s lift, on the lift's own columns and on the rational
+    lift's integer points, and that the search's hit is the first partition
+    both accept; return the verdicts seen."""
     lifted = lift_configuration(config, hyperplane_of(config))
-    homogeneous, signs = solver._dependences(lifted.vectors, lifted.weights, 2)
-    assert homogeneous and signs is not None
+    homogeneous, _ = solver._dependences(lifted.vectors, lifted.weights, 2)
+    assert homogeneous
+    signs = signs_of(lifted.vectors, lifted.weights)
     points = lifted.points
     q, ints = integer_points(points)
-    _, rational_signs = solver._dependences(ints, [q] * len(ints), 2)
+    rational_signs = signs_of(ints, [q] * len(ints))
     verdicts = set()
     for blocks in enumerate_partitions(len(points), 2):
         meets = hulls_intersect([[points[i] for i in b] for b in blocks]) is not None
-        assert solver._admits(signs, blocks) == meets, blocks
-        assert solver._admits(rational_signs, blocks) == meets, blocks
+        assert _admits(signs, blocks) == meets, blocks
+        assert _admits(rational_signs, blocks) == meets, blocks
         verdicts.add(meets)
+    check_the_hit(lifted.vectors, lifted.weights, lifted.scale, points)
+    check_the_hit(ints, [q] * len(ints), q, points)
     return verdicts
 
 
@@ -176,18 +220,45 @@ class TestTwoBlockDependence:
         points = ((F(0), F(1)), (F(0), F(0)), (F(1), F(0)), (F(2), F(0)))
         config = Configuration(2, 2, points, CLASSICAL, mu=(0,))
         lifted = lift_configuration(config, hyperplane_of(config))
-        _, signs = solver._dependences(lifted.vectors, lifted.weights, 2)
+        signs = signs_of(lifted.vectors, lifted.weights)
         assert signs[0] == 0 and all(signs[1:])
         assert agree_on_every_partition(config) == {False, True}
+
+    def test_raw_points_with_small_coordinates(self):
+        """Full-count points with coordinates in -2..2: where the dependence
+        is one-dimensional the hit is the reference's first, and the
+        public search returns it."""
+        rng = random.Random("radon-hit")
+        hits = leading_zeros = trailing_zeros = 0
+        for _ in range(400):
+            d = rng.randint(1, 4)
+            points = [
+                tuple(F(rng.randint(-2, 2)) for _ in range(d))
+                for _ in range(tverberg_point_count(d, 2))
+            ]
+            q, ints = integer_points(points)
+            _, dependence = solver._dependences(ints, [q] * len(ints), 2)
+            if dependence is None:
+                continue
+            blocks, _ = check_the_hit(ints, [q] * len(ints), q, points)
+            assert tverberg_partition(points, 2).blocks == blocks
+            hits += 1
+            leading_zeros += dependence[0] == 0
+            trailing_zeros += any(not dependence[t] for t in blocks[1])
+        assert hits >= 300 and leading_zeros >= 30 and trailing_zeros >= 50, (
+            hits,
+            leading_zeros,
+            trailing_zeros,
+        )
 
     def test_the_dependence_must_be_nonzero_on_block_0(self):
         # eps * lambda has one sign, yet block 0 takes none of lambda: its
         # weighted sum cannot be positive.
-        assert not solver._admits([0, 1, 1], ((0,), (1, 2)))
-        assert not solver._admits([0, 0, 1, 1], ((0, 1), (2, 3)))
-        assert solver._admits([1, -1, 0], ((0, 2), (1,)))
-        assert solver._admits([-1, 1, 0], ((0,), (1, 2)))
-        assert not solver._admits([1, 1, -1], ((0,), (1, 2)))
+        assert not _admits([0, 1, 1], ((0,), (1, 2)))
+        assert not _admits([0, 0, 1, 1], ((0, 1), (2, 3)))
+        assert _admits([1, -1, 0], ((0, 2), (1,)))
+        assert _admits([-1, 1, 0], ((0,), (1, 2)))
+        assert not _admits([1, 1, -1], ((0,), (1, 2)))
 
     @pytest.mark.parametrize(
         "points, mu",
@@ -215,18 +286,34 @@ class TestTwoBlockDependence:
         assert counts["searches"] == 1
         assert counts["lps"] == counts["partitions"] >= 1
 
-    def test_one_search_lp_per_solve(self, monkeypatch):
+    def test_no_walk_and_no_search_lp_per_solve(self, monkeypatch):
         counts = counted(monkeypatch)
         for seed in range(5):
             plus_minus_partition(gen.separable_configuration(seed, 4, 2, 1))
-        assert counts["searches"] == counts["lps"] == 5
-        assert counts["partitions"] > 5
+        assert counts == {"searches": 0, "partitions": 0, "lps": 0}
 
-    def test_an_admitted_partition_without_a_point_is_an_internal_error(
-        self, monkeypatch
-    ):
-        monkeypatch.setattr(
-            solver, "lp_solve", lambda lp: LpResult(INFEASIBLE, multipliers=())
-        )
-        with pytest.raises(InternalError, match="dependence"):
+    def test_a_corrupted_dependence_is_an_internal_error(self, monkeypatch):
+        original = solver._dependences
+
+        def corrupted(vectors, weights, r):
+            homogeneous, dependence = original(vectors, weights, r)
+            return homogeneous, [2 * dependence[0], *dependence[1:]]
+
+        monkeypatch.setattr(solver, "_dependences", corrupted)
+        with pytest.raises(InternalError, match="Radon"):
             plus_minus_partition(gen.separable_configuration(0, 4, 2, 1))
+
+    @pytest.mark.parametrize(
+        "coloring",
+        [((0,), (1,)), ((0,), (1,), (1,)), ((0,), (1,), (3,))],
+        ids=["missing", "repeated", "out-of-range"],
+    )
+    def test_a_malformed_coloring_is_a_value_error(self, coloring):
+        points = ((F(0),), (F(1),), (F(2),))
+        with pytest.raises(ValueError, match="color"):
+            tverberg_partition(points, 2, coloring)
+
+    def test_points_of_unequal_lengths_are_a_value_error(self):
+        points = ((F(0), F(0)), (F(1), F(0)), (F(0), F(1)), (F(1),))
+        with pytest.raises(ValueError, match="unequal lengths"):
+            tverberg_partition(points, 2)

@@ -121,14 +121,18 @@ class TestSearchProgram:
         assert partition.witness == (2, 2)
 
     def row_counts(self, monkeypatch, points, r, coloring=None) -> set:
+        """The row counts of the programs the search poses, whether it
+        solves them (the walk) or checks its point against one (the
+        two-block Radon hit)."""
         rows = set()
-        original = solver.lp_solve
+        original = solver._hulls_program
 
-        def recording(lp):
+        def recording(*args, **kwargs):
+            lp = original(*args, **kwargs)
             rows.add(len(lp.constraints))
-            return original(lp)
+            return lp
 
-        monkeypatch.setattr(solver, "lp_solve", recording)
+        monkeypatch.setattr(solver, "_hulls_program", recording)
         tverberg_partition(points, r, coloring)
         monkeypatch.undo()
         return rows

@@ -31,8 +31,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 # (d, r, |mu|): ROADMAP's frontier table.  The d = 1 cells run one search LP
-# each, so they time the partition walk; the two-block cells run one each
-# too, their Radon dependence ruling out the other listed partitions.
+# each, so they time the partition walk; the two-block cells list no
+# partition and run no search LP, their Radon dependence naming the hit.
 GRID = (
     (2, 3, 2),
     (3, 3, 2),
