@@ -149,14 +149,17 @@ def integer_points(
 def satisfies(lp: LinearProgram, point: Sequence[Fraction]) -> bool:
     """Exact re-substitution check: ``point >= 0`` and every row holds.
 
-    It runs on ``X = q * point``, ``q`` the point's common denominator, where
-    ``a . point = b`` holds exactly when ``a . X = q * b``: integer
-    arithmetic throughout when the program is in integers.
+    It runs on ``X = q * point``, ``q > 0`` the point's common denominator,
+    where ``x < 0`` exactly when ``q * x < 0`` and ``a . point = b`` holds
+    exactly when ``a . X = q * b``: integer arithmetic throughout when the
+    program is in integers.
     """
-    if len(point) != lp.num_vars or any(x < 0 for x in point):
+    if len(point) != lp.num_vars:
         return False
     q = common_denominator(point)
     xs = scaled(point, q)
+    if any(x < 0 for x in xs):
+        return False
     return all(
         sum(a * x for a, x in zip(con.coeffs, xs) if a and x) == con.rhs * q
         for con in lp.constraints

@@ -1,7 +1,19 @@
 """Certificate verification and the lift-free brute-force oracle.
 
 ``verify_certificate`` re-checks a certificate against its configuration
-from scratch, using nothing but exact substitution.  ``oracle_enumerate``
+from scratch, by exact substitution in integers.  It scales the points
+once, ``P = q * p`` (``integer_points``), and each block's coefficients by
+that block's own common denominator, ``C_i = c * c_i``, so one block's
+denominators never enter another block's sums.  A block presents ``b`` when
+``sum(C_i * P_i) = c * q * b`` on every axis, compared cross-multiplied by
+``b``'s denominator, so a ``b`` that no integer combination reaches is a
+mismatch; its coefficients sum to 1 when ``sum(C_i) = c``; and ``C_i`` has
+``c_i``'s sign.  Point ``i`` lies on its side of ``(w, alpha)`` by the sign
+of ``<P_i, W> - q * A = q * K * (<p_i, w> - alpha)``, with ``W = K * w`` and
+``A = K * alpha`` scaled as the lift scales them (``separation``).  Only
+``beta``'s identity is one ``Fraction`` expression.  The verifier builds
+this form itself, from the configuration and the certificate alone, on
+every call.  ``oracle_enumerate``
 decides, for every partition independently, whether signed coefficients with
 the required signs can present a common point; it never builds the
 projective lift, so it cross-checks the pipeline by a different route.
@@ -24,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .linalg import ZERO, dot
+from .linalg import ZERO, common_denominator, dot, scaled
 from .model import (
     COLORED,
     Configuration,
@@ -74,22 +86,22 @@ def verify_certificate(
             seen.add(i)
     if set(cert.coefficients) != seen:
         return _reject("coefficient-key-mismatch")
+    q, points = integer_points(config.points)
+    weights: dict[int, int] = {}
     for block in cert.blocks:
-        combo = [ZERO] * config.d
-        total = ZERO
-        for i in block:
-            c = cert.coefficients[i]
-            total += c
-            if c:
-                for m in range(config.d):
-                    combo[m] += c * config.points[i][m]
-        if tuple(combo) != cert.point_b:
-            return _reject("affine-combination-mismatch")
-        if total != 1:
+        coefficients = [cert.coefficients[i] for i in block]
+        scale = common_denominator(coefficients)
+        block_weights = scaled(coefficients, scale)
+        target = scale * q
+        for m, b in enumerate(cert.point_b):
+            combo = sum(c * points[i][m] for i, c in zip(block, block_weights))
+            if combo * b.denominator != target * b.numerator:
+                return _reject("affine-combination-mismatch")
+        if sum(block_weights) != scale:
             return _reject("affine-sum-mismatch")
+        weights.update(zip(block, block_weights))
     members = set(config.mu)
-    for i in seen:
-        c = cert.coefficients[i]
+    for i, c in weights.items():
         if i in members:
             if c > 0:
                 return _reject("sign-violation")
@@ -104,10 +116,13 @@ def verify_certificate(
                 if len(cls_set.intersection(block)) > 1:
                     return _reject("rainbow-violation")
     w, alpha = cert.hyperplane.w, cert.hyperplane.alpha
-    if all(v == 0 for v in w):
+    if not any(w):
         return _reject("hyperplane-not-separating")
-    for i, p in enumerate(config.points):
-        s = dot(p, w) - alpha
+    k = common_denominator((*w, alpha))
+    *normal, offset = scaled((*w, alpha), k)
+    offset *= q
+    for i, p in enumerate(points):
+        s = sum(a * c for a, c in zip(p, normal)) - offset
         if i in members:
             if s >= 0:
                 return _reject("hyperplane-not-separating")

@@ -1,15 +1,23 @@
-"""Certificate verification (tamper matrix) and the brute-force oracle."""
+"""Certificate verification (tamper matrix), the integer verifier against
+its ``Fraction`` reference (``tests/fraction_verify.py``), and the
+brute-force oracle."""
 
 from __future__ import annotations
 
+import time
 from dataclasses import replace
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 from typing import Optional
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gen
+from fraction_verify import reference_verify
+from test_certificate_digests import DIGESTS
 from tvpm import Configuration, Hyperplane, plus_minus_partition
 from tvpm.linalg import dot
 from tvpm.model import (
@@ -71,16 +79,23 @@ def certificate_for_partition(
     )
 
 
-def reason(config, cert):
+def checked(config, cert):
+    """``verify_certificate``'s result, which must be the reference's."""
     result = verify_certificate(config, cert)
+    assert result == reference_verify(config, cert)
+    return result
+
+
+def reason(config, cert):
+    result = checked(config, cert)
     assert not result.accepted
     return result.reason
 
 
 class TestAcceptance:
     def test_golden_certificates_accepted(self):
-        assert verify_certificate(LINE3, LINE3_CERT).accepted
-        assert verify_certificate(PLANE7, PLANE7_CERT).accepted
+        assert checked(LINE3, LINE3_CERT).accepted
+        assert checked(PLANE7, PLANE7_CERT).accepted
 
     def test_accepted_result_has_no_reason(self):
         assert verify_certificate(LINE3, LINE3_CERT).reason is None
@@ -98,7 +113,7 @@ class TestAcceptance:
             hyperplane=Hyperplane((F(1),), F(-1)),
             rainbow=False,
         )
-        assert verify_certificate(config, cert).accepted
+        assert checked(config, cert).accepted
 
 
 class TestTamperMatrix:
@@ -202,6 +217,11 @@ class TestTamperMatrix:
         cert = replace(LINE3_CERT, hyperplane=Hyperplane((F(-1),), F(0)))
         assert reason(LINE3, cert) == "hyperplane-not-separating"
 
+    def test_hyperplane_through_a_marked_point(self):
+        # The marked vertex 2, at 3, must lie strictly on its own side too.
+        cert = replace(LINE3_CERT, hyperplane=Hyperplane((F(-1),), F(-3)))
+        assert reason(LINE3, cert) == "hyperplane-not-separating"
+
     def test_beta_not_positive(self):
         cert = replace(
             LINE3_CERT, beta=F(-1, 2), coefficients=dict(LINE3_CERT.coefficients)
@@ -212,6 +232,149 @@ class TestTamperMatrix:
     def test_beta_mismatch(self):
         cert = replace(LINE3_CERT, beta=F(1, 3))
         assert reason(LINE3, cert) == "beta-mismatch"
+
+
+# Cells whose solved certificates the perturbation test nudges.
+PERTURBED_CELLS = (
+    (2, 3, 2, False),
+    (4, 2, 1, False),
+    (1, 5, 2, False),
+    (1, 5, 3, True),
+)
+
+
+@cache
+def solved_certificates():
+    """The goldens and one solved certificate per cell and seed 0–1."""
+    solved = [(LINE3, LINE3_CERT), (PLANE7, PLANE7_CERT)]
+    for cell in PERTURBED_CELLS:
+        for seed in range(2):
+            config = gen.separable_configuration(f"perturb{seed}", *cell)
+            solved.append((config, plus_minus_partition(config)))
+    return solved
+
+
+def nudged(values, index, delta):
+    return tuple(v + delta if t == index else v for t, v in enumerate(values))
+
+
+@st.composite
+def perturbed_certificates(draw):
+    """A solved certificate with one coefficient, ``point_b`` entry, ``beta``,
+    ``w`` entry or ``alpha`` moved by a rational."""
+    config, cert = draw(st.sampled_from(solved_certificates()))
+    delta = draw(st.fractions(max_denominator=10**6))
+    field = draw(st.sampled_from(("coefficient", "point_b", "beta", "w", "alpha")))
+    if field == "coefficient":
+        i = draw(st.sampled_from(sorted(cert.coefficients)))
+        coefficients = dict(cert.coefficients)
+        coefficients[i] += delta
+        return config, replace(cert, coefficients=coefficients)
+    if field == "point_b":
+        m = draw(st.integers(0, config.d - 1))
+        return config, replace(cert, point_b=nudged(cert.point_b, m, delta))
+    if field == "beta":
+        return config, replace(cert, beta=cert.beta + delta)
+    w, alpha = cert.hyperplane.w, cert.hyperplane.alpha
+    if field == "w":
+        m = draw(st.integers(0, config.d - 1))
+        return config, replace(cert, hyperplane=Hyperplane(nudged(w, m, delta), alpha))
+    return config, replace(cert, hyperplane=Hyperplane(w, alpha + delta))
+
+
+class TestAgainstFractionReference:
+    """The integer verifier returns the reference's ``VerifyResult``, verdict
+    and reason alike; the goldens and the tamper matrix above are checked
+    through ``checked`` the same way."""
+
+    @pytest.mark.parametrize("case", sorted(DIGESTS), ids=str)
+    def test_digest_certificates(self, case):
+        d, r, mu_size, colored, seed = case
+        config = gen.separable_configuration(seed, d, r, mu_size, colored)
+        assert checked(config, plus_minus_partition(config)).accepted
+
+    @settings(max_examples=300, deadline=None)
+    @given(perturbed_certificates())
+    def test_perturbed_certificates(self, case):
+        checked(*case)
+
+
+# Two blocks in the plane around b = (1/2, 1/3): block j is b + v_j, b and
+# b - v_j with coefficients (t_j, 1 - 2 t_j, t_j), which sum to 1 and
+# present b for every t_j.  t_0 and t_1 have coprime denominators of
+# hundreds of digits.
+BIG_0 = 3 * 7**400
+BIG_1 = 5 * 11**300
+CENTER = (F(1, 2), F(1, 3))
+
+
+def spread(t, v):
+    return (
+        tuple(b + c for b, c in zip(CENTER, v)),
+        CENTER,
+        tuple(b - c for b, c in zip(CENTER, v)),
+    ), (t, 1 - 2 * t, t)
+
+
+def large_certificate():
+    points_0, weights_0 = spread(F(1, 3) + F(1, 7**400), (F(1), F(2, 7)))
+    points_1, weights_1 = spread(F(1, 5) + F(1, 11**300), (F(3, 5), F(-1)))
+    config = Configuration(
+        d=2, r=2, points=points_0 + points_1, mode=CLASSICAL, mu=()
+    )
+    cert = PlusMinusCertificate(
+        blocks=((0, 1, 2), (3, 4, 5)),
+        coefficients=dict(enumerate(weights_0 + weights_1)),
+        point_b=CENTER,
+        beta=F(2, 21),
+        hyperplane=Hyperplane((F(1), F(0)), F(-10)),
+        rainbow=False,
+    )
+    return config, cert
+
+
+class TestLargeNumbers:
+    def test_large_coprime_denominators_are_accepted(self):
+        config, cert = large_certificate()
+        assert {c.denominator for c in cert.coefficients.values()} == {BIG_0, BIG_1}
+        start = time.process_time()
+        assert checked(config, cert).accepted
+        assert time.process_time() - start < 1
+
+    def test_each_block_is_scaled_by_its_own_denominator(self, monkeypatch):
+        scales = []
+        original = verifier.common_denominator
+
+        def recording(values):
+            scales.append(original(values))
+            return scales[-1]
+
+        monkeypatch.setattr(verifier, "common_denominator", recording)
+        config, cert = large_certificate()
+        assert verify_certificate(config, cert).accepted
+        assert BIG_0 in scales and BIG_1 in scales
+        assert not any(s % BIG_0 == 0 and s % BIG_1 == 0 for s in scales)
+
+    @pytest.mark.parametrize("i", range(6))
+    def test_nudged_large_coefficient(self, i):
+        config, cert = large_certificate()
+        coefficients = dict(cert.coefficients)
+        coefficients[i] += F(1, 13**250)
+        assert reason(config, replace(cert, coefficients=coefficients)) == (
+            "affine-combination-mismatch"
+        )
+
+    def test_unreachable_point_denominator_is_a_mismatch(self):
+        # Block 0 of line3 is vertex 0 alone, at 0 with coefficient 1: its
+        # integer combination is a whole number, b's is not.
+        for b in (F(1, 3), F(1, 17**300), F(5**200, 17**300)):
+            cert = replace(LINE3_CERT, point_b=(b,))
+            assert reason(LINE3, cert) == "affine-combination-mismatch"
+        config, cert = large_certificate()
+        point_b = (CENTER[0], CENTER[1] + F(1, 19**300))
+        assert reason(config, replace(cert, point_b=point_b)) == (
+            "affine-combination-mismatch"
+        )
 
 
 class TestOracle:
