@@ -38,10 +38,15 @@ from .model import (
     is_prime,
     validate_configuration,
 )
+from .lp import integer_points
+
+# ``lift_configuration`` here is the lift of points already scaled for the
+# separation, under the name the per-layer timing in ``perfbench/tracing.py``
+# wraps; the public ``separation.lift_configuration`` scales them itself.
 from .separation import (
     LiftedConfiguration,
-    lift_configuration,
-    separating_hyperplane,
+    _lift as lift_configuration,
+    _separate,
     trivial_hyperplane,
 )
 from .solver import Blocks, _first_hit
@@ -98,11 +103,14 @@ def plus_minus_partition(config: Configuration) -> PlusMinusCertificate:
             f"marked face has {len(config.mu)} vertices; "
             f"at most r-1 = {config.r - 1} allowed"
         )
+    # Both the separation and the lift work on the points times one common
+    # denominator; scale them once.
+    q, points = integer_points(config.points)
     if config.mu:
-        hyperplane = separating_hyperplane(config)
+        hyperplane = _separate(config.mu, q, points)
     else:
         hyperplane = trivial_hyperplane(config)
-    lifted = lift_configuration(config, hyperplane)
+    lifted = lift_configuration(hyperplane, q, points)
     hit = _first_hit(
         lifted.vectors, lifted.weights, lifted.scale, config.r, config.coloring
     )

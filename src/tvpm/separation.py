@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from .errors import DegenerateLift, SeparationInfeasible
 from .linalg import ONE, common_denominator, scaled
@@ -79,14 +80,21 @@ def separating_hyperplane(config: Configuration) -> Hyperplane:
     margin rows ``s <= -1`` and ``s >= 1`` for ``s = <p, w> - alpha``, times
     ``q``, which ``lp_solve`` checks exactly before it returns the point.
     """
-    if not config.mu:
+    return _separate(config.mu, *integer_points(config.points))
+
+
+def _separate(
+    mu: Sequence[int], q: int, points: Sequence[Sequence[int]]
+) -> Hyperplane:
+    """``separating_hyperplane`` on the points' ``integer_points`` ``(q,
+    P)``, with the marked indices ``mu``."""
+    if not mu:
         raise ValueError("separating hyperplane needs a nonempty marked face")
-    members = set(config.mu)
-    n = len(config.points)
+    members = set(mu)
+    n = len(points)
     if len(members) >= n:
         raise ValueError("the complementary face must be nonempty")
-    d = config.d
-    q, points = integer_points(config.points)
+    d = len(points[0])
     width = 2 * (d + 1)
     cons = []
     for i, p in enumerate(points):
@@ -119,7 +127,13 @@ def lift_configuration(
 ) -> LiftedConfiguration:
     """The lift of every configuration point, ``(p, 1) / (<p, w> - alpha)``,
     as the integer vectors and weights of the module docstring."""
-    q, points = integer_points(config.points)
+    return _lift(hyperplane, *integer_points(config.points))
+
+
+def _lift(
+    hyperplane: Hyperplane, q: int, points: Sequence[Sequence[int]]
+) -> LiftedConfiguration:
+    """``lift_configuration`` on the points' ``integer_points`` ``(q, P)``."""
     coefficients = (*hyperplane.w, hyperplane.alpha)
     k = common_denominator(coefficients)
     *w, alpha = scaled(coefficients, k)

@@ -20,26 +20,48 @@ every column to a primitive one, pivots as it would on the rationals.
 
 Hulls can only meet where the blocks' bounding boxes do, so the search walks
 a box-pruned enumeration (``enumerate_partitions`` given the points) and asks
-the exact LP only about partitions whose boxes meet.  The walk compares the
-coordinates ``H_t[m] / N_t`` as integers over one common multiple of the
-weights, so order and ties are the rationals'.  As blocks are fixed it
-keeps a running box, per axis ``lo`` = the largest block minimum and ``hi``
-= the smallest block maximum, and drops a block's whole subtree when, on
-some axis,
+the exact LP only about partitions whose boxes meet.  A box here is taken on
+axes, each a value per point.  As blocks are fixed the walk keeps a running
+box, per axis ``lo`` = the largest block minimum and ``hi`` = the smallest
+block maximum, and drops a block's whole subtree when, on some axis,
 
     max(lo, left[k-1]) > min(hi, left[-k])
 
-with ``left`` the sorted coordinates of the vertices left over and ``k`` the
+with ``left`` the sorted values of the vertices left over and ``k`` the
 number of blocks still to come: no single value in ``[lo, hi]`` has ``k``
 leftover vertices at or below it and ``k`` at or above it.  The cut is
 necessary.  The final box's ``lo`` lies in the running box, and each block
 to come has a vertex at or below it (its minimum) and one at or above it
 (its maximum, at least the final ``hi``).  With ``k = 1`` the leftover
 vertices are the last block and the cut is the full box test on the
-complete partition, so every partition listed has boxes that meet.  The LP
-thus sees exactly the partitions a full box test on each complete partition
-would pass, in the same canonical order: the same first hit, the same Bland
-pivots, the same certificate bytes.
+complete partition, so every partition listed has boxes that meet on every
+axis.
+
+Any linear function ``f`` of the points is a valid axis: if the blocks'
+hulls share a point ``x``, then ``f(x)``, a convex combination of ``f`` at
+each block's points, lies between that block's least and greatest value of
+``f``, so the boxes on ``f`` meet at ``f(x)``.  The search's axes
+(``_walk_keys``) are the coordinates ``H_t[m] / N_t`` and the sum and the
+difference of every pair of them, ``D + D(D-1)`` axes for points of length
+``D``, a box with ``2D^2`` faces (a k-DOP, as bounding volumes in collision
+detection use them: Klosowski, Held, Mitchell, Sowizral and Zikan, IEEE
+TVCG 4(1), 1998).  All are integers over one common multiple of the
+weights, so order and ties are the rationals'.  The LP thus sees, in
+canonical order, the partitions whose boxes meet on every axis, and the
+walk drops no partition whose hulls meet: the same first hit, the same
+Bland pivots, the same certificate bytes as a search over every partition.
+
+The walk holds blocks and pools as point bitmasks (``_axes``).  On each axis
+the points are numbered in order of their values, so a block's least and
+greatest value sit at its lowest and highest set bit, and ``left[k-1]`` and
+``left[-k]`` at the lowest and highest set bit of the leftover mask once
+``k - 1`` of its bits are cleared from that end.  Appending a vertex to a
+block is one OR per axis; a block gets a tuple only once it passes the cut,
+and a block too large to leave a vertex for each block to come is never
+built.  Nor is any block grown from one whose leftover vertices already
+fail the cut against the running box from before it: growing a block only
+raises ``left[k-1]`` and lowers ``left[-k]``.  Without points the walk has
+no axes and does no axis work.
 
 The lift puts every point on the hyperplane ``<x, (w, -alpha)> = 1``, and
 its weights are linear in its vectors: ``N_t = <H_t, v>`` for one ``v``.
@@ -101,10 +123,11 @@ calls it.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, combinations
 from math import lcm
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence, Union
 
 from .errors import InternalError
 from .linalg import ZERO, Point
@@ -137,34 +160,110 @@ def enumerate_partitions(
         raise ValueError("r must be at least 1")
     if n_points < r:
         raise ValueError(f"cannot split {n_points} points into {r} nonempty blocks")
-    color_of = None if coloring is None else _color_of(coloring, n_points)
-    # Without points there are no axes: ``_narrow`` gives the empty box, so
-    # the same walk lists every partition.
-    axes = []
+    # Each vertex's color as one bit; all 0 without a coloring.
+    colors = [0] * n_points
+    if coloring is not None:
+        color_of = _color_of(coloring, n_points)
+        colors = [1 << color_of[v] for v in range(n_points)]
+    # Without points there are no axes, and the walk does no axis work.
+    bits: list[list[int]] = [[] for _ in range(n_points)]
+    keys: list[tuple] = []
     if points is not None:
         if len(points) != n_points:
             raise ValueError(f"got {len(points)} points for {n_points} indices")
         if len({len(p) for p in points}) > 1:
             raise ValueError("points have unequal lengths")
-        axes = list(zip(*points))
+        bits, keys = _axes(points)
 
-    def walk(pool: tuple[int, ...], k: int, box: _Box) -> Iterator[Blocks]:
-        if k == 1:
-            if color_of is None or _rainbow_block(pool, color_of):
-                yield (pool,)
-            return
-        for block in _subsets_with_least(pool, color_of):
-            if len(pool) - len(block) < k - 1:
-                continue
-            taken = set(block)
-            rest = tuple(e for e in pool if e not in taken)
-            narrowed = _narrow(axes, block, rest, box, k - 1)
-            if narrowed is None:
-                continue
-            for tail in walk(rest, k - 1, narrowed):
-                yield (block,) + tail
+    yield from _walk(
+        _Listing(keys, bits, colors, coloring is not None),
+        list(range(n_points)),
+        [(1 << n_points) - 1] * len(keys),
+        r,
+        [(values[1], values[-1]) for values in keys],
+    )
 
-    yield from walk(tuple(range(n_points)), r, [(min(a), max(a)) for a in axes])
+
+# What every node of one listing shares: the keys and point bits of
+# ``_axes``, each vertex's color bit, and whether there is a coloring.  The
+# walk's generators are module functions that take it as an argument, so
+# that no closure refers to itself and a finished walk leaves no reference
+# cycle for the garbage collector.
+_Listing = namedtuple("_Listing", "keys bits colors colored")
+
+
+def _walk(
+    listing: _Listing, pool: list[int], masks: list[int], k: int, box: _Box
+) -> Iterator[Blocks]:
+    """The partitions of ``pool`` into ``k`` blocks whose boxes meet inside
+    ``box``; ``masks`` holds the pool's bits on each axis."""
+    if k == 1:
+        if not listing.colored or _rainbow(pool, listing.colors):
+            yield (tuple(pool),)
+        return
+    first = pool[0]
+    held = listing.bits[first]
+    used = listing.colors[first]
+    yield from _grow(listing, pool, masks, k, box, [first], 1, held, used)
+
+
+def _grow(
+    listing: _Listing,
+    pool: list[int],
+    masks: list[int],
+    k: int,
+    box: _Box,
+    block: list[int],
+    start: int,
+    held: list[int],
+    used: int,
+) -> Iterator[Blocks]:
+    """The partitions that ``_walk`` lists whose first block is ``block``
+    (its bits ``held`` on each axis, its color bits ``used``), or ``block``
+    grown by vertices of pool[start:]."""
+    keys, bits, colors, _ = listing
+    narrowed = _narrow(keys, held, masks, box, k - 1) if keys else box
+    if narrowed is False:
+        # No block grown from this one passes the cut either.
+        return
+    if narrowed is not None:
+        head = tuple(block)
+        rest = [v for v in pool if v not in block]
+        left = [m ^ h for m, h in zip(masks, held)]
+        for tail in _walk(listing, rest, left, k - 1, narrowed):
+            yield (head,) + tail
+    # The largest block leaves a vertex for each block to come.
+    if len(block) == len(pool) - k + 1:
+        return
+    for t in range(start, len(pool)):
+        v = pool[t]
+        if used & colors[v]:
+            continue
+        block.append(v)
+        grown = [h | b for h, b in zip(held, bits[v])] if keys else held
+        yield from _grow(
+            listing, pool, masks, k, box, block, t + 1, grown, used | colors[v]
+        )
+        block.pop()
+
+
+def _axes(points: Sequence[Sequence]) -> tuple[list[list[int]], list[tuple]]:
+    """Per point, its bit on each axis; per axis, the keys in bit order.
+
+    On each axis the points are sorted by key, ties by index, and the point
+    in position ``p`` gets bit ``1 << p``.  ``keys[a][p + 1]`` is its key,
+    so a mask ``m``'s least and greatest keys on axis ``a`` are
+    ``keys[a][(m & -m).bit_length()]`` and ``keys[a][m.bit_length()]``
+    (entry 0 is never read).
+    """
+    bits: list[list[int]] = [[] for _ in points]
+    keys = []
+    for column in zip(*points):
+        order = sorted(range(len(column)), key=column.__getitem__)
+        for p, v in enumerate(order):
+            bits[v].append(1 << p)
+        keys.append((None, *(column[v] for v in order)))
+    return bits, keys
 
 
 def _color_of(coloring: Sequence[Sequence[int]], n_points: int) -> dict[int, int]:
@@ -186,58 +285,59 @@ def _color_of(coloring: Sequence[Sequence[int]], n_points: int) -> dict[int, int
 
 
 def _narrow(
-    axes: Sequence[Sequence[int]],
+    keys: Sequence[Sequence],
     block: Sequence[int],
-    rest: Sequence[int],
+    pool: Sequence[int],
     box: _Box,
     k: int,
-) -> Optional[_Box]:
-    """The running box cut down to ``block``'s box, or None when the ``k``
-    blocks still to come out of ``rest`` cannot all meet it: on some axis no
-    value in the box has ``k`` keys of ``rest`` at or below it and ``k`` at
-    or above it."""
+) -> Union[_Box, None, bool]:
+    """The running box cut down to the box of ``block``; None when the ``k``
+    blocks still to come out of the rest of ``pool`` cannot all meet it, and
+    False when they cannot for any block that contains ``block`` either.
+
+    The cut: on some axis no value in the box has ``k`` leftover keys at or
+    below it and ``k`` at or above it, ``max(lo, left[k-1]) > min(hi,
+    left[-k])``.  Growing the block only raises ``lo`` and ``left[k-1]`` and
+    lowers ``hi`` and ``left[-k]``, so once the cut holds against the box
+    before the block it holds for every block grown from this one (False).
+
+    ``block`` and ``pool`` are bitmasks per axis (``_axes``), the block's
+    bits inside the pool's.  The leftover keys in ascending order are the
+    set bits of ``pool ^ block`` from the lowest up, so ``left[k-1]`` is the
+    lowest bit once the ``k - 1`` lowest are cleared, and ``left[-k]``
+    likewise from the top.
+    """
     narrowed = []
-    for keys, (lo, hi) in zip(axes, box):
-        values = [keys[v] for v in block]
-        lo = max(lo, min(values))
-        hi = min(hi, max(values))
-        left = sorted([keys[v] for v in rest])
-        if max(lo, left[k - 1]) > min(hi, left[-k]):
+    for values, held, left, (lo, hi) in zip(keys, block, pool, box):
+        low_bits = high_bits = left ^ held
+        if k > 1:
+            for _ in range(k - 1):
+                low_bits &= low_bits - 1
+                high_bits ^= 1 << (high_bits.bit_length() - 1)
+        low = values[(low_bits & -low_bits).bit_length()]
+        high = values[high_bits.bit_length()]
+        if low > high or low > hi or lo > high:
+            return False
+        least = values[(held & -held).bit_length()]
+        if least > lo:
+            lo = least
+        greatest = values[held.bit_length()]
+        if greatest < hi:
+            hi = greatest
+        if lo > hi or lo > high or low > hi:
             return None
         narrowed.append((lo, hi))
     return narrowed
 
 
-def _rainbow_block(block: Sequence[int], color_of: dict[int, int]) -> bool:
-    colors = [color_of[v] for v in block]
-    return len(set(colors)) == len(colors)
-
-
-def _subsets_with_least(
-    pool: tuple[int, ...], color_of: Optional[dict[int, int]]
-) -> Iterator[tuple[int, ...]]:
-    """Subsets of ``pool`` containing pool[0], ascending tuples in
-    lexicographic order, pruned of same-color repeats when colored."""
-    rest = pool[1:]
-    prefix = [pool[0]]
-    used = {color_of[pool[0]]} if color_of is not None else None
-
-    def rec(start: int) -> Iterator[tuple[int, ...]]:
-        yield tuple(prefix)
-        for t in range(start, len(rest)):
-            e = rest[t]
-            if color_of is not None:
-                c = color_of[e]
-                if c in used:
-                    continue
-                used.add(c)
-            prefix.append(e)
-            yield from rec(t + 1)
-            prefix.pop()
-            if color_of is not None:
-                used.remove(color_of[e])
-
-    yield from rec(0)
+def _rainbow(block: Sequence[int], colors: Sequence[int]) -> bool:
+    """Whether no two vertices of ``block`` share a color bit."""
+    used = 0
+    for v in block:
+        if used & colors[v]:
+            return False
+        used |= colors[v]
+    return True
 
 
 def hulls_intersect(
@@ -467,9 +567,10 @@ def _first_hit(
 
     The search of ``tverberg_partition`` and of the plus-minus pipeline:
     the two-block Radon hit where there is one dependence, else the
-    box-pruned walk on the points' coordinates, the Farkas cache and one LP
-    per partition left.  It calls ``enumerate_partitions`` and ``lp_solve``
-    through this module's globals, which the benchmark's tracer wraps.
+    box-pruned walk on the points' coordinates and their pairwise sums and
+    differences, the Farkas cache and one LP per partition left.  It calls
+    ``enumerate_partitions`` and ``lp_solve`` through this module's globals,
+    which the benchmark's tracer wraps.
     """
     homogeneous, dependence = _dependences(vectors, weights, r)
     if dependence is not None:
@@ -487,10 +588,7 @@ def _first_hit(
         if not satisfies(program, point):
             raise InternalError("the Radon point fails its partition's program")
         return blocks, point
-    # The walk compares the points' coordinates H[m] / N, as integers over
-    # one common multiple of the weights: the same order and ties.
-    common = lcm(*weights)
-    keys = [[h * (common // n) for h in v] for v, n in zip(vectors, weights)]
+    keys = _walk_keys(vectors, weights)
     refuters: list[list[int]] = []
     for blocks in enumerate_partitions(len(vectors), r, coloring, keys):
         # Newest first: partitions close in the canonical order share
@@ -509,6 +607,24 @@ def _first_hit(
     raise InternalError(
         "partition search exhausted although a partition must exist"
     )
+
+
+def _walk_keys(
+    vectors: Sequence[Sequence[int]], weights: Sequence[int]
+) -> list[list[int]]:
+    """The search walk's axes at the points ``H_t / N_t``: the coordinates,
+    then the sum and then the difference of every pair of coordinates ``a <
+    b``, each an integer over one common multiple of the weights, so that
+    order and ties are the rationals'.  Every axis is a linear function of
+    the points, so the walk's cut on it drops no partition whose hulls meet
+    (module docstring)."""
+    common = lcm(*weights)
+    keys = []
+    for vector, weight in zip(vectors, weights):
+        key = [h * (common // weight) for h in vector]
+        pairs = list(combinations(key, 2))
+        keys.append(key + [a + b for a, b in pairs] + [a - b for a, b in pairs])
+    return keys
 
 
 def _dependences(

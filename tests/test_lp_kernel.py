@@ -276,9 +276,11 @@ def test_column_scaling_keeps_the_verdict_and_maps_the_point():
 # was 563 while a two-block search ran an LP on every listed partition, and
 # 167 while its one Radon dependence ruled out all but the hit, whose LP
 # still ran; the dependence now gives the hit's point too, so only each
-# solve's separation LP is left.
+# solve's separation LP is left.  The (2, 3, 2) count was 472 while the walk
+# cut on the coordinates alone; its pairwise sum and difference axes now
+# drop partitions before they cost an LP.
 SEARCH_PIVOTS = {
-    (2, 3, 2, False): 472,
+    (2, 3, 2, False): 370,
     (4, 2, 1, False): 89,
     (1, 5, 2, False): 205,
     (1, 5, 3, True): 195,
@@ -311,10 +313,13 @@ def test_search_pivot_counts_and_tableau_entry_sizes(monkeypatch, cell):
 # cells.  The search's refuter cache is built from them, yet ``LpResult``
 # equality ignores them; these are the full-tableau kernel's values.  They
 # are the multipliers of the lift's programs with block 0's sum row only
-# (234 infeasible LPs, digest f43da201..., with every sum row).
+# (234 infeasible LPs, digest f43da201..., with every sum row), and of
+# fewer of them since the walk cuts on pairwise sums and differences of
+# the coordinates too (197 LPs, digest abbba8ad..., on the coordinates
+# alone).
 SEARCH_MULTIPLIERS = (
-    197,
-    "abbba8ad9899944b7a74a3da23e25e996e6ee9cd7b61bb147c0bfc3538335bb0",
+    112,
+    "788c7a6e66cb01860bf1c547a251939551f32bcfbfe48852ad1157c694fb6675",
 )
 
 

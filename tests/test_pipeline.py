@@ -10,7 +10,15 @@ from pathlib import Path
 import pytest
 
 import gen
-from tvpm import Configuration, Hyperplane, pipeline, solver, verify_certificate
+from tvpm import (
+    Configuration,
+    Hyperplane,
+    pipeline,
+    separation,
+    solver,
+    verifier,
+    verify_certificate,
+)
 from tvpm.cli import main as cli_main
 from tvpm.errors import InternalError, MuTooLarge, ParseError, SeparationInfeasible
 from tvpm.model import CLASSICAL, parse_certificate, parse_configuration
@@ -95,6 +103,23 @@ class TestPlusMinusPartition:
             marked = set(config.mu)
             for v, c in cert.coefficients.items():
                 assert c <= 0 if v in marked else c >= 0
+
+    @pytest.mark.parametrize("mu_size", [0, 2])
+    def test_the_points_are_scaled_once_for_separation_and_lift(
+        self, monkeypatch, mu_size
+    ):
+        # The verifier scales them again, on its own, to stay independent.
+        scaled = []
+        for module in (pipeline, separation, verifier):
+            original = module.integer_points
+
+            def counting(points, name=module.__name__, original=original):
+                scaled.append(name)
+                return original(points)
+
+            monkeypatch.setattr(module, "integer_points", counting)
+        plus_minus_partition(gen.separable_configuration(0, 2, 3, mu_size))
+        assert scaled == ["tvpm.pipeline", "tvpm.verifier"]
 
 
 def swap_coefficients_one_and_two(monkeypatch):

@@ -2,17 +2,21 @@
 
 from __future__ import annotations
 
+import gc
 import random
 from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gen
 from tvpm import plus_minus_partition, solver
 from tvpm.errors import InternalError
 from bareiss import affine_dependence
+from tuple_walk import reference_partitions
 from tvpm.lp import INFEASIBLE, LpResult, integer_points, lp_solve
 from tvpm.separation import lift_configuration, separating_hyperplane
 from tvpm.solver import (
@@ -175,21 +179,40 @@ class TestBoxPruning:
         # bound alone has a vertex on its side for both blocks to come, but
         # no single value has two leftover keys at or below it and two at
         # or above it.
-        axes = [(0, 10, 0, 10)]
+        bits, keys = solver._axes([(0,), (10,), (0,), (10,)])
+        block = [bits[0][0] | bits[1][0]]
+        pool = [0b1111]
         box = [(0, 10)]
-        assert solver._narrow(axes, (0, 1), (2, 3), box, 2) is None
+        # The leftover keys alone fail the cut, so no larger block out of
+        # the same pool passes it either.
+        assert solver._narrow(keys, block, pool, box, 2) is False
         # One block to come: it is the leftover pair, whose box meets.
-        assert solver._narrow(axes, (0, 1), (2, 3), box, 1) == [(0, 10)]
+        assert solver._narrow(keys, block, pool, box, 1) == [(0, 10)]
+
+    def test_a_cut_block_can_still_grow(self):
+        # {0} (key 0) leaves {1, 2} (keys 5, 10), whose box misses it; {0, 2}
+        # (keys 0, 10) leaves {1}, whose box lies inside it.
+        bits, keys = solver._axes([(0,), (5,), (10,)])
+        pool = [0b111]
+        box = [(0, 10)]
+        assert solver._narrow(keys, bits[0], pool, box, 1) is None
+        grown = [bits[0][0] | bits[2][0]]
+        assert solver._narrow(keys, grown, pool, box, 1) == [(0, 10)]
+        assert list(enumerate_partitions(3, 2, points=[(0,), (5,), (10,)])) == [
+            ((0, 2), (1,))
+        ]
 
     @pytest.mark.parametrize(
         "d, r, mu_size, colored",
         [
             (1, 3, 2, False), (1, 4, 2, False), (2, 3, 2, False),
             (3, 2, 1, False), (4, 2, 1, False), (1, 3, 2, True),
-            (2, 3, 2, True),
+            (2, 3, 2, True), (3, 3, 2, False), (3, 3, 2, True),
         ],
     )
     def test_search_meets_the_unpruned_first_hit(self, d, r, mu_size, colored):
+        # The search's walk cuts on the pairwise sums and differences of the
+        # coordinates too, which the unpruned listing never looks at.
         for seed in range(2):
             points, coloring = lifted(seed, d, r, mu_size, colored)
             for blocks in enumerate_partitions(len(points), r, coloring):
@@ -203,6 +226,89 @@ class TestBoxPruning:
             assert [
                 [partition.coefficients[i] for i in b] for b in blocks
             ] == per_block
+
+
+@st.composite
+def walk_inputs(draw):
+    """Arguments of ``enumerate_partitions``: up to 9 points on the integer
+    grid [-2, 2]^d, where ties and duplicate points are common, with or
+    without a coloring, with or without points, and with or without the
+    search's pairwise sum and difference keys."""
+    r = draw(st.integers(2, 4))
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(r, 9))
+    points = None
+    if draw(st.booleans()):
+        point = st.lists(st.integers(-2, 2), min_size=d, max_size=d)
+        points = [draw(point) for _ in range(n)]
+        if draw(st.booleans()):
+            points = solver._walk_keys(points, [1] * n)
+    coloring = None
+    if draw(st.booleans()):
+        order = draw(st.permutations(range(n)))
+        cuts = sorted(draw(st.sets(st.integers(1, n - 1))))
+        bounds = [0, *cuts, n]
+        coloring = [sorted(order[a:b]) for a, b in zip(bounds, bounds[1:])]
+    return n, r, coloring, points
+
+
+class TestBitsetWalk:
+    """The walk on point bitmasks lists what the tuple walk it replaced
+    lists (``tests/tuple_walk.py``), in the same order."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(walk_inputs())
+    def test_listing_is_the_tuple_walks(self, args):
+        assert list(enumerate_partitions(*args)) == list(reference_partitions(*args))
+
+    @pytest.mark.parametrize("colored", [False, True])
+    def test_walks_leave_no_reference_cycle(self, colored):
+        # Garbage in reference cycles waits for the collector, which raises
+        # the peak memory of a long run of solves.
+        config = gen.separable_configuration(0, 2, 3, 2, colored)
+        points, coloring = lifted(0, 2, 3, 2, colored)
+        gc.collect()
+        gc.disable()
+        try:
+            list(enumerate_partitions(len(points), 3, coloring, points))
+            list(enumerate_partitions(len(points), 3, coloring))
+            # A search stops its walk at the first hit.
+            plus_minus_partition(config)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize(
+        "d, r, mu_size, colored",
+        [(2, 3, 2, False), (2, 3, 2, True), (3, 3, 2, False), (3, 3, 2, True)],
+    )
+    def test_search_axes_drop_only_partitions_whose_hulls_miss(
+        self, d, r, mu_size, colored
+    ):
+        # Each sum or difference of coordinates is a linear function of the
+        # lifted points, so a partition the search's walk drops beyond the
+        # coordinates-only walk has hulls that miss.
+        dropped = 0
+        for seed in range(2):
+            config = gen.separable_configuration(seed, d, r, mu_size, colored)
+            lift = lift_configuration(config, separating_hyperplane(config))
+            keys = solver._walk_keys(lift.vectors, lift.weights)
+            dim = len(lift.vectors[0])
+            n = len(keys)
+            coloring = config.coloring if colored else None
+            coordinates = list(
+                enumerate_partitions(n, r, coloring, [k[:dim] for k in keys])
+            )
+            searched = list(enumerate_partitions(n, r, coloring, keys))
+            kept = set(searched)
+            assert searched == [b for b in coordinates if b in kept]
+            points = lift.points
+            for blocks in coordinates:
+                if blocks not in kept:
+                    dropped += 1
+                    hit = hulls_intersect([[points[i] for i in b] for b in blocks])
+                    assert hit is None, blocks
+        assert dropped > 0
 
 
 def counted_search_calls(monkeypatch) -> dict:
@@ -245,7 +351,9 @@ class TestTracedNames:
             return hit
 
         monkeypatch.setattr(solver, "_refutes", recording_refutes)
-        config = gen.separable_configuration(0, 2, 3, 2)
+        # On (2, 3, 2) seed 0 the walk's axes cut every partition a kept
+        # certificate would refute; on (3, 3, 2) the cache still skips some.
+        config = gen.separable_configuration(0, 3, 3, 2)
         plus_minus_partition(config)
         assert counts["searches"] == 1
         assert refuted
@@ -326,9 +434,12 @@ class TestFarkasCache:
 
     # The LP counts were 111 and 110 with one sum row per block; the lift's
     # programs keep block 0's alone, and their certificates refute more.
+    # The walk listed 485 and 1155 partitions, with 97 and 92 LPs, while it
+    # cut on the coordinates alone; the pairwise sum and difference axes
+    # drop more of the partitions whose hulls miss.
     @pytest.mark.parametrize(
         "d, r, mu_size, partitions, lps",
-        [(3, 3, 2, 485, 97), (2, 4, 3, 1155, 92)],
+        [(3, 3, 2, 204, 62), (2, 4, 3, 204, 50)],
     )
     def test_lp_counts_over_five_seeds(
         self, monkeypatch, d, r, mu_size, partitions, lps

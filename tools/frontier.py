@@ -16,9 +16,11 @@ wrapping those names in ``tvpm.solver``, the module the search looks them
 up in.  Times are thread CPU time and include the wrappers' small cost.
 
 It uses the standard library only, writes nothing, and takes no options.
-A whole run takes about half a minute on a 2-core machine with the walk's
-one box cut; with the two cuts it replaced, (1,10,4) alone does not finish
-in ten minutes.
+A whole run takes about 6 s on a 2-core machine (Python 3.11.7) with the
+bitset walk cutting on the coordinates and their pairwise sums and
+differences, and about 20 s with the tuple walk it replaced, which cut on
+the coordinates alone.  With the two cuts that the walk's one box cut
+replaced, (1,10,4) alone does not finish in ten minutes.
 """
 
 from __future__ import annotations
