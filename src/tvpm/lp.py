@@ -183,7 +183,7 @@ def lp_solve(lp: LinearProgram) -> LpResult:
     # Minimize the sum of one artificial variable per row, from the basis
     # of all artificials, on primitive columns with D = 1 (see the module
     # docstring).
-    tab, obj, scales, rhs_scale, flipped = _dictionary(lp)
+    tab, obj, gs, gb, flipped = _dictionary(lp)
     basis = [n + i for i in range(m)]
     nonbasic = list(range(n))
     d = _minimize(tab, obj, basis, nonbasic, 1)
@@ -195,7 +195,7 @@ def lp_solve(lp: LinearProgram) -> LpResult:
         multipliers = tuple(-y if f else y for y, f in zip(u, flipped))
         return LpResult(INFEASIBLE, multipliers=multipliers)
 
-    point = _extract(tab, basis, n, scales, rhs_scale, d)
+    point = _extract(tab, basis, n, gs, gb, d)
     if not satisfies(lp, point):
         raise InternalError("simplex returned a point violating its own program")
     return LpResult(FEASIBLE, point)
@@ -210,7 +210,7 @@ def _validate(lp: LinearProgram) -> None:
 
 
 def _dictionary(lp: LinearProgram):
-    """The starting dictionary ``(tab, obj, scales, rhs_scale, flipped)``.
+    """The starting dictionary ``(tab, obj, gs, gb, flipped)``.
 
     ``flipped[i]`` says whether row ``i`` was negated to make its
     right-hand side nonnegative.  One common denominator ``L`` of the
@@ -219,9 +219,10 @@ def _dictionary(lp: LinearProgram):
     and the right-hand side the same with ``R = L / g_b``.  A program whose
     entries are all ``int``s has ``L = 1`` and is used as it is: ``gcd``
     refuses a ``Fraction``, and that refusal sends the program through
-    ``L``.  Scales are (numerator, denominator) pairs; a zero column keeps
-    its zeros, with ``g_j = 1``.  ``obj`` starts as the reduced costs: minus
-    the column sums, and minus the right-hand side's sum last.
+    ``L``.  ``gs`` holds the column gcds and ``gb`` the right-hand side's;
+    ``L`` cancels from every value read off (``_extract``).  A zero column
+    keeps its zeros, with ``g_j = 1``.  ``obj`` starts as the reduced costs:
+    minus the column sums, and minus the right-hand side's sum last.
     """
     cons = lp.constraints
     rows = [con.coeffs for con in cons]
@@ -241,7 +242,7 @@ def _dictionary(lp: LinearProgram):
             row, bi = [-v for v in row], -bi
         tab.append([v // g for v, g in zip(row, gs)] + [bi // gb])
     obj = [-sum(col) for col in zip(*tab)] if tab else [0] * (lp.num_vars + 1)
-    return tab, obj, [(den, g) for g in gs], (den, gb), flipped
+    return tab, obj, gs, gb, flipped
 
 
 def _gcds(rows, b, num_vars) -> tuple[list[int], int]:
@@ -317,15 +318,13 @@ def _eliminate(row, prow, pk, p, d) -> list[int]:
     return row
 
 
-def _extract(tab, basis, n, scales, rhs_scale, d) -> tuple[Fraction, ...]:
+def _extract(tab, basis, n, gs, gb, d) -> tuple[Fraction, ...]:
     """The original point: basic column ``c`` holds ``z_c = T[i][-1] / D``,
-    and variable ``c`` is ``(k_c / R) * z_c``.  Basic artificial columns lie
-    past ``n`` and hold 0."""
+    and variable ``c`` is ``(k_c / R) * z_c = (g_b / g_c) * z_c``, ``L``
+    cancelling.  Basic artificial columns lie past ``n`` and hold 0."""
     x = [Fraction(0)] * n
-    r_num, r_den = rhs_scale
     for row, c in zip(tab, basis):
         v = row[-1]
         if c < n and v:
-            k_num, k_den = scales[c]
-            x[c] = Fraction(v * k_num * r_den, d * k_den * r_num)
+            x[c] = Fraction(v * gb, d * gs[c])
     return tuple(x)

@@ -104,11 +104,13 @@ Farkas multipliers (``LpResult.multipliers``) give one affine function
 up to a negative constant (``_refuter``).  Any later partition whose blocks
 each lie in the ``h >= 0`` region of a different one of these functions has
 no common point either, since the functions would all be ``>= 0`` there.
-The search keeps one bitmask per point and certificate (bit ``j`` set where
-``h_j >= 0``) and skips, without an LP, each listed partition that a kept
-certificate refutes (``_refutes``: a matching of blocks to functions over at
-most ``r`` bitmasks).  A certificate enters the cache only after it has
-been checked to refute its own partition.  A feasible partition is never
+The search keeps them in one table: bit ``c`` of ``table[i][j]`` is set
+where kept certificate ``c``'s ``h_j >= 0`` at point ``i``.  It skips,
+without an LP, each listed partition whose blocks can take distinct slots
+``j`` with a nonzero AND of ``table[i][j]`` over all their points
+(``_refuted``), at a cost per partition, not per certificate.  A
+certificate enters the table only after it has been checked to refute its
+own partition.  A feasible partition is never
 refuted and the order is unchanged, so the first hit and its bytes stay the
 same.  With two blocks the regions ``h_0 >= 0`` and ``h_1 >= 0`` are
 disjoint, so a certificate refutes only its own partition, which the walk
@@ -476,35 +478,26 @@ def _refuter(
     return masks
 
 
-def _refutes(masks: Sequence[int], blocks: Blocks) -> bool:
-    """Whether the Farkas functions behind ``masks`` refute ``blocks``: each
-    block can take a function of its own that is ``>= 0`` on all its points.
-
-    A common point ``x`` of the blocks' hulls would then make every function
-    ``>= 0`` at ``x``, yet they sum to a negative constant.
-    """
-    allowed = []
-    for block in blocks:
-        mask = -1
-        for i in block:
-            mask &= masks[i]
-        if not mask:
-            return False
-        allowed.append(mask)
-    return _assignable(allowed, 0)
-
-
-def _assignable(allowed: Sequence[int], used: int) -> bool:
-    """Whether each entry of ``allowed`` can keep one set bit, no bit twice,
-    none of them in ``used``."""
-    if not allowed:
+def _refuted(
+    table: Sequence[Sequence[int]], blocks: Blocks, live: int, used: int
+) -> bool:
+    """Whether ``blocks`` can take distinct slots ``j``, none in the bitmask
+    ``used``, with some certificate of ``live`` set in ``table[i][j]`` at
+    all their points: its functions would all be ``>= 0`` at a common point
+    of the blocks' hulls, yet they sum to a negative constant."""
+    if not blocks:
         return True
-    options = allowed[0] & ~used
-    while options:
-        bit = options & -options
-        if _assignable(allowed[1:], used | bit):
-            return True
-        options ^= bit
+    for j in range(len(table[0])):
+        if used >> j & 1:
+            continue
+        narrowed = live
+        for i in blocks[0]:
+            narrowed &= table[i][j]
+            if not narrowed:
+                break
+        else:
+            if _refuted(table, blocks[1:], narrowed, used | 1 << j):
+                return True
     return False
 
 
@@ -589,11 +582,10 @@ def _first_hit(
             raise InternalError("the Radon point fails its partition's program")
         return blocks, point
     keys = _walk_keys(vectors, weights)
-    refuters: list[list[int]] = []
+    table = [[0] * r for _ in vectors]
+    kept = 0
     for blocks in enumerate_partitions(len(vectors), r, coloring, keys):
-        # Newest first: partitions close in the canonical order share
-        # blocks, so a recent certificate is the likeliest to refute.
-        if any(_refutes(masks, blocks) for masks in reversed(refuters)):
+        if kept and _refuted(table, blocks, -1, 0):
             continue
         program = _hulls_program(total, vectors, weights, blocks, homogeneous)
         result = lp_solve(program)
@@ -601,9 +593,11 @@ def _first_hit(
             return blocks, result.point
         # Two-block certificates refute only their own partition.
         if r > 2:
-            refuters.append(
-                _refuter(weights, vectors, blocks, result.multipliers, homogeneous)
-            )
+            masks = _refuter(weights, vectors, blocks, result.multipliers, homogeneous)
+            for row, mask in zip(table, masks):
+                for j in range(r):
+                    row[j] |= (mask >> j & 1) << kept
+            kept += 1
     raise InternalError(
         "partition search exhausted although a partition must exist"
     )

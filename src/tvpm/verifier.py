@@ -69,7 +69,9 @@ def verify_certificate(
     rainbow-without-coloring, rainbow-violation, hyperplane-not-separating,
     beta-not-positive, beta-mismatch.
     """
-    if len(cert.point_b) != config.d or len(cert.hyperplane.w) != config.d:
+    # No hyperplane (the field's default) has no dimension either.
+    w = () if cert.hyperplane is None else cert.hyperplane.w
+    if len(cert.point_b) != config.d or len(w) != config.d:
         return _reject("dimension-mismatch")
     if len(cert.blocks) != config.r:
         return _reject("block-count-mismatch")
@@ -115,7 +117,7 @@ def verify_certificate(
             for block in cert.blocks:
                 if len(cls_set.intersection(block)) > 1:
                     return _reject("rainbow-violation")
-    w, alpha = cert.hyperplane.w, cert.hyperplane.alpha
+    alpha = cert.hyperplane.alpha
     if not any(w):
         return _reject("hyperplane-not-separating")
     k = common_denominator((*w, alpha))

@@ -25,7 +25,9 @@ def reference_verify(
 ) -> VerifyResult:
     """The same checks, in the same order, with the same reasons as
     ``tvpm.verifier.verify_certificate``."""
-    if len(cert.point_b) != config.d or len(cert.hyperplane.w) != config.d:
+    # No hyperplane (the field's default) has no dimension either.
+    w = () if cert.hyperplane is None else cert.hyperplane.w
+    if len(cert.point_b) != config.d or len(w) != config.d:
         return _reject("dimension-mismatch")
     if len(cert.blocks) != config.r:
         return _reject("block-count-mismatch")
@@ -71,7 +73,7 @@ def reference_verify(
             for block in cert.blocks:
                 if len(cls_set.intersection(block)) > 1:
                     return _reject("rainbow-violation")
-    w, alpha = cert.hyperplane.w, cert.hyperplane.alpha
+    alpha = cert.hyperplane.alpha
     if all(v == 0 for v in w):
         return _reject("hyperplane-not-separating")
     for i, p in enumerate(config.points):

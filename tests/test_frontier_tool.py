@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import importlib.util
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -36,12 +37,14 @@ def test_a_small_grid_prints_one_row_per_cell(monkeypatch, capsys):
     assert frontier.main([str(ROOT)]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == f"frontier of {ROOT}, seeds 0-1"
-    rows = [line.split("|")[1:-1] for line in lines[3:]]
+    rows = [line.split("|")[1:-1] for line in lines[3:-1]]
     assert [tuple(int(c) for c in row[:4]) for row in rows] == [
         (2, 3, 2, 7),
         (4, 2, 1, 6),
     ]
     assert lines[1].endswith("| partitions (sum) | LPs (sum) |")
+    # The last line is the whole grid's time, every cell and seed.
+    assert re.fullmatch(r"grid total: [0-9.]+ m?s thread time", lines[-1])
     assert 2 <= int(rows[0][7]) <= int(rows[0][6])
     # Two blocks: the Radon dependence gives the hit, without a walk or an LP.
     assert (int(rows[1][6]), int(rows[1][7])) == (0, 0)

@@ -7,6 +7,7 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
@@ -342,15 +343,17 @@ class TestTracedNames:
     def test_one_solve_goes_through_both_names(self, monkeypatch):
         counts = counted_search_calls(monkeypatch)
         refuted = set()
-        refutes_original = solver._refutes
+        refuted_original = solver._refuted
 
-        def recording_refutes(masks, blocks):
-            hit = refutes_original(masks, blocks)
-            if hit:
+        def recording_refuted(table, blocks, live, used):
+            hit = refuted_original(table, blocks, live, used)
+            # The search recurses through this name; used == 0 only at the
+            # top, where ``blocks`` is the listed partition.
+            if hit and used == 0:
                 refuted.add(blocks)
             return hit
 
-        monkeypatch.setattr(solver, "_refutes", recording_refutes)
+        monkeypatch.setattr(solver, "_refuted", recording_refuted)
         # On (2, 3, 2) seed 0 the walk's axes cut every partition a kept
         # certificate would refute; on (3, 3, 2) the cache still skips some.
         config = gen.separable_configuration(0, 3, 3, 2)
@@ -371,6 +374,42 @@ def kept_certificates(monkeypatch) -> list:
 
     monkeypatch.setattr(solver, "_refuter", keeping)
     return kept
+
+
+def certificate_table(kept, n_points: int, r: int) -> list[list[int]]:
+    """The search's table of ``kept`` per-point masks: bit ``c`` of
+    ``table[i][j]`` is bit ``j`` of certificate ``c``'s mask at point ``i``."""
+    table = [[0] * r for _ in range(n_points)]
+    for c, masks in enumerate(kept):
+        for row, mask in zip(table, masks):
+            for j in range(r):
+                if mask >> j & 1:
+                    row[j] |= 1 << c
+    return table
+
+
+def refuted_by_definition(kept, blocks) -> bool:
+    """Whether some certificate of ``kept`` has a permutation ``s`` of the
+    slots with bit ``s[b]`` set at every point of block ``b``."""
+    return any(
+        all(masks[i] >> j & 1 for j, block in zip(s, blocks) for i in block)
+        for masks in kept
+        for s in permutations(range(len(blocks)))
+    )
+
+
+@st.composite
+def certificates_and_partitions(draw):
+    """``(n, r, kept, blocks)``: 0–30 certificates of random ``r``-bit masks
+    per point and any partition of the ``n`` points into ``r`` blocks."""
+    r = draw(st.integers(2, 5))
+    n = draw(st.integers(r, 12))
+    extra = draw(st.lists(st.integers(0, r - 1), min_size=n - r, max_size=n - r))
+    labels = draw(st.permutations(list(range(r)) + extra))
+    blocks = tuple(tuple(i for i in range(n) if labels[i] == b) for b in range(r))
+    masks = st.lists(st.integers(0, (1 << r) - 1), min_size=n, max_size=n)
+    kept = draw(st.lists(masks, max_size=30))
+    return n, r, kept, blocks
 
 
 class TestFarkasCache:
@@ -400,8 +439,9 @@ class TestFarkasCache:
             listing = enumerate_partitions(
                 len(points), r, coloring, points if boxed else None
             )
+            table = certificate_table(kept, len(points), r)
             for blocks in listing:
-                if any(solver._refutes(masks, blocks) for masks in kept):
+                if solver._refuted(table, blocks, -1, 0):
                     refuted += 1
                     hit = hulls_intersect([[points[i] for i in b] for b in blocks])
                     assert hit is None, blocks
@@ -449,6 +489,14 @@ class TestFarkasCache:
             plus_minus_partition(gen.separable_configuration(seed, d, r, mu_size))
         assert counts == {"searches": 5, "partitions": partitions, "lps": lps}
 
+    @settings(max_examples=400, deadline=None)
+    @given(certificates_and_partitions())
+    def test_the_table_refutes_as_the_certificates_do(self, case):
+        n, r, kept, blocks = case
+        table = certificate_table(kept, n, r)
+        expected = refuted_by_definition(kept, blocks)
+        assert solver._refuted(table, blocks, -1, 0) == expected
+
     def test_two_block_searches_keep_no_certificate(self, monkeypatch):
         kept = kept_certificates(monkeypatch)
         for seed in range(3):
@@ -470,7 +518,8 @@ class TestFarkasCache:
                 continue
             certificates += 1
             masks = solver._refuter(weights, ints, blocks, result.multipliers)
-            assert [b for b in listing if solver._refutes(masks, b)] == [blocks]
+            table = certificate_table([masks], len(points), 2)
+            assert [b for b in listing if solver._refuted(table, b, -1, 0)] == [blocks]
         assert certificates > 10
 
 

@@ -115,10 +115,26 @@ class TestAcceptance:
         )
         assert checked(config, cert).accepted
 
+    def test_marked_coefficient_of_zero_is_accepted(self):
+        # Marked coefficients are nonpositive, 0 included: on this solve the
+        # marked point 10 sits in a block with coefficient exactly 0.
+        config = gen.separable_configuration(18, 1, 6, 2)
+        cert = plus_minus_partition(config)
+        assert 10 in config.mu and cert.coefficients[10] == 0
+        assert checked(config, cert).accepted
+
 
 class TestTamperMatrix:
     def test_dimension_mismatch(self):
         assert reason(LINE3, PLANE7_CERT) == "dimension-mismatch"
+
+    def test_certificate_without_a_hyperplane(self):
+        # The dataclass defaults ``hyperplane`` to None; that is a missing
+        # dimension, not a traceback.
+        cert = replace(LINE3_CERT, hyperplane=None)
+        result = verify_certificate(LINE3, cert)
+        assert result == verifier.VerifyResult(False, "dimension-mismatch")
+        assert result == reference_verify(LINE3, cert)
 
     def test_block_count_mismatch(self):
         cert = replace(LINE3_CERT, blocks=((0,), (1,), (2,)))
@@ -130,6 +146,11 @@ class TestTamperMatrix:
 
     def test_index_out_of_range(self):
         cert = replace(LINE3_CERT, blocks=((0,), (1, 5)))
+        assert reason(LINE3, cert) == "index-out-of-range"
+
+    def test_index_equal_to_the_point_count(self):
+        # line3 has points 0, 1, 2: index 3 is the first one past the end.
+        cert = replace(LINE3_CERT, blocks=((0,), (1, 3)))
         assert reason(LINE3, cert) == "index-out-of-range"
 
     def test_blocks_not_disjoint(self):

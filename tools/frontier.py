@@ -14,13 +14,14 @@ seeds, and, summed over all the seeds, the partitions the search listed
 rows compare from run to run and between checkouts.  Both counts come from
 wrapping those names in ``tvpm.solver``, the module the search looks them
 up in.  Times are thread CPU time and include the wrappers' small cost.
+The last line is the whole grid's thread time, every cell and seed.
 
 It uses the standard library only, writes nothing, and takes no options.
-A whole run takes about 6 s on a 2-core machine (Python 3.11.7) with the
-bitset walk cutting on the coordinates and their pairwise sums and
-differences, and about 20 s with the tuple walk it replaced, which cut on
-the coordinates alone.  With the two cuts that the walk's one box cut
-replaced, (1,10,4) alone does not finish in ten minutes.
+On a 2-core machine (Python 3.11.7) that last line read 5.78 s and 6.08 s
+in two runs with the bitset walk, its pairwise axes and the table of
+Farkas certificates; the tuple walk before them, which cut on the
+coordinates alone, took about 20 s.  With the two cuts that the walk's one
+box cut replaced, (1,10,4) alone does not finish in ten minutes.
 """
 
 from __future__ import annotations
@@ -98,6 +99,7 @@ def main(argv=None) -> int:
     print(f"frontier of {checkout}, seeds {SEEDS.start}-{SEEDS.stop - 1}")
     print("| d | r | \\|mu\\| | n | median | max | partitions (sum) | LPs (sum) |")
     print("|---|---|---|---|---|---|---|---|")
+    total = 0.0
     for d, r, mu_size in GRID:
         runs = []
         for seed in SEEDS:
@@ -107,12 +109,14 @@ def main(argv=None) -> int:
             tvpm.plus_minus_partition(config)
             runs.append((time.thread_time() - start, counts["partitions"], counts["lps"]))
         times, partitions, lps = zip(*runs)
+        total += sum(times)
         n = len(config.points)
         print(
             f"| {d} | {r} | {mu_size} | {n} | {seconds(statistics.median(times))} | "
             f"{seconds(max(times))} | {sum(partitions)} | {sum(lps)} |",
             flush=True,
         )
+    print(f"grid total: {seconds(total)} thread time")
     return 0
 
 
