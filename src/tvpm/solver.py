@@ -11,7 +11,7 @@ The search (``_first_hit``) runs on integer vectors ``H_t`` with weights
 ``tverberg_partition`` gives it ``H = P = q * p`` (``integer_points``) and
 ``N = q``; the plus-minus pipeline gives it the lift in homogeneous integer
 coordinates (``separation``), where ``H_t / N_t`` is the lifted point.  The
-LP of a partition (``_hulls_program``) asks for ``x >= 0`` with block 0's
+program of a partition (``_hulls_program``) asks for ``x >= 0`` with block 0's
 weighted sum ``sum(N_t x_t)`` a fixed positive total and every block's
 ``sum(H_t x_t)`` equal: ``N_t x_t / total`` are then convex weights of the
 points ``H_t / N_t`` with one common point.  Each column is a positive
@@ -19,11 +19,12 @@ multiple of the rational program's column, so the kernel, which divides
 every column to a primitive one, pivots as it would on the rationals.
 
 Hulls can only meet where the blocks' bounding boxes do, so the search walks
-a box-pruned enumeration (``enumerate_partitions`` given the points) and asks
-the exact LP only about partitions whose boxes meet.  A box here is taken on
-axes, each a value per point.  As blocks are fixed the walk keeps a running
-box, per axis ``lo`` = the largest block minimum and ``hi`` = the smallest
-block maximum, and drops a block's whole subtree when, on some axis,
+a box-pruned enumeration (``enumerate_partitions`` given the points) and
+decides the exact program only of partitions whose boxes meet.  A box here
+is taken on axes, each a value per point.  As blocks are fixed the walk
+keeps a running box, per axis ``lo`` = the largest block minimum and ``hi``
+= the smallest block maximum, and drops a block's whole subtree when, on
+some axis,
 
     max(lo, left[k-1]) > min(hi, left[-k])
 
@@ -46,10 +47,10 @@ difference of every pair of them, ``D + D(D-1)`` axes for points of length
 ``D``, a box with ``2D^2`` faces (a k-DOP, as bounding volumes in collision
 detection use them: Klosowski, Held, Mitchell, Sowizral and Zikan, IEEE
 TVCG 4(1), 1998).  All are integers over one common multiple of the
-weights, so order and ties are the rationals'.  The LP thus sees, in
-canonical order, the partitions whose boxes meet on every axis, and the
-walk drops no partition whose hulls meet: the same first hit, the same
-Bland pivots, the same certificate bytes as a search over every partition.
+weights, so order and ties are the rationals'.  The search thus decides,
+in canonical order, the programs of the partitions whose boxes meet on every
+axis, and the walk drops no partition whose hulls meet: the same first hit
+and the same certificate bytes as a search over every partition.
 
 The walk holds blocks and pools as point bitmasks (``_axes``).  On each axis
 the points are numbered in order of their values, so a block's least and
@@ -76,6 +77,22 @@ feasible program's point, and with it the certificate's bytes, can differ
 only where the program has more than one feasible point; an infeasible
 program's multipliers read 0 on each dropped row (``_refuter``).
 
+So on the lift every program has ``1 + (r-1)(d+1) = n`` rows for its ``n``
+variables, and the full count of ``tverberg_partition``, with every sum row,
+has ``r + (r-1)d = n``: the program is square.  When its matrix is
+nonsingular the program's rows have exactly one solution, and ``_decide``
+finds it by one fraction-free elimination (Bareiss, Math. Comp. 22, 1968),
+the one ``_dependences`` runs (``_eliminate``), and integer
+back-substitution.  The program is feasible exactly when that solution is
+nonnegative, and it is then the point phase one would return, so the
+certificate's bytes do not depend on which of the two decided it.  An
+infeasible program's Farkas multipliers come from a second elimination, on
+the transpose: they vanish on every column but the one of the solution's
+first negative entry.  Singular programs (a block of more than ``D``
+points, whose columns are then dependent, or repeated or collinear points)
+and non-square ones (a flat count off a hyperplane through the origin) go
+to the simplex, ``lp_solve``.
+
 With two blocks the ``d + 2`` columns ``(H_t, N_t)`` of a lift have, when
 the points affinely span ``R^d``, a single linear dependence ``lambda``
 (Radon 1921), and it names the answer: this is the plus-minus Radon case
@@ -91,36 +108,38 @@ the other; the first such block in canonical order takes the class of
 ``lambda``'s first nonzero entry and every zero of ``lambda`` below that
 class's last index.  The box cut drops no partition whose hulls meet, and
 with two blocks color classes have one vertex, so every partition is
-rainbow: this is the walk's first hit and its LP's point.  The search
+rainbow: this is the walk's first hit and its program's point.  The search
 computes ``lambda`` once, by the same fraction-free elimination that
 decides homogeneity, and returns that hit without a walk or an LP, after
 one exact check against its program.  Inputs whose dependences span two or
 more dimensions (repeated, coincident or collinear points) walk as above,
-with one LP per listed partition.
+and the simplex decides each listed partition, its program being
+singular.
 
-An infeasible LP also proves more than its own partition's failure.  Its
-Farkas multipliers (``LpResult.multipliers``) give one affine function
+An infeasible program also proves more than its own partition's failure.
+Its Farkas multipliers (``LpResult.multipliers``) give one affine function
 ``h_j`` per block, ``>= 0`` on that block's points, the ``r`` of them adding
 up to a negative constant (``_refuter``).  Any later partition whose blocks
 each lie in the ``h >= 0`` region of a different one of these functions has
 no common point either, since the functions would all be ``>= 0`` there.
 The search keeps them in one table: bit ``c`` of ``table[i][j]`` is set
 where kept certificate ``c``'s ``h_j >= 0`` at point ``i``.  It skips,
-without an LP, each listed partition whose blocks can take distinct slots
-``j`` with a nonzero AND of ``table[i][j]`` over all their points
-(``_refuted``), at a cost per partition, not per certificate.  A
+without deciding its program, each listed partition whose blocks can take
+distinct slots ``j`` with a nonzero AND of ``table[i][j]`` over all their
+points (``_refuted``), at a cost per partition, not per certificate.  A
 certificate enters the table only after it has been checked to refute its
-own partition.  A feasible partition is never
-refuted and the order is unchanged, so the first hit and its bytes stay the
-same.  With two blocks the regions ``h_0 >= 0`` and ``h_1 >= 0`` are
-disjoint, so a certificate refutes only its own partition, which the walk
-never lists again: two-block walks keep no certificate.
+own partition.  A feasible partition is never refuted and the order is
+unchanged, so the first hit and its bytes stay the same, whichever
+certificates the table holds.  With two blocks the regions ``h_0 >= 0``
+and ``h_1 >= 0`` are disjoint, so a certificate refutes only its own
+partition, which the walk never lists again: two-block walks keep no
+certificate.
 
-The search returns its first hit as the LP, or the dependence, gives it.
-The pipeline checks the certificate it pulls back from that hit with
-``verify_certificate``, the solve's one post-condition.
-``validate_partition`` checks a partition by itself; nothing in the solve
-calls it.
+The search returns its first hit with the point that the elimination, the
+simplex or the dependence gives it.  The pipeline checks the certificate
+it pulls back from that hit with ``verify_certificate``, the solve's one
+post-condition.  ``validate_partition`` checks a partition by itself;
+nothing in the solve calls it.
 """
 
 from __future__ import annotations
@@ -133,7 +152,16 @@ from typing import Iterator, Optional, Sequence, Union
 
 from .errors import InternalError
 from .linalg import ZERO, Point
-from .lp import FEASIBLE, Constraint, LinearProgram, integer_points, lp_solve, satisfies
+from .lp import (
+    FEASIBLE,
+    INFEASIBLE,
+    Constraint,
+    LinearProgram,
+    LpResult,
+    integer_points,
+    lp_solve,
+    satisfies,
+)
 from .model import TverbergPartition, is_prime
 
 Blocks = tuple[tuple[int, ...], ...]
@@ -561,9 +589,10 @@ def _first_hit(
     The search of ``tverberg_partition`` and of the plus-minus pipeline:
     the two-block Radon hit where there is one dependence, else the
     box-pruned walk on the points' coordinates and their pairwise sums and
-    differences, the Farkas cache and one LP per partition left.  It calls
-    ``enumerate_partitions`` and ``lp_solve`` through this module's globals,
-    which the benchmark's tracer wraps.
+    differences, the Farkas cache, and ``_decide`` on each partition left.
+    It calls ``enumerate_partitions`` and ``_decide``, and ``_decide`` calls
+    ``lp_solve``, through this module's globals; the benchmark's tracer
+    wraps ``enumerate_partitions`` and ``lp_solve``.
     """
     homogeneous, dependence = _dependences(vectors, weights, r)
     if dependence is not None:
@@ -588,7 +617,7 @@ def _first_hit(
         if kept and _refuted(table, blocks, -1, 0):
             continue
         program = _hulls_program(total, vectors, weights, blocks, homogeneous)
-        result = lp_solve(program)
+        result = _decide(program)
         if result.status == FEASIBLE:
             return blocks, result.point
         # Two-block certificates refute only their own partition.
@@ -632,7 +661,7 @@ def _dependences(
     one-dimensional space of linear dependences, ``sum_t lambda_t * (H_t,
     N_t) = 0``; it is then an integer generator ``lambda``.
 
-    Both come from one elimination (``_leftover_rows``) on the rows ``(H_t,
+    Both come from one elimination (``_eliminate``) on the rows ``(H_t,
     N_t)``, followed for two blocks by the unit vector ``e_t``.  The rows
     left over once the axes of ``H`` are cleared are 0 there, so ``v``
     exists exactly when their ``N`` entries are 0 too.  Once ``N`` is
@@ -643,27 +672,33 @@ def _dependences(
     """
     n = len(vectors)
     units = [[int(t == i) for t in range(n)] if r == 2 else [] for i in range(n)]
-    rows = _leftover_rows(
+    _, rows = _eliminate(
         [[*h, w, *e] for h, w, e in zip(vectors, weights, units)], len(vectors[0])
     )
     homogeneous = not any(row[0] for row in rows)
     if r != 2:
         return homogeneous, None
-    rows = _leftover_rows(rows, 1)
+    _, rows = _eliminate(rows, 1)
     if len(rows) != 1:
         return homogeneous, None
     return homogeneous, rows[0]
 
 
-def _leftover_rows(rows: list[list[int]], axes: int) -> list[list[int]]:
-    """The rows that take no pivot when fraction-free (Bareiss) elimination
-    clears their first ``axes`` entries, without those entries.
+def _eliminate(
+    rows: list[list[int]], axes: int
+) -> tuple[list[tuple[int, list[int]]], list[list[int]]]:
+    """Fraction-free (Bareiss) elimination of the first ``axes`` entries of
+    ``rows``: the pivots, in axis order, and the rows that take none.
 
-    One axis at a time, a row with a nonzero entry on the axis is the pivot
-    and leaves, and every other row loses that axis, divided exactly by the
-    previous pivot.  Each row left over is an integer combination of the
-    original rows, zero on the first ``axes`` entries.
+    One axis at a time, the first row with a nonzero entry on the axis is
+    the pivot and leaves as ``(a, rest)``, its entry and what follows it,
+    and every other row loses that axis, divided exactly by the previous
+    pivot's entry.  An axis with no such row is dropped.  Each row, pivot or
+    left over, is an integer combination of the original rows; the ones
+    left over are zero on the first ``axes`` entries and are returned
+    without them.
     """
+    pivots = []
     prev = 1
     for _ in range(axes):
         k = next((i for i, row in enumerate(rows) if row[0]), None)
@@ -671,12 +706,79 @@ def _leftover_rows(rows: list[list[int]], axes: int) -> list[list[int]]:
             rows = [row[1:] for row in rows]
             continue
         a, *pivot = rows.pop(k)
+        pivots.append((a, pivot))
+        # A row that is 0 on the axis is only rescaled; zeros stay zeros.
         rows = [
-            [(a * x - f * y) // prev for x, y in zip(rest, pivot)]
+            [(a * x - f * y) // prev if y else a * x // prev
+             for x, y in zip(rest, pivot)]
+            if f
+            else [a * x // prev if x else 0 for x in rest]
             for f, *rest in rows
         ]
         prev = a
-    return rows
+    return pivots, rows
+
+
+def _solve_square(rows: list[list[int]]) -> Optional[tuple[int, list[int]]]:
+    """``(D, y)`` for the ``n`` equations ``rows``, each ``[*A_i, b_i]``:
+    ``D = |det A| > 0`` and the integers ``y`` with ``A y = D b``, or None
+    when ``A`` is singular.
+
+    ``_eliminate`` leaves no row over exactly when every axis takes a
+    pivot.  Its last pivot entry is ``det A`` up to the sign of the row
+    order, and pivot row ``c`` reads ``a_c x_c + sum(u_k x_k : k > c) =
+    beta_c`` for the one solution ``x``.  Cramer's rule makes each ``y_k =
+    det * x_k`` an integer, so back-substitution divides exactly.
+    """
+    n = len(rows)
+    pivots, left = _eliminate(rows, n)
+    if left:
+        return None
+    det = pivots[-1][0]
+    y = [0] * n
+    for c in range(n - 1, -1, -1):
+        a, pivot = pivots[c]
+        s = det * pivot[-1]
+        for k, u in enumerate(pivot[:-1], c + 1):
+            if u:
+                s -= u * y[k]
+        y[c] = s // a
+    if det < 0:
+        return -det, [-v for v in y]
+    return det, y
+
+
+def _decide(program: LinearProgram) -> LpResult:
+    """``lp_solve``'s verdict on a search program, without a pivot where
+    the program is square and nonsingular.
+
+    Such a program has one solution ``x = y / D`` of its rows
+    (``_solve_square``), so it is feasible exactly when ``y >= 0``, and
+    ``x`` is then the point phase one would reach too; it must pass the
+    kernel's own exact re-substitution.  Otherwise let ``j`` be the first
+    index with ``y_j < 0``, and ``z`` the integers with ``A^T z = D' e_j``,
+    ``D' > 0``.  The multipliers ``-z`` read ``-D'`` on column ``j`` and 0
+    on every other, and ``-z . b = -D' x_j > 0``: a Farkas certificate, as
+    ``lp_solve`` gives one.  A program that is singular or not square (the
+    full program of a flat count) goes to ``lp_solve``, through this
+    module's global.
+    """
+    cons = program.constraints
+    solved = None
+    if len(cons) == program.num_vars:
+        solved = _solve_square([[*c.coeffs, c.rhs] for c in cons])
+    if solved is None:
+        return lp_solve(program)
+    det, y = solved
+    j = next((t for t, v in enumerate(y) if v < 0), None)
+    if j is None:
+        point = tuple(Fraction(v, det) for v in y)
+        if not satisfies(program, point):
+            raise InternalError("the elimination's point fails its own program")
+        return LpResult(FEASIBLE, point)
+    columns = zip(*(c.coeffs for c in cons))
+    _, z = _solve_square([[*col, int(t == j)] for t, col in enumerate(columns)])
+    return LpResult(INFEASIBLE, multipliers=tuple(-v for v in z))
 
 
 def validate_partition(points: Sequence[Point], partition: TverbergPartition) -> None:

@@ -31,6 +31,7 @@ def test_a_small_grid_prints_one_row_per_cell(monkeypatch, capsys):
     # main() wraps these names and sets these for the process it runs in;
     # give them back after.
     monkeypatch.setattr(solver, "enumerate_partitions", solver.enumerate_partitions)
+    monkeypatch.setattr(solver, "_decide", solver._decide)
     monkeypatch.setattr(solver, "lp_solve", solver.lp_solve)
     monkeypatch.setattr(sys, "path", list(sys.path))
     monkeypatch.setattr(sys, "dont_write_bytecode", sys.dont_write_bytecode)
@@ -42,18 +43,22 @@ def test_a_small_grid_prints_one_row_per_cell(monkeypatch, capsys):
         (2, 3, 2, 7),
         (4, 2, 1, 6),
     ]
-    assert lines[1].endswith("| partitions (sum) | LPs (sum) |")
+    assert lines[1].endswith("| partitions (sum) | programs (sum) | LPs (sum) |")
     # The last line is the whole grid's time, every cell and seed.
     assert re.fullmatch(r"grid total: [0-9.]+ m?s thread time", lines[-1])
-    assert 2 <= int(rows[0][7]) <= int(rows[0][6])
-    # Two blocks: the Radon dependence gives the hit, without a walk or an LP.
-    assert (int(rows[1][6]), int(rows[1][7])) == (0, 0)
+    partitions, programs, lps = (int(c) for c in rows[0][6:9])
+    assert 2 <= programs <= partitions
+    # The simplex decides only what elimination leaves over.
+    assert lps <= programs
+    # Two blocks: the Radon dependence gives the hit, without a walk, a
+    # program or an LP.
+    assert tuple(int(c) for c in rows[1][6:9]) == (0, 0, 0)
     # The counts are sums over the seeds, whichever seed ran slowest.
-    counts = {"partitions": 0, "lps": 0}
+    counts = dict.fromkeys(frontier.COUNTS, 0)
     frontier.counting(solver, counts)
     for seed in SEEDS_RUN:
         plus_minus_partition(gen.separable_configuration(seed, 2, 3, 2))
-    assert (int(rows[0][6]), int(rows[0][7])) == (counts["partitions"], counts["lps"])
+    assert (partitions, programs, lps) == tuple(counts[c] for c in frontier.COUNTS)
 
 
 def test_a_directory_without_the_package_is_refused(tmp_path):

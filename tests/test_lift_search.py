@@ -122,10 +122,11 @@ class TestIntegerLift:
 
 
 def counted(monkeypatch) -> dict:
-    """Searches, listed partitions and LPs made through ``tvpm.solver``'s
-    globals from this call on."""
-    counts = {"searches": 0, "partitions": 0, "lps": 0}
+    """Searches, listed partitions, programs decided and simplex LPs made
+    through ``tvpm.solver``'s globals from this call on."""
+    counts = {"searches": 0, "partitions": 0, "programs": 0, "lps": 0}
     enumerate_original = solver.enumerate_partitions
+    decide_original = solver._decide
     lp_original = solver.lp_solve
 
     def counting_enumerate(*args, **kwargs):
@@ -134,11 +135,16 @@ def counted(monkeypatch) -> dict:
             counts["partitions"] += 1
             yield blocks
 
+    def counting_decide(lp):
+        counts["programs"] += 1
+        return decide_original(lp)
+
     def counting_lp(lp):
         counts["lps"] += 1
         return lp_original(lp)
 
     monkeypatch.setattr(solver, "enumerate_partitions", counting_enumerate)
+    monkeypatch.setattr(solver, "_decide", counting_decide)
     monkeypatch.setattr(solver, "lp_solve", counting_lp)
     return counts
 
@@ -284,13 +290,14 @@ class TestTwoBlockDependence:
         cert = plus_minus_partition(config)
         assert verify_certificate(config, cert).accepted
         assert counts["searches"] == 1
-        assert counts["lps"] == counts["partitions"] >= 1
+        # Each program is singular, so the simplex decides it.
+        assert counts["lps"] == counts["programs"] == counts["partitions"] >= 1
 
     def test_no_walk_and_no_search_lp_per_solve(self, monkeypatch):
         counts = counted(monkeypatch)
         for seed in range(5):
             plus_minus_partition(gen.separable_configuration(seed, 4, 2, 1))
-        assert counts == {"searches": 0, "partitions": 0, "lps": 0}
+        assert counts == {"searches": 0, "partitions": 0, "programs": 0, "lps": 0}
 
     def test_a_corrupted_dependence_is_an_internal_error(self, monkeypatch):
         original = solver._dependences

@@ -72,18 +72,30 @@ def test_random_programs_match_the_reference():
     assert min(seen.values()) >= 30, seen
 
 
-def _captured_programs(monkeypatch, modules, run) -> list[LinearProgram]:
+def _captured_programs(monkeypatch, targets, run) -> list:
+    """``(decide, lp)`` for every program that ``run`` passes to one of the
+    ``(module, name)`` targets, ``decide`` being the function it wraps."""
     captured = []
 
-    def recording_solve(lp):
-        captured.append(lp)
-        return lp_solve(lp)
+    def recording(module, name):
+        original = getattr(module, name)
 
-    for module in modules:
-        monkeypatch.setattr(module, "lp_solve", recording_solve)
+        def record(lp):
+            captured.append((original, lp))
+            return original(lp)
+
+        return record
+
+    for module, name in targets:
+        monkeypatch.setattr(module, name, recording(module, name))
     run()
     monkeypatch.undo()
     return captured
+
+
+# The search decides its programs through ``solver._decide`` (elimination,
+# else the simplex), the separation step through ``lp_solve``.
+SEARCH_AND_SEPARATION = ((solver, "_decide"), (separation, "lp_solve"))
 
 
 @pytest.mark.parametrize(
@@ -97,12 +109,14 @@ def test_search_and_separation_programs_match_the_reference(monkeypatch, cell):
             config = gen.separable_configuration(seed, d, r, mu_size, colored)
             plus_minus_partition(config)
 
-    programs = _captured_programs(monkeypatch, (solver, separation), run)
-    # A two-block solve reads its hit off the Radon dependence and runs no
-    # search LP, so only its separation LP is left.
+    programs = _captured_programs(monkeypatch, SEARCH_AND_SEPARATION, run)
+    # A two-block solve reads its hit off the Radon dependence and poses no
+    # search program, so only its separation LP is left.
     assert len(programs) >= (2 if r == 2 else 3)
-    for lp in programs:
-        assert lp_solve(lp) == reference_lp_solve(lp)
+    for decide, lp in programs:
+        expected = reference_lp_solve(lp)
+        assert lp_solve(lp) == expected
+        assert decide(lp) == expected
 
 
 @pytest.mark.parametrize("colored", [False, True])
@@ -115,9 +129,9 @@ def test_oracle_programs_match_the_reference(monkeypatch, colored):
         for blocks in itertools.islice(partitions, 0, None, 4):
             verifier.signed_presentation(config, blocks)
 
-    programs = _captured_programs(monkeypatch, (verifier,), run)
+    programs = _captured_programs(monkeypatch, ((verifier, "lp_solve"),), run)
     statuses = set()
-    for lp in programs:
+    for _, lp in programs:
         # Built in integers, like the search's and the separation's.
         assert all(type(a) is int for con in lp.constraints for a in con.coeffs)
         assert all(type(con.rhs) is int for con in lp.constraints)
@@ -278,12 +292,15 @@ def test_column_scaling_keeps_the_verdict_and_maps_the_point():
 # still ran; the dependence now gives the hit's point too, so only each
 # solve's separation LP is left.  The (2, 3, 2) count was 472 while the walk
 # cut on the coordinates alone; its pairwise sum and difference axes now
-# drop partitions before they cost an LP.
+# drop partitions before they cost an LP.  The counts were 370, 89, 205 and
+# 195 while every search program went to the simplex; a square nonsingular
+# one is now decided by elimination (``solver._decide``), so what is left
+# is the separation LPs and the search's singular programs.
 SEARCH_PIVOTS = {
-    (2, 3, 2, False): 370,
+    (2, 3, 2, False): 134,
     (4, 2, 1, False): 89,
-    (1, 5, 2, False): 205,
-    (1, 5, 3, True): 195,
+    (1, 5, 2, False): 93,
+    (1, 5, 3, True): 99,
 }
 
 
@@ -308,31 +325,34 @@ def test_search_pivot_counts_and_tableau_entry_sizes(monkeypatch, cell):
     assert seen["bits"] <= 200, seen
 
 
-# SHA-256 of the Farkas multipliers of every infeasible search LP, one line
-# of space-separated integers per LP in solve order, over seeds 0-4 of three
-# cells.  The search's refuter cache is built from them, yet ``LpResult``
-# equality ignores them; these are the full-tableau kernel's values.  They
-# are the multipliers of the lift's programs with block 0's sum row only
-# (234 infeasible LPs, digest f43da201..., with every sum row), and of
-# fewer of them since the walk cuts on pairwise sums and differences of
-# the coordinates too (197 LPs, digest abbba8ad..., on the coordinates
-# alone).
+# SHA-256 of the Farkas multipliers of every infeasible search program, one
+# line of space-separated integers per program in solve order, over seeds
+# 0-4 of three cells, whether the elimination or the simplex decided it.
+# The search's refuter cache is built from them, yet ``LpResult`` equality
+# ignores them.  While the simplex decided every search program they were
+# 234 LPs (digest f43da201...) with every sum row, 197 (abbba8ad...) with
+# block 0's sum row alone, and 112 (788c7a6e...) once the walk also cut on
+# pairwise sums and differences of the coordinates.  The elimination's
+# certificates are tight at one column, so they refute other partitions
+# than Bland's did.
 SEARCH_MULTIPLIERS = (
-    112,
-    "788c7a6e66cb01860bf1c547a251939551f32bcfbfe48852ad1157c694fb6675",
+    108,
+    "5de0e48009708d7425916afc9e8a724d9370d3e5d2fdf79cb8dd4fc9e88c787a",
 )
 
 
 def test_search_farkas_multipliers_are_pinned(monkeypatch):
     lines = []
 
+    decide = solver._decide
+
     def recording_solve(lp):
-        result = lp_solve(lp)
+        result = decide(lp)
         if result.status == INFEASIBLE:
             lines.append(" ".join(map(str, result.multipliers)))
         return result
 
-    monkeypatch.setattr(solver, "lp_solve", recording_solve)
+    monkeypatch.setattr(solver, "_decide", recording_solve)
     for cell in ((2, 3, 2), (3, 3, 2), (2, 4, 3)):
         for seed in range(5):
             plus_minus_partition(gen.separable_configuration(seed, *cell))
@@ -394,19 +414,23 @@ def test_infeasible_search_programs_create_no_fraction(monkeypatch):
         for seed in range(3):
             plus_minus_partition(gen.separable_configuration(seed, 2, 3, 2))
 
-    programs = _captured_programs(monkeypatch, (solver, separation), run)
-    for lp in programs:
+    programs = _captured_programs(monkeypatch, SEARCH_AND_SEPARATION, run)
+    for _, lp in programs:
         assert all(type(a) is int for con in lp.constraints for a in con.coeffs)
         assert all(type(con.rhs) is int for con in lp.constraints)
 
     def no_fraction(*args):
         raise AssertionError("an infeasible program created a Fraction")
 
-    infeasible = [lp for lp in programs if lp_solve(lp).status == INFEASIBLE]
-    assert infeasible
+    infeasible = [
+        (decide, lp) for decide, lp in programs if lp_solve(lp).status == INFEASIBLE
+    ]
+    # Search programs the elimination decides are among them.
+    assert any(decide is solver._decide for decide, _ in infeasible)
     monkeypatch.setattr(lp_module, "Fraction", no_fraction)
-    for lp in infeasible:
-        assert lp_solve(lp) == lp_module.LpResult(INFEASIBLE)
+    monkeypatch.setattr(solver, "Fraction", no_fraction)
+    for decide, lp in infeasible:
+        assert decide(lp) == lp_module.LpResult(INFEASIBLE)
 
 
 def test_satisfies_rejects_each_violation_of_an_integer_program():

@@ -313,10 +313,12 @@ class TestBitsetWalk:
 
 
 def counted_search_calls(monkeypatch) -> dict:
-    """Searches, listed partitions and LPs made through ``tvpm.solver``'s
-    globals from this call on."""
-    counts = {"searches": 0, "partitions": 0, "lps": 0}
+    """Searches, listed partitions, programs decided and simplex LPs made
+    through ``tvpm.solver``'s globals from this call on; the LPs are the
+    programs the elimination left to ``lp_solve``."""
+    counts = {"searches": 0, "partitions": 0, "programs": 0, "lps": 0}
     enumerate_original = solver.enumerate_partitions
+    decide_original = solver._decide
     lp_original = solver.lp_solve
 
     def counting_enumerate(*args, **kwargs):
@@ -325,20 +327,27 @@ def counted_search_calls(monkeypatch) -> dict:
             counts["partitions"] += 1
             yield blocks
 
+    def counting_decide(lp):
+        counts["programs"] += 1
+        return decide_original(lp)
+
     def counting_lp(lp):
         counts["lps"] += 1
         return lp_original(lp)
 
     monkeypatch.setattr(solver, "enumerate_partitions", counting_enumerate)
+    monkeypatch.setattr(solver, "_decide", counting_decide)
     monkeypatch.setattr(solver, "lp_solve", counting_lp)
     return counts
 
 
 class TestTracedNames:
-    """The search looks ``enumerate_partitions`` and ``lp_solve`` up in
+    """The search looks ``enumerate_partitions`` and ``_decide`` up in
     ``tvpm.solver``'s globals, once per search and once per listed
-    partition that no kept Farkas certificate refutes: the benchmark's
-    tracer (``perfbench/tracing.py``) wraps exactly those names."""
+    partition that no kept Farkas certificate refutes, and ``_decide``
+    looks up ``lp_solve`` there for each program it cannot eliminate: the
+    benchmark's tracer (``perfbench/tracing.py``) wraps ``enumerate_partitions``
+    and ``lp_solve``."""
 
     def test_one_solve_goes_through_both_names(self, monkeypatch):
         counts = counted_search_calls(monkeypatch)
@@ -360,7 +369,8 @@ class TestTracedNames:
         plus_minus_partition(config)
         assert counts["searches"] == 1
         assert refuted
-        assert counts["lps"] == counts["partitions"] - len(refuted) > 1
+        assert counts["programs"] == counts["partitions"] - len(refuted) > 1
+        assert counts["lps"] < counts["programs"]
 
 
 def kept_certificates(monkeypatch) -> list:
@@ -451,7 +461,7 @@ class TestFarkasCache:
     def test_a_corrupted_certificate_is_an_internal_error(
         self, monkeypatch, corruption
     ):
-        original = solver.lp_solve
+        original = solver._decide
 
         def corrupting(lp):
             result = original(lp)
@@ -467,7 +477,7 @@ class TestFarkasCache:
                 y = None
             return LpResult(result.status, result.point, y)
 
-        monkeypatch.setattr(solver, "lp_solve", corrupting)
+        monkeypatch.setattr(solver, "_decide", corrupting)
         config = gen.separable_configuration(0, 2, 3, 2)
         with pytest.raises(InternalError, match="multipliers"):
             plus_minus_partition(config)
@@ -476,18 +486,27 @@ class TestFarkasCache:
     # programs keep block 0's alone, and their certificates refute more.
     # The walk listed 485 and 1155 partitions, with 97 and 92 LPs, while it
     # cut on the coordinates alone; the pairwise sum and difference axes
-    # drop more of the partitions whose hulls miss.
+    # drop more of the partitions whose hulls miss.  While the simplex
+    # decided every program there were 62 and 50 of them; the elimination's
+    # certificates refute other partitions, and the simplex is left with
+    # the singular programs alone.
     @pytest.mark.parametrize(
-        "d, r, mu_size, partitions, lps",
-        [(3, 3, 2, 204, 62), (2, 4, 3, 204, 50)],
+        "d, r, mu_size, partitions, programs, lps",
+        [(3, 3, 2, 204, 63, 19), (2, 4, 3, 204, 47, 24)],
+        ids=["3-3-2", "2-4-3"],
     )
     def test_lp_counts_over_five_seeds(
-        self, monkeypatch, d, r, mu_size, partitions, lps
+        self, monkeypatch, d, r, mu_size, partitions, programs, lps
     ):
         counts = counted_search_calls(monkeypatch)
         for seed in range(5):
             plus_minus_partition(gen.separable_configuration(seed, d, r, mu_size))
-        assert counts == {"searches": 5, "partitions": partitions, "lps": lps}
+        assert counts == {
+            "searches": 5,
+            "partitions": partitions,
+            "programs": programs,
+            "lps": lps,
+        }
 
     @settings(max_examples=400, deadline=None)
     @given(certificates_and_partitions())

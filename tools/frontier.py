@@ -9,18 +9,22 @@ this script lives in) and the ``tests/gen.py`` of this one, so that two
 checkouts are timed on the same inputs.  It prints one row per cell with the
 columns of ROADMAP's table: the median and the largest solve time over the
 seeds, and, summed over all the seeds, the partitions the search listed
-(items its ``enumerate_partitions`` yielded) and the LPs it ran (its
-``lp_solve`` calls).  The sums do not depend on which seed ran slowest, so
-rows compare from run to run and between checkouts.  Both counts come from
-wrapping those names in ``tvpm.solver``, the module the search looks them
-up in.  Times are thread CPU time and include the wrappers' small cost.
+(items its ``enumerate_partitions`` yielded), the programs it decided (its
+``_decide`` calls) and the simplex LPs among them (its ``lp_solve`` calls:
+the programs that elimination could not decide).  In a checkout without
+``_decide`` every program is an LP, and the two columns agree.  The sums do
+not depend on which seed ran slowest, so rows compare from run to run and
+between checkouts.  The counts come from wrapping those names in
+``tvpm.solver``, the module the search looks them up in.  Times are thread
+CPU time and include the wrappers' small cost.
 The last line is the whole grid's thread time, every cell and seed.
 
 It uses the standard library only, writes nothing, and takes no options.
-On a 2-core machine (Python 3.11.7) that last line read 5.78 s and 6.08 s
-in two runs with the bitset walk, its pairwise axes and the table of
-Farkas certificates; the tuple walk before them, which cut on the
-coordinates alone, took about 20 s.  With the two cuts that the walk's one
+On a 2-core machine (Python 3.11.7) that last line read 4.78 s and 3.98 s
+in two runs with the bitset walk, its pairwise axes, the table of Farkas
+certificates and the elimination, against 5.71 s and 4.12 s without the
+elimination in the same session; the tuple walk before them, which cut on
+the coordinates alone, took about 20 s.  With the two cuts that the walk's one
 box cut replaced, (1,10,4) alone does not finish in ten minutes.
 """
 
@@ -33,9 +37,10 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-# (d, r, |mu|): ROADMAP's frontier table.  The d = 1 cells run one search LP
-# each, so they time the partition walk; the two-block cells list no
-# partition and run no search LP, their Radon dependence naming the hit.
+# (d, r, |mu|): ROADMAP's frontier table.  The d = 1 cells decide one search
+# program each, so they time the partition walk; the two-block cells list no
+# partition and pose no search program, their Radon dependence naming the
+# hit.
 GRID = (
     (2, 3, 2),
     (3, 3, 2),
@@ -51,6 +56,8 @@ GRID = (
     (10, 2, 1),
 )
 SEEDS = range(5)
+# The counted columns, in table order.
+COUNTS = ("partitions", "programs", "lps")
 
 
 def load(checkout: Path):
@@ -66,21 +73,31 @@ def load(checkout: Path):
 
 
 def counting(solver, counts: dict[str, int]) -> None:
-    """Wrap the search's two names in ``solver`` so that they count."""
+    """Wrap the search's names in ``solver`` so that they count.  Without
+    ``_decide`` every program goes to ``lp_solve`` and counts as both."""
     enumerate_partitions = solver.enumerate_partitions
     lp_solve = solver.lp_solve
+    decide = getattr(solver, "_decide", None)
 
     def listed(*args, **kwargs):
         for blocks in enumerate_partitions(*args, **kwargs):
             counts["partitions"] += 1
             yield blocks
 
+    def decided(lp):
+        counts["programs"] += 1
+        return decide(lp)
+
     def solved(lp):
         counts["lps"] += 1
+        if decide is None:
+            counts["programs"] += 1
         return lp_solve(lp)
 
     solver.enumerate_partitions = listed
     solver.lp_solve = solved
+    if decide is not None:
+        solver._decide = decided
 
 
 def seconds(value: float) -> str:
@@ -94,26 +111,29 @@ def main(argv=None) -> int:
         return 2
     checkout = Path(argv[0]).resolve() if argv else ROOT
     tvpm, solver, gen = load(checkout)
-    counts = {"partitions": 0, "lps": 0}
+    counts = dict.fromkeys(COUNTS, 0)
     counting(solver, counts)
     print(f"frontier of {checkout}, seeds {SEEDS.start}-{SEEDS.stop - 1}")
-    print("| d | r | \\|mu\\| | n | median | max | partitions (sum) | LPs (sum) |")
-    print("|---|---|---|---|---|---|---|---|")
+    print(
+        "| d | r | \\|mu\\| | n | median | max "
+        "| partitions (sum) | programs (sum) | LPs (sum) |"
+    )
+    print("|---|---|---|---|---|---|---|---|---|")
     total = 0.0
     for d, r, mu_size in GRID:
         runs = []
         for seed in SEEDS:
             config = gen.separable_configuration(seed, d, r, mu_size)
-            counts["partitions"] = counts["lps"] = 0
+            counts.update(dict.fromkeys(COUNTS, 0))
             start = time.thread_time()
             tvpm.plus_minus_partition(config)
-            runs.append((time.thread_time() - start, counts["partitions"], counts["lps"]))
-        times, partitions, lps = zip(*runs)
+            runs.append((time.thread_time() - start, *(counts[c] for c in COUNTS)))
+        times, *sums = zip(*runs)
         total += sum(times)
         n = len(config.points)
         print(
             f"| {d} | {r} | {mu_size} | {n} | {seconds(statistics.median(times))} | "
-            f"{seconds(max(times))} | {sum(partitions)} | {sum(lps)} |",
+            f"{seconds(max(times))} | {' | '.join(str(sum(c)) for c in sums)} |",
             flush=True,
         )
     print(f"grid total: {seconds(total)} thread time")
