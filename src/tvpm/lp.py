@@ -13,23 +13,55 @@ and an inequality row gets a slack column ``+1`` or ``-1`` of its own.
 Strict inequalities never appear here; callers that need strictness encode a
 margin into the right-hand side instead.
 
-The simplex runs on an integer dictionary (Edmonds 1967): one row per
-basic variable, one column per *nonbasic* variable and the right-hand side,
-and one shared denominator ``D > 0``, so that the real dictionary is exactly
-``T / D``.  A basic variable's column in the full tableau is a unit vector,
-so it is never stored and never updated, and the phase-one artificials need
-no identity block: they start basic, every structural column starts
-nonbasic.  Pivoting on ``p = T[r][k]`` maps every entry off the pivot row
-and column to ``(p * T[i][j] - T[i][k] * T[r][j]) // D``, a division that
-is always exact because each entry is a minor of the starting matrix, and
-makes ``p`` the new ``D``.  Position ``k`` then holds the leaving variable's
-column: the old ``D`` in the pivot row and ``-T[i][k]`` in every other row,
-the objective row included.  These are the Bareiss tableau's own entries on
-the nonbasic columns, so the pivots and every value read off are those of
-the full fraction-free tableau.  Bland's rule enters the least *variable
-index* whose reduced cost is negative, and the ratio test only picks
-``p > 0``, so ``D`` stays positive.  Values become ``Fraction``s only once,
-when the point is extracted.
+The simplex runs on an integer dictionary (Edmonds 1967) with one shared
+denominator ``D > 0``, so that the real dictionary is exactly ``T / D``.
+It is stored by column: one list per stored column and one for the
+right-hand side, each with its entries in the rows of the basic variables
+and its objective entry (the reduced cost, times ``D``) last.  A basic
+variable's column in the full tableau is a unit vector, so it is never
+stored and never updated, and the phase-one artificials need no identity
+block: they start basic.  Pivoting on ``p = T[r][k]`` maps every entry off
+the pivot row and column to ``(p * T[i][j] - T[i][k] * T[r][j]) // D``, a
+division that is always exact because each entry is a minor of the starting
+matrix, and makes ``p`` the new ``D``; a column with ``T[r][j] = 0`` is
+only rescaled by ``p / D``.  Position ``k`` then holds the leaving
+variable's column: the old ``D`` in the pivot row and ``-T[i][k]`` in every
+other row, the objective row included.  These are the Bareiss tableau's own
+entries on the nonbasic columns, so the pivots and every value read off are
+those of the full fraction-free tableau.  Bland's rule enters the least
+*variable index* whose reduced cost is negative, and the ratio test only
+picks ``p > 0``, so ``D`` stays positive.  Values become ``Fraction``s only
+once, when the point is extracted.
+
+Twin variables share one stored column (Chvatal 1983 treats free variables
+this way).  Two variables are twins when their primitive starting columns
+(below) are opposite: two structural columns with ``A_k = -A_j``, a free
+variable's two halves, or a structural column equal to minus its row's
+artificial ``e_i``, a margin slack; in the program, one column is a
+positive multiple of the other's negation.  Row operations keep every linear relation between columns,
+so twins stay opposite in every dictionary, and being linearly dependent,
+at most one of them is ever basic.  Their reduced costs are tied too.  With
+phase one's duals ``u``, structural twins have ``-u . A_j`` and ``u .
+A_j``, so the partner of a column with objective entry ``c`` has ``-c``;
+slack ``i`` has ``u_i`` and artificial ``i`` has ``1 - u_i``, so the two sum
+to 1, and the partner has ``D - c``.  While one twin is basic the other's
+reduced cost is ``0`` or ``D``, never negative, so it cannot enter and is
+not stored.  While both are nonbasic one column stands for the pair, and
+when the partner enters, that column is negated, its objective entry
+becoming ``-c`` or ``D - c``, before the pivot.  So the dictionary holds one
+column per twin class with no basic member: the number of classes minus
+``m``.  Bland's order is kept, because the entering scan weighs each
+column's candidate, the stored variable when ``c < 0`` or else its partner
+when the partner's reduced cost is negative (never both), by that
+variable's own index: the candidates and the least of them are those of the
+unfolded dictionary, and so are the ratio test's column and every pivot.
+The separation program (``separation``) poses its ``d + 1`` free unknowns as
+column pairs and gives each row a slack, so it pivots on ``d + 1`` stored
+columns instead of ``2(d + 1) + n``.  Twins are read off the starting
+dictionary, whoever the caller: an objective entry is minus its column's
+sum, so only columns with opposite entries are compared, and only a column
+whose entry is 1 can be a slack.  The search's and the oracle's programs
+have no twins, and keep every column.
 
 The starting dictionary is built from one common denominator ``L`` of the
 program, with ``D = 1``, after every row with a negative right-hand side is
@@ -70,9 +102,10 @@ point is the same without the drive-out pass.
 
 An infeasible verdict keeps its proof.  When phase one ends with a positive
 minimum, the reduced cost of artificial ``i`` is ``D * (1 - u_i)`` for phase
-one's dual ``u``: the objective row's entry at the artificial's position
-while it is nonbasic, and 0 while it is basic (where ``u_i = 1``).  So ``D``
-minus that reduced cost is ``D * u_i``, an integer.  Optimality makes
+one's dual ``u``: the objective entry of its own stored column or ``D``
+minus that of its slack twin's, 0 while it is basic (where ``u_i = 1``) and
+``D`` while its twin is.  So ``D`` minus that reduced cost is ``D * u_i``,
+an integer.  Optimality makes
 ``u . A_j <= 0`` on every structural column and strong duality ``u . b >
 0``: Farkas' certificate that no nonnegative point solves the rows.  A
 column scale ``k_j > 0`` only scales ``u . A_j``, and the common
@@ -90,6 +123,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
+from operator import neg
 from typing import Iterable, Optional, Sequence, Union
 
 from .errors import InternalError
@@ -183,19 +217,24 @@ def lp_solve(lp: LinearProgram) -> LpResult:
     # Minimize the sum of one artificial variable per row, from the basis
     # of all artificials, on primitive columns with D = 1 (see the module
     # docstring).
-    tab, obj, gs, gb, flipped = _dictionary(lp)
+    cols, rhs, nonbasic, twins, gs, gb, flipped = _dictionary(lp)
     basis = [n + i for i in range(m)]
-    nonbasic = list(range(n))
-    d = _minimize(tab, obj, basis, nonbasic, 1)
-    if obj[-1] != 0:
-        # Farkas multipliers, D * u_i: D minus artificial i's reduced cost,
-        # which is 0 while it is basic (see the module docstring).
-        reduced = dict(zip(nonbasic, obj))
-        u = [d - reduced.get(n + i, 0) for i in range(m)]
+    d = _minimize(cols, rhs, basis, nonbasic, twins, 1)
+    if rhs[-1] != 0:
+        # Farkas multipliers, D * u_i: D minus artificial i's reduced cost
+        # (see the module docstring), 0 while it is basic.  A twin's is
+        # shift * D minus its partner's, whether that one is stored or basic.
+        reduced = dict(zip(nonbasic, [col[-1] for col in cols]))
+        if twins:
+            reduced.update(dict.fromkeys(basis, 0))
+            for v, (partner, shift) in twins.items():
+                if v in reduced and partner not in reduced:
+                    reduced[partner] = shift * d - reduced[v]
+        u = [d - reduced.get(a, 0) for a in range(n, n + m)]
         multipliers = tuple(-y if f else y for y, f in zip(u, flipped))
         return LpResult(INFEASIBLE, multipliers=multipliers)
 
-    point = _extract(tab, basis, n, gs, gb, d)
+    point = _extract(rhs, basis, n, gs, gb, d)
     if not satisfies(lp, point):
         raise InternalError("simplex returned a point violating its own program")
     return LpResult(FEASIBLE, point)
@@ -210,7 +249,8 @@ def _validate(lp: LinearProgram) -> None:
 
 
 def _dictionary(lp: LinearProgram):
-    """The starting dictionary ``(tab, obj, gs, gb, flipped)``.
+    """The starting dictionary ``(cols, rhs, nonbasic, twins, gs, gb,
+    flipped)``.
 
     ``flipped[i]`` says whether row ``i`` was negated to make its
     right-hand side nonnegative.  One common denominator ``L`` of the
@@ -221,28 +261,41 @@ def _dictionary(lp: LinearProgram):
     refuses a ``Fraction``, and that refusal sends the program through
     ``L``.  ``gs`` holds the column gcds and ``gb`` the right-hand side's;
     ``L`` cancels from every value read off (``_extract``).  A zero column
-    keeps its zeros, with ``g_j = 1``.  ``obj`` starts as the reduced costs:
-    minus the column sums, and minus the right-hand side's sum last.
+    keeps its zeros, with ``g_j = 1``.  Each column, and ``rhs``, ends in
+    its reduced cost: minus its sum.  ``twins`` maps each twin to its
+    partner and ``1`` for a slack and its artificial, ``0`` for two
+    structural columns (``_twins``); ``nonbasic`` lists the structural
+    variables whose columns are stored, all but a slack twin and the later
+    of two structural twins, and ``cols`` holds their columns.
     """
     cons = lp.constraints
+    n = lp.num_vars
+    m = len(cons)
     rows = [con.coeffs for con in cons]
     b = [con.rhs for con in cons]
     try:
-        gs, gb = _gcds(rows, b, lp.num_vars)
-        den = 1
+        gs, gb = _gcds(rows, b, n)
     except TypeError:
         den = common_denominator(v for con in cons for v in (*con.coeffs, con.rhs) if v)
         rows = [scaled(row, den) for row in rows]
         b = scaled(b, den)
-        gs, gb = _gcds(rows, b, lp.num_vars)
+        gs, gb = _gcds(rows, b, n)
     flipped = [bi < 0 for bi in b]
-    tab = []
-    for row, bi in zip(rows, b):
-        if bi < 0:
-            row, bi = [-v for v in row], -bi
-        tab.append([v // g for v, g in zip(row, gs)] + [bi // gb])
-    obj = [-sum(col) for col in zip(*tab)] if tab else [0] * (lp.num_vars + 1)
-    return tab, obj, gs, gb, flipped
+    if any(flipped):
+        rows = [[-v for v in row] if f else row for row, f in zip(rows, flipped)]
+    cols = []
+    for col, g in zip(zip(*rows) if rows else [()] * n, gs):
+        col = [v // g for v in col] if g != 1 else list(col)
+        col.append(-sum(col))
+        cols.append(col)
+    rhs = [abs(bi) // gb for bi in b]
+    rhs.append(-sum(rhs))
+    twins = _twins(cols, n, m)
+    nonbasic = list(range(n))
+    if twins:
+        nonbasic = [j for j in nonbasic if j not in twins or j < twins[j][0] < n]
+        cols = [cols[j] for j in nonbasic]
+    return cols, rhs, nonbasic, twins, gs, gb, flipped
 
 
 def _gcds(rows, b, num_vars) -> tuple[list[int], int]:
@@ -252,79 +305,140 @@ def _gcds(rows, b, num_vars) -> tuple[list[int], int]:
     return gs, gcd(*b) or 1
 
 
-def _minimize(tab, obj, basis, nonbasic, d) -> int:
-    """Bland's rule simplex loop; ``tab``, ``obj``, ``basis`` and
+def _twins(cols, n, m) -> dict[int, tuple[int, int]]:
+    """The twin pairs of the starting columns ``cols``, each column ending
+    in its reduced cost, as ``{variable: (partner, shift)}`` both ways.
+
+    A slack is a column ``-e_i``: reduced cost 1 and a single nonzero.  It
+    pairs with artificial ``n + i`` (shift 1) unless an earlier slack of
+    row ``i`` did.  Then each remaining column pairs with the first
+    remaining earlier one that is its negation (shift 0), compared only
+    where the reduced costs are opposite.
+    """
+    twins = {}
+    sums = [col[-1] for col in cols]
+    present = set(sums)
+    if 1 in present:
+        for j, c in enumerate(sums):
+            if c == 1 and cols[j].count(0) == m - 1:
+                a = n + cols[j].index(-1)
+                if a not in twins:
+                    twins[j], twins[a] = (a, 1), (j, 1)
+    present.discard(0)
+    if sums.count(0) < 2 and present.isdisjoint(map(neg, present)):
+        return twins
+    earlier = {}
+    for j, (col, c) in enumerate(zip(cols, sums)):
+        if j in twins:
+            continue
+        for k in earlier.get(-c, ()):
+            if k not in twins and col == [-e for e in cols[k]]:
+                twins[j], twins[k] = (k, 0), (j, 0)
+                break
+        else:
+            earlier.setdefault(c, []).append(j)
+    return twins
+
+
+def _minimize(cols, rhs, basis, nonbasic, twins, d) -> int:
+    """Bland's rule simplex loop; ``cols``, ``rhs``, ``basis`` and
     ``nonbasic`` mutate.  Returns the new denominator."""
-    positions = range(len(nonbasic))
     while True:
         # Entering: the least variable index with a negative reduced cost.
-        pk = min(
-            (k for k in positions if obj[k] < 0),
-            key=nonbasic.__getitem__,
-            default=None,
-        )
+        if twins:
+            pk = _entering_twin(cols, nonbasic, twins, d)
+        else:
+            pk = min(
+                (k for k, col in enumerate(cols) if col[-1] < 0),
+                key=nonbasic.__getitem__,
+                default=None,
+            )
         if pk is None:
             return d
+        pcol = cols[pk]
         # Ratio test: least rhs / a over a > 0, compared by cross-multiplying
-        # (D cancels); ties go to the lower basis index.
+        # (D cancels); ties go to the lower basis index.  The column's last
+        # entry, its reduced cost, is negative and never takes part.
         pr = None
-        for i, row in enumerate(tab):
-            a = row[pk]
+        for i, a in enumerate(pcol):
             if a > 0:
-                v = row[-1]
+                v = rhs[i]
                 if pr is None:
                     pr, best_v, best_a = i, v, a
                     continue
-                lhs = v * best_a
-                rhs = best_v * a
-                if lhs < rhs or (lhs == rhs and basis[i] < basis[pr]):
+                left = v * best_a
+                right = best_v * a
+                if left < right or (left == right and basis[i] < basis[pr]):
                     pr, best_v, best_a = i, v, a
         if pr is None:
             raise InternalError("phase-one objective is bounded below zero")
-        d = _pivot(tab, obj, basis, nonbasic, pr, pk, d)
+        d = _pivot(cols, rhs, basis, nonbasic, pr, pk, d)
 
 
-def _pivot(tab, obj, basis, nonbasic, pr, pk, d) -> int:
-    """Fraction-free pivot on ``tab[pr][pk] > 0``, entering the variable
+def _entering_twin(cols, nonbasic, twins, d) -> Optional[int]:
+    """Bland's entering position when some variables have twins: each
+    stored column's candidate is its own variable when its reduced cost
+    ``c`` is negative, else its twin when the twin's, ``shift * D - c``, is
+    (see the module docstring), weighed by the candidate's own index.  When
+    the twin wins, its column, the stored one negated, takes the position.
+    """
+    pk = least = None
+    for k, col in enumerate(cols):
+        c = col[-1]
+        v = nonbasic[k]
+        if c >= 0:
+            if v not in twins:
+                continue
+            v, shift = twins[v]
+            if c <= shift * d:
+                continue
+        if least is None or v < least:
+            pk, least = k, v
+    if pk is not None and least != nonbasic[pk]:
+        col = [-a for a in cols[pk]]
+        col[-1] += twins[least][1] * d
+        cols[pk] = col
+        nonbasic[pk] = least
+    return pk
+
+
+def _pivot(cols, rhs, basis, nonbasic, pr, pk, d) -> int:
+    """Fraction-free pivot on ``cols[pk][pr] > 0``, entering the variable
     ``nonbasic[pk]`` for ``basis[pr]``; returns the new denominator.
 
-    Position ``pk`` becomes the leaving variable's column: the old ``D`` in
-    the pivot row, ``-f`` in every other row with ``f`` its old entry."""
-    prow = tab[pr]
-    p = prow[pk]
-    for i, row in enumerate(tab):
-        if i != pr:
-            tab[i] = _eliminate(row, prow, pk, p, d)
-    obj[:] = _eliminate(obj, prow, pk, p, d)
-    prow[pk] = d
+    Every other column, ``rhs`` included, becomes ``(p * a - f * e) // d``
+    entrywise, ``f`` its pivot-row entry and ``e`` the pivot column's, and
+    keeps ``f`` in the pivot row; a column with ``f = 0`` is only rescaled
+    by ``p / d``.  Position ``pk`` becomes the leaving variable's column:
+    the old ``D`` in the pivot row, ``-e`` in every other row."""
+    pcol = cols[pk]
+    p = pcol[pr]
+    cols.append(rhs)
+    for j, col in enumerate(cols):
+        f = col[pr]
+        if j == pk:
+            col = [-e for e in pcol]
+            col[pr] = d
+        elif f:
+            col = [
+                (p * a - f * e) // d if e else (p * a // d if a else 0)
+                for a, e in zip(col, pcol)
+            ]
+            col[pr] = f
+        elif p != d:
+            col = [p * a // d if a else 0 for a in col]
+        cols[j] = col
+    rhs[:] = cols.pop()
     basis[pr], nonbasic[pk] = nonbasic[pk], basis[pr]
     return p
 
 
-def _eliminate(row, prow, pk, p, d) -> list[int]:
-    """``(p * a - f * b) // d`` entrywise, ``f = row[pk]``, ``b`` from the
-    pivot row ``prow``, and ``-f`` at ``pk``; a row with ``f = 0`` is only
-    rescaled by ``p / d``."""
-    f = row[pk]
-    if f:
-        new = [
-            (p * a - f * b) // d if b else (p * a // d if a else 0)
-            for a, b in zip(row, prow)
-        ]
-        new[pk] = -f
-        return new
-    if p != d:
-        return [p * a // d if a else 0 for a in row]
-    return row
-
-
-def _extract(tab, basis, n, gs, gb, d) -> tuple[Fraction, ...]:
-    """The original point: basic column ``c`` holds ``z_c = T[i][-1] / D``,
+def _extract(rhs, basis, n, gs, gb, d) -> tuple[Fraction, ...]:
+    """The original point: basic column ``c`` holds ``z_c = rhs[i] / D``,
     and variable ``c`` is ``(k_c / R) * z_c = (g_b / g_c) * z_c``, ``L``
     cancelling.  Basic artificial columns lie past ``n`` and hold 0."""
     x = [Fraction(0)] * n
-    for row, c in zip(tab, basis):
-        v = row[-1]
+    for v, c in zip(rhs, basis):
         if c < n and v:
             x[c] = Fraction(v * gb, d * gs[c])
     return tuple(x)

@@ -9,7 +9,7 @@ import sys
 from pathlib import Path
 
 import gen
-from tvpm import plus_minus_partition, solver
+from tvpm import lp, plus_minus_partition, solver
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS_RUN = range(2)
@@ -33,6 +33,7 @@ def test_a_small_grid_prints_one_row_per_cell(monkeypatch, capsys):
     monkeypatch.setattr(solver, "enumerate_partitions", solver.enumerate_partitions)
     monkeypatch.setattr(solver, "_decide", solver._decide)
     monkeypatch.setattr(solver, "lp_solve", solver.lp_solve)
+    monkeypatch.setattr(lp, "_pivot", lp._pivot)
     monkeypatch.setattr(sys, "path", list(sys.path))
     monkeypatch.setattr(sys, "dont_write_bytecode", sys.dont_write_bytecode)
     assert frontier.main([str(ROOT)]) == 0
@@ -43,22 +44,29 @@ def test_a_small_grid_prints_one_row_per_cell(monkeypatch, capsys):
         (2, 3, 2, 7),
         (4, 2, 1, 6),
     ]
-    assert lines[1].endswith("| partitions (sum) | programs (sum) | LPs (sum) |")
+    assert lines[1].endswith(
+        "| partitions (sum) | programs (sum) | LPs (sum) | pivots (sum) |"
+    )
     # The last line is the whole grid's time, every cell and seed.
     assert re.fullmatch(r"grid total: [0-9.]+ m?s thread time", lines[-1])
-    partitions, programs, lps = (int(c) for c in rows[0][6:9])
+    partitions, programs, lps, pivots = (int(c) for c in rows[0][6:10])
     assert 2 <= programs <= partitions
     # The simplex decides only what elimination leaves over.
     assert lps <= programs
+    # Every solve's separation LP pivots at least once.
+    assert pivots >= len(SEEDS_RUN)
     # Two blocks: the Radon dependence gives the hit, without a walk, a
-    # program or an LP.
+    # program or an LP; the separation LP's pivots are left.
     assert tuple(int(c) for c in rows[1][6:9]) == (0, 0, 0)
+    assert int(rows[1][9]) >= len(SEEDS_RUN)
     # The counts are sums over the seeds, whichever seed ran slowest.
     counts = dict.fromkeys(frontier.COUNTS, 0)
-    frontier.counting(solver, counts)
+    frontier.counting(solver, lp, counts)
     for seed in SEEDS_RUN:
         plus_minus_partition(gen.separable_configuration(seed, 2, 3, 2))
-    assert (partitions, programs, lps) == tuple(counts[c] for c in frontier.COUNTS)
+    assert (partitions, programs, lps, pivots) == tuple(
+        counts[c] for c in frontier.COUNTS
+    )
 
 
 def test_a_directory_without_the_package_is_refused(tmp_path):

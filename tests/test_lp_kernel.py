@@ -4,9 +4,9 @@
 ``Fraction``s.  The integer kernel must return the identical verdict and
 point on every program: random ones in the one form ``A x = b, x >= 0``
 with ``int`` and ``Fraction`` entries and right-hand sides of either sign,
-the programs the search, the separation step and the oracle build, and the
-programs on which the reference's drive-out pivots negatively or drops a
-redundant row.
+programs with planted twin columns that the kernel folds, the programs the
+search, the separation step and the oracle build, and the programs on which
+the reference's drive-out pivots negatively or drops a redundant row.
 """
 
 from __future__ import annotations
@@ -70,6 +70,110 @@ def test_random_programs_match_the_reference():
     # Every verdict, and rows the kernel negates, must occur often enough
     # for the comparison to mean something.
     assert min(seen.values()) >= 30, seen
+
+
+def reference_multipliers(lp: LinearProgram):
+    """Phase one's duals at the reference's last tableau, ``u_i`` one minus
+    artificial ``i``'s reduced cost and negated back on a row the reference
+    negated, or ``None`` when phase one reaches 0.  The tableau is built
+    and minimized as ``reference_lp_solve`` does."""
+    width, m = lp.num_vars, len(lp.constraints)
+    signs = [-1 if con.rhs < 0 else 1 for con in lp.constraints]
+    tab = [
+        [F(sign * v) for v in con.coeffs]
+        + [F(int(k == i)) for k in range(m)]
+        + [F(sign * con.rhs)]
+        for i, (con, sign) in enumerate(zip(lp.constraints, signs))
+    ]
+    basis = [width + i for i in range(m)]
+    obj = fraction_simplex._reduced_costs(tab, basis, [F(0)] * width + [F(1)] * m)
+    fraction_simplex._minimize(tab, obj, basis)
+    if obj[-1] == 0:
+        return None
+    return [sign * (1 - obj[width + i]) for i, sign in enumerate(signs)]
+
+
+def twinned_program(rng: random.Random) -> LinearProgram:
+    """A random program with planted twin columns, in shuffled order:
+    opposite pairs (a column and a positive multiple of its negation),
+    slacks that are ``-e_i`` once the rows are signed, on rows of either
+    right-hand-side sign, and near misses: a second slack in one row, a
+    ``+e_i`` column, zero columns and pairs of zero-sum columns."""
+    m = rng.randint(1, 5)
+    rhs = [random_number(rng) for _ in range(m)]
+
+    def column():
+        return [random_number(rng) for _ in range(m)]
+
+    def unit(i, value):
+        return [value if k == i else 0 for k in range(m)]
+
+    def zero_sum():
+        col = column()
+        col[-1] -= sum(col)
+        return col
+
+    cols = [column() for _ in range(rng.randint(0, 3))]
+    for _ in range(rng.randint(0, 3)):
+        col = column()
+        k = rng.choice((1, 1, 2, 3, F(1, 3), F(5, 2)))
+        cols += [col, [-k * a for a in col]]
+    slack_rows = rng.sample(range(m), rng.randint(0, m))
+    if slack_rows and rng.random() < 0.3:
+        slack_rows.append(slack_rows[0])
+    for i in slack_rows:
+        sign = 1 if rhs[i] < 0 else -1
+        cols.append(unit(i, sign * rng.choice((1, 1, 2, F(1, 2)))))
+    if rng.random() < 0.3:
+        i = rng.randrange(m)
+        cols.append(unit(i, -1 if rhs[i] < 0 else 1))
+    cols += [[0] * m for _ in range(rng.choice((0, 0, 1, 2)))]
+    if rng.random() < 0.3:
+        cols += [zero_sum(), zero_sum()]
+    if not cols:
+        cols.append(column())
+    rng.shuffle(cols)
+    cons = tuple(
+        Constraint(tuple(col[i] for col in cols), rhs[i]) for i in range(m)
+    )
+    return LinearProgram(len(cols), cons)
+
+
+def test_twin_columns_fold_without_changing_the_answer(monkeypatch):
+    """Programs with planted twins: the verdict, the point and the Farkas
+    multipliers (a positive multiple of the reference's duals) are the
+    rational reference's, and stored columns are flipped to their twins
+    often, for both kinds of twin."""
+    rng = random.Random("twin-columns")
+    seen = dict.fromkeys((FEASIBLE, INFEASIBLE, "structural", "slack"), 0)
+    flips = {0: 0, 1: 0}
+    entering_twin = lp_module._entering_twin
+
+    def counting(cols, nonbasic, twins, d):
+        before = list(nonbasic)
+        pk = entering_twin(cols, nonbasic, twins, d)
+        if pk is not None and nonbasic[pk] != before[pk]:
+            flips[twins[nonbasic[pk]][1]] += 1
+        return pk
+
+    monkeypatch.setattr(lp_module, "_entering_twin", counting)
+    for _ in range(800):
+        lp = twinned_program(rng)
+        result = lp_solve(lp)
+        assert result == reference_lp_solve(lp)
+        u = reference_multipliers(lp)
+        if u is None:
+            assert result.multipliers is None
+        else:
+            scale = next(F(y, v) for y, v in zip(result.multipliers, u) if v)
+            assert scale > 0
+            assert list(result.multipliers) == [scale * v for v in u]
+        twins = lp_module._dictionary(lp)[3]
+        seen[result.status] += 1
+        seen["structural"] += any(shift == 0 for _, shift in twins.values())
+        seen["slack"] += any(shift == 1 for _, shift in twins.values())
+    assert min(seen.values()) >= 200, seen
+    assert min(flips.values()) >= 200, flips
 
 
 def _captured_programs(monkeypatch, targets, run) -> list:
@@ -141,6 +245,63 @@ def test_oracle_programs_match_the_reference(monkeypatch, colored):
     assert statuses == {FEASIBLE, INFEASIBLE}
 
 
+def recorded_widths(monkeypatch) -> list:
+    """Wrap ``lp._pivot`` so that each pivot records ``(stored columns,
+    rows)``: the dictionary's width, and every column's length less its
+    objective entry."""
+    widths = []
+    original = lp_module._pivot
+
+    def recording(cols, rhs, basis, nonbasic, pr, pk, d):
+        assert {len(col) for col in (*cols, rhs)} == {len(basis) + 1}
+        widths.append((len(cols), len(basis)))
+        return original(cols, rhs, basis, nonbasic, pr, pk, d)
+
+    monkeypatch.setattr(lp_module, "_pivot", recording)
+    return widths
+
+
+@pytest.mark.parametrize("cell", [(1, 5, 2), (2, 3, 2), (4, 2, 1)], ids=str)
+def test_separation_pivots_on_one_column_per_free_unknown(monkeypatch, cell):
+    # The separation's w and alpha are column pairs and each of its n rows
+    # has a slack -e_i: the dictionary keeps d + 1 columns, not 2(d+1) + n.
+    d = cell[0]
+    widths = recorded_widths(monkeypatch)
+    for seed in range(3):
+        config = gen.separable_configuration(seed, *cell)
+        separation.separating_hyperplane(config)
+        n = len(config.points)
+        assert widths and set(widths) == {(d + 1, n)}
+        widths.clear()
+
+
+def test_oracle_and_search_programs_keep_every_column(monkeypatch):
+    # Neither has twins, so every structural column stays in the dictionary.
+    config = gen.separable_configuration(0, 2, 3, 2, True)
+
+    def oracle():
+        partitions = enumerate_partitions(len(config.points), 3, config.coloring)
+        for blocks in itertools.islice(partitions, 0, None, 4):
+            verifier.signed_presentation(config, blocks)
+
+    def search():
+        for seed in range(2):
+            plus_minus_partition(gen.separable_configuration(seed, 3, 3, 2))
+
+    for run, target in ((oracle, (verifier, "lp_solve")), (search, (solver, "lp_solve"))):
+        programs = _captured_programs(monkeypatch, (target,), run)
+        widths = recorded_widths(monkeypatch)
+        pivoted = 0
+        for _, lp in programs:
+            assert lp_module._dictionary(lp)[3] == {}
+            lp_solve(lp)
+            assert set(widths) <= {(lp.num_vars, len(lp.constraints))}
+            pivoted += bool(widths)
+            widths.clear()
+        monkeypatch.undo()
+        assert pivoted >= 2
+
+
 def test_ratio_ties_leave_by_the_lower_basis_index():
     # Phase one's first pivot brings in x, and the first two rows both give
     # the ratio 2.  The row whose basic variable has the lower index leaves;
@@ -203,13 +364,14 @@ class TestDriveOut:
         # Any sequence of positive pivots, the only ones the ratio test
         # picks, must leave T / D equal to the rational tableau on the
         # nonbasic columns and the right-hand side, with D > 0.  The
-        # dictionary starts on the nonbasic columns beside a basis of
+        # dictionary is stored by column, each column's objective entry
+        # last, and starts on the nonbasic columns beside a basis of
         # artificials, so the rational tableau starts as [N | I | rhs].
         rng = random.Random("pivot-signs")
         for _ in range(200):
-            rows, cols = rng.randint(1, 4), rng.randint(1, 5)
-            tab = [[rng.randint(-5, 5) for _ in range(cols + 1)] for _ in range(rows)]
-            obj = [rng.randint(-5, 5) for _ in range(cols + 1)]
+            rows, width = rng.randint(1, 4), rng.randint(1, 5)
+            tab = [[rng.randint(-5, 5) for _ in range(width + 1)] for _ in range(rows)]
+            obj = [rng.randint(-5, 5) for _ in range(width + 1)]
             ref_tab = [
                 [F(v) for v in row[:-1]]
                 + [F(int(k == i)) for k in range(rows)]
@@ -217,27 +379,31 @@ class TestDriveOut:
                 for i, row in enumerate(tab)
             ]
             ref_obj = [F(v) for v in obj[:-1]] + [F(0)] * rows + [F(obj[-1])]
-            basis = [cols + i for i in range(rows)]
-            nonbasic = list(range(cols))
+            cols, rhs = (
+                [[row[k] for row in tab] + [obj[k]] for k in range(width)],
+                [row[-1] for row in tab] + [obj[-1]],
+            )
+            basis = [width + i for i in range(rows)]
+            nonbasic = list(range(width))
             ref_basis = list(basis)
             d = 1
             for _ in range(rng.randint(1, 5)):
                 pr = rng.randrange(rows)
-                candidates = [k for k in range(cols) if tab[pr][k] > 0]
+                candidates = [k for k in range(width) if cols[k][pr] > 0]
                 if not candidates:
                     break
                 pk = rng.choice(candidates)
                 entering = nonbasic[pk]
-                d = lp_module._pivot(tab, obj, basis, nonbasic, pr, pk, d)
+                d = lp_module._pivot(cols, rhs, basis, nonbasic, pr, pk, d)
                 fraction_simplex._pivot(ref_tab, ref_obj, ref_basis, pr, entering)
                 assert d > 0
                 assert basis == ref_basis
-                assert sorted(basis + nonbasic) == list(range(cols + rows))
-                columns = nonbasic + [-1]
-                assert [[F(v, d) for v in row] for row in tab] == [
-                    [row[c] for c in columns] for row in ref_tab
-                ]
-                assert [F(v, d) for v in obj] == [ref_obj[c] for c in columns]
+                assert sorted(basis + nonbasic) == list(range(width + rows))
+                assert len(cols) == width
+                for col, c in zip((*cols, rhs), nonbasic + [-1]):
+                    assert [F(v, d) for v in col] == (
+                        [row[c] for row in ref_tab] + [ref_obj[c]]
+                    )
                 # No basic column is stored: the reference's are unit vectors.
                 for i, b in enumerate(basis):
                     assert [row[b] for row in ref_tab] == [
@@ -496,6 +662,7 @@ def test_integer_points_programs_pivot_like_the_rational_ones(monkeypatch, seed)
     rational, rational_pivots = solve_recording(program(pts, F(1)))
     integer, integer_pivots = solve_recording(program(ints, q))
     assert integer.status == rational.status
+    assert rational_pivots
     assert integer_pivots == rational_pivots
     if rational.point is not None:
         width = 2 * (d + 1)

@@ -10,13 +10,16 @@ checkouts are timed on the same inputs.  It prints one row per cell with the
 columns of ROADMAP's table: the median and the largest solve time over the
 seeds, and, summed over all the seeds, the partitions the search listed
 (items its ``enumerate_partitions`` yielded), the programs it decided (its
-``_decide`` calls) and the simplex LPs among them (its ``lp_solve`` calls:
-the programs that elimination could not decide).  In a checkout without
-``_decide`` every program is an LP, and the two columns agree.  The sums do
-not depend on which seed ran slowest, so rows compare from run to run and
-between checkouts.  The counts come from wrapping those names in
-``tvpm.solver``, the module the search looks them up in.  Times are thread
-CPU time and include the wrappers' small cost.
+``_decide`` calls), the simplex LPs among them (its ``lp_solve`` calls:
+the programs that elimination could not decide), and the simplex pivots of
+the whole solve (``tvpm.lp._pivot`` calls): those of the separation LP and
+of the search's LPs.  In a checkout without ``_decide`` every program is an
+LP, and the two columns agree.  The sums do not depend on which seed ran
+slowest, so rows compare from run to run and between checkouts.  The
+counts come from wrapping those names in ``tvpm.solver``, the module the
+search looks them up in, and ``_pivot`` in ``tvpm.lp``, where the simplex
+loop looks it up.  Times are thread CPU time and include the wrappers'
+small cost.
 The last line is the whole grid's thread time, every cell and seed.
 
 It uses the standard library only, writes nothing, and takes no options.
@@ -57,24 +60,30 @@ GRID = (
 )
 SEEDS = range(5)
 # The counted columns, in table order.
-COUNTS = ("partitions", "programs", "lps")
+COUNTS = ("partitions", "programs", "lps", "pivots")
 
 
 def load(checkout: Path):
-    """``tvpm`` from ``checkout/src``, ``tvpm.solver`` and this checkout's
-    ``gen``, without writing bytecode into either checkout."""
+    """``tvpm`` from ``checkout/src``, ``tvpm.solver``, ``tvpm.lp`` and this
+    checkout's ``gen``, without writing bytecode into either checkout."""
     source = checkout / "src"
     if not (source / "tvpm" / "__init__.py").is_file():
         raise SystemExit(f"no src/tvpm package in {checkout}")
     sys.dont_write_bytecode = True
     sys.path[:0] = [str(source), str(ROOT / "tests")]
     tvpm = importlib.import_module("tvpm")
-    return tvpm, importlib.import_module("tvpm.solver"), importlib.import_module("gen")
+    return (
+        tvpm,
+        importlib.import_module("tvpm.solver"),
+        importlib.import_module("tvpm.lp"),
+        importlib.import_module("gen"),
+    )
 
 
-def counting(solver, counts: dict[str, int]) -> None:
-    """Wrap the search's names in ``solver`` so that they count.  Without
-    ``_decide`` every program goes to ``lp_solve`` and counts as both."""
+def counting(solver, lp, counts: dict[str, int]) -> None:
+    """Wrap the search's names in ``solver``, and the pivot in ``lp``, so
+    that they count.  Without ``_decide`` every program goes to
+    ``lp_solve`` and counts as both."""
     enumerate_partitions = solver.enumerate_partitions
     lp_solve = solver.lp_solve
     decide = getattr(solver, "_decide", None)
@@ -94,7 +103,14 @@ def counting(solver, counts: dict[str, int]) -> None:
             counts["programs"] += 1
         return lp_solve(lp)
 
+    pivot = lp._pivot
+
+    def pivoted(*args):
+        counts["pivots"] += 1
+        return pivot(*args)
+
     solver.enumerate_partitions = listed
+    lp._pivot = pivoted
     solver.lp_solve = solved
     if decide is not None:
         solver._decide = decided
@@ -110,15 +126,15 @@ def main(argv=None) -> int:
         print("usage: python3 tools/frontier.py [DIR]", file=sys.stderr)
         return 2
     checkout = Path(argv[0]).resolve() if argv else ROOT
-    tvpm, solver, gen = load(checkout)
+    tvpm, solver, lp, gen = load(checkout)
     counts = dict.fromkeys(COUNTS, 0)
-    counting(solver, counts)
+    counting(solver, lp, counts)
     print(f"frontier of {checkout}, seeds {SEEDS.start}-{SEEDS.stop - 1}")
     print(
         "| d | r | \\|mu\\| | n | median | max "
-        "| partitions (sum) | programs (sum) | LPs (sum) |"
+        "| partitions (sum) | programs (sum) | LPs (sum) | pivots (sum) |"
     )
-    print("|---|---|---|---|---|---|---|---|---|")
+    print("|---|---|---|---|---|---|---|---|---|---|")
     total = 0.0
     for d, r, mu_size in GRID:
         runs = []
