@@ -53,6 +53,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except OSError as exc:
         print(f"cannot read or write file: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    except RecursionError:
+        print(
+            "internal error: the partition walk nests deeper than Python's "
+            f"recursion limit ({sys.getrecursionlimit()})",
+            file=sys.stderr,
+        )
+        return EXIT_INTERNAL
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -56,13 +56,17 @@ The walk holds blocks and pools as point bitmasks (``_axes``).  On each axis
 the points are numbered in order of their values, so a block's least and
 greatest value sit at its lowest and highest set bit, and ``left[k-1]`` and
 ``left[-k]`` at the lowest and highest set bit of the leftover mask once
-``k - 1`` of its bits are cleared from that end.  Appending a vertex to a
-block is one OR per axis; a block gets a tuple only once it passes the cut,
-and a block too large to leave a vertex for each block to come is never
+``k - 1`` of its bits are cleared from that end.  One generator lists a
+block and everything after it: it grows the block depth-first from a
+stack of (block, next vertex, bits) entries and recurses only into the
+next block, so a walk nests one generator per block.  Appending a vertex
+to a block is one OR per axis, done when its entry is popped, so a search
+that stops at its first hit builds nothing for the entries left behind.
+A block too large to leave a vertex for each block to come is never
 built.  Nor is any block grown from one whose leftover vertices already
 fail the cut against the running box from before it: growing a block only
 raises ``left[k-1]`` and lowers ``left[-k]``.  Without points the walk has
-no axes and does no axis work.
+no axes and no axis work, and without a coloring every color bit is 0.
 
 The lift puts every point on the hyperplane ``<x, (w, -alpha)> = 1``, and
 its weights are linear in its vectors: ``N_t = <H_t, v>`` for one ``v``.
@@ -206,7 +210,7 @@ def enumerate_partitions(
         bits, keys = _axes(points)
 
     yield from _walk(
-        _Listing(keys, bits, colors, coloring is not None),
+        _Listing(keys, bits, colors),
         list(range(n_points)),
         [(1 << n_points) - 1] * len(keys),
         r,
@@ -215,66 +219,47 @@ def enumerate_partitions(
 
 
 # What every node of one listing shares: the keys and point bits of
-# ``_axes``, each vertex's color bit, and whether there is a coloring.  The
-# walk's generators are module functions that take it as an argument, so
-# that no closure refers to itself and a finished walk leaves no reference
-# cycle for the garbage collector.
-_Listing = namedtuple("_Listing", "keys bits colors colored")
+# ``_axes`` and each vertex's color bit.  The walk is a module function that
+# takes it as an argument, so that no closure refers to itself and a
+# finished walk leaves no reference cycle for the garbage collector.
+_Listing = namedtuple("_Listing", "keys bits colors")
 
 
 def _walk(
     listing: _Listing, pool: list[int], masks: list[int], k: int, box: _Box
 ) -> Iterator[Blocks]:
     """The partitions of ``pool`` into ``k`` blocks whose boxes meet inside
-    ``box``; ``masks`` holds the pool's bits on each axis."""
+    ``box``; ``masks`` holds the pool's bits on each axis.  The first
+    block grows from a stack of (block, pool position of the vertex it
+    adds, the block's axis bits, its color bits), siblings pushed in
+    reverse so that blocks come off in canonical order."""
+    keys, bits, colors = listing
     if k == 1:
-        if not listing.colored or _rainbow(pool, listing.colors):
+        if _rainbow(pool, colors):
             yield (tuple(pool),)
         return
-    first = pool[0]
-    held = listing.bits[first]
-    used = listing.colors[first]
-    yield from _grow(listing, pool, masks, k, box, [first], 1, held, used)
-
-
-def _grow(
-    listing: _Listing,
-    pool: list[int],
-    masks: list[int],
-    k: int,
-    box: _Box,
-    block: list[int],
-    start: int,
-    held: list[int],
-    used: int,
-) -> Iterator[Blocks]:
-    """The partitions that ``_walk`` lists whose first block is ``block``
-    (its bits ``held`` on each axis, its color bits ``used``), or ``block``
-    grown by vertices of pool[start:]."""
-    keys, bits, colors, _ = listing
-    narrowed = _narrow(keys, held, masks, box, k - 1) if keys else box
-    if narrowed is False:
-        # No block grown from this one passes the cut either.
-        return
-    if narrowed is not None:
-        head = tuple(block)
-        rest = [v for v in pool if v not in block]
-        left = [m ^ h for m, h in zip(masks, held)]
-        for tail in _walk(listing, rest, left, k - 1, narrowed):
-            yield (head,) + tail
     # The largest block leaves a vertex for each block to come.
-    if len(block) == len(pool) - k + 1:
-        return
-    for t in range(start, len(pool)):
+    largest = len(pool) - k + 1
+    stack = [((), 0, [0] * len(keys), 0)]
+    while stack:
+        block, t, held, used = stack.pop()
         v = pool[t]
-        if used & colors[v]:
+        block += (v,)
+        held = [h | b for h, b in zip(held, bits[v])]
+        used |= colors[v]
+        narrowed = _narrow(keys, held, masks, box, k - 1)
+        if narrowed is False:
+            # No block grown from this one passes the cut either.
             continue
-        block.append(v)
-        grown = [h | b for h, b in zip(held, bits[v])] if keys else held
-        yield from _grow(
-            listing, pool, masks, k, box, block, t + 1, grown, used | colors[v]
-        )
-        block.pop()
+        if narrowed is not None:
+            rest = [u for u in pool if u not in block]
+            left = [m ^ h for m, h in zip(masks, held)]
+            for tail in _walk(listing, rest, left, k - 1, narrowed):
+                yield (block,) + tail
+        if len(block) < largest:
+            for s in range(len(pool) - 1, t, -1):
+                if not used & colors[pool[s]]:
+                    stack.append((block, s, held, used))
 
 
 def _axes(points: Sequence[Sequence]) -> tuple[list[list[int]], list[tuple]]:

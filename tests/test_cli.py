@@ -9,7 +9,9 @@ from pathlib import Path
 
 import pytest
 
+import gen
 from tvpm.cli import main as cli_main
+from tvpm.model import serialize_configuration
 
 FIXTURES = Path(__file__).parent / "fixtures"
 LINE3 = FIXTURES / "line3.txt"
@@ -430,6 +432,33 @@ class TestSubprocess:
     def test_usage_error_exits_two(self):
         result = self.run("solve")
         assert result.returncode == 2
+
+    @pytest.mark.parametrize("command", ["solve", "oracle"])
+    def test_a_walk_deeper_than_the_recursion_limit_is_one_line(
+        self, tmp_path, command
+    ):
+        # The walk nests one generator per block, about r + 20 frames above
+        # the entry point; a limit of 50 leaves room to parse the arguments
+        # and the file, but not for a walk of 60 blocks.
+        config = tmp_path / "deep.txt"
+        config.write_text(
+            serialize_configuration(gen.separable_configuration(0, 1, 60, 1))
+        )
+        program = (
+            "import sys; from tvpm.cli import main; "
+            "sys.setrecursionlimit(50); sys.exit(main(sys.argv[1:]))"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", program, command, "--input", str(config)],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 1
+        assert result.stdout == ""
+        assert result.stderr == (
+            "internal error: the partition walk nests deeper than Python's "
+            "recursion limit (50)\n"
+        )
 
     def test_round_trip_and_cross_process_determinism(self, tmp_path):
         first = self.run("solve", "--input", str(LINE3))

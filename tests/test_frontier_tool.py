@@ -2,41 +2,40 @@
 
 from __future__ import annotations
 
-import importlib.util
 import re
 import subprocess
 import sys
 from pathlib import Path
 
 import gen
+from search_counts import load_frontier
 from tvpm import lp, plus_minus_partition, solver
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS_RUN = range(2)
 
 
-def load_frontier():
-    spec = importlib.util.spec_from_file_location(
-        "frontier_tool", ROOT / "tools" / "frontier.py"
-    )
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_a_small_grid_prints_one_row_per_cell(monkeypatch, capsys):
     frontier = load_frontier()
     monkeypatch.setattr(frontier, "GRID", ((2, 3, 2), (4, 2, 1)))
     monkeypatch.setattr(frontier, "SEEDS", SEEDS_RUN)
-    # main() wraps these names and sets these for the process it runs in;
-    # give them back after.
-    monkeypatch.setattr(solver, "enumerate_partitions", solver.enumerate_partitions)
-    monkeypatch.setattr(solver, "_decide", solver._decide)
-    monkeypatch.setattr(solver, "lp_solve", solver.lp_solve)
-    monkeypatch.setattr(lp, "_pivot", lp._pivot)
+    # main() sets these for the process it runs in; give them back after.
     monkeypatch.setattr(sys, "path", list(sys.path))
     monkeypatch.setattr(sys, "dont_write_bytecode", sys.dont_write_bytecode)
+    wrapped = (
+        solver.enumerate_partitions,
+        solver._decide,
+        solver.lp_solve,
+        lp._pivot,
+    )
     assert frontier.main([str(ROOT)]) == 0
+    # The names it counts through are given back.
+    assert (
+        solver.enumerate_partitions,
+        solver._decide,
+        solver.lp_solve,
+        lp._pivot,
+    ) == wrapped
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == f"frontier of {ROOT}, seeds 0-1"
     rows = [line.split("|")[1:-1] for line in lines[3:-1]]
@@ -60,10 +59,10 @@ def test_a_small_grid_prints_one_row_per_cell(monkeypatch, capsys):
     assert tuple(int(c) for c in rows[1][6:9]) == (0, 0, 0)
     assert int(rows[1][9]) >= len(SEEDS_RUN)
     # The counts are sums over the seeds, whichever seed ran slowest.
-    counts = dict.fromkeys(frontier.COUNTS, 0)
-    frontier.counting(solver, lp, counts)
-    for seed in SEEDS_RUN:
-        plus_minus_partition(gen.separable_configuration(seed, 2, 3, 2))
+    with frontier.counting(solver, lp) as counts:
+        for seed in SEEDS_RUN:
+            plus_minus_partition(gen.separable_configuration(seed, 2, 3, 2))
+    assert counts["searches"] == len(SEEDS_RUN)
     assert (partitions, programs, lps, pivots) == tuple(
         counts[c] for c in frontier.COUNTS
     )

@@ -19,8 +19,9 @@ import pytest
 
 import fraction_lift
 import gen
+from search_counts import counting
 from test_certificate_digests import DIGESTS
-from tvpm import pipeline, plus_minus_partition, solver
+from tvpm import lp, pipeline, plus_minus_partition, solver
 from tvpm.errors import DegenerateLift, InternalError, SeparationInfeasible
 from tvpm.lp import integer_points, lp_solve
 from tvpm.model import CLASSICAL, COLORED, Configuration, tverberg_point_count
@@ -119,34 +120,6 @@ class TestIntegerLift:
             assert result == (cert.beta, cert.coefficients, cert.point_b)
             solves += 1
         assert solves >= 50, solves
-
-
-def counted(monkeypatch) -> dict:
-    """Searches, listed partitions, programs decided and simplex LPs made
-    through ``tvpm.solver``'s globals from this call on."""
-    counts = {"searches": 0, "partitions": 0, "programs": 0, "lps": 0}
-    enumerate_original = solver.enumerate_partitions
-    decide_original = solver._decide
-    lp_original = solver.lp_solve
-
-    def counting_enumerate(*args, **kwargs):
-        counts["searches"] += 1
-        for blocks in enumerate_original(*args, **kwargs):
-            counts["partitions"] += 1
-            yield blocks
-
-    def counting_decide(lp):
-        counts["programs"] += 1
-        return decide_original(lp)
-
-    def counting_lp(lp):
-        counts["lps"] += 1
-        return lp_original(lp)
-
-    monkeypatch.setattr(solver, "enumerate_partitions", counting_enumerate)
-    monkeypatch.setattr(solver, "_decide", counting_decide)
-    monkeypatch.setattr(solver, "lp_solve", counting_lp)
-    return counts
 
 
 def _admits(signs, blocks) -> bool:
@@ -279,25 +252,30 @@ class TestTwoBlockDependence:
         ids=["repeated", "coincident", "collinear"],
     )
     def test_rank_deficient_inputs_keep_one_lp_per_partition(
-        self, monkeypatch, points, mu
+        self, points, mu
     ):
         points = tuple(tuple(map(F, p)) for p in points)
         config = Configuration(len(points[0]), 2, points, CLASSICAL, mu=mu)
         lifted = lift_configuration(config, hyperplane_of(config))
         _, signs = solver._dependences(lifted.vectors, lifted.weights, 2)
         assert signs is None
-        counts = counted(monkeypatch)
-        cert = plus_minus_partition(config)
+        with counting(solver, lp) as counts:
+            cert = plus_minus_partition(config)
         assert verify_certificate(config, cert).accepted
         assert counts["searches"] == 1
         # Each program is singular, so the simplex decides it.
         assert counts["lps"] == counts["programs"] == counts["partitions"] >= 1
 
-    def test_no_walk_and_no_search_lp_per_solve(self, monkeypatch):
-        counts = counted(monkeypatch)
-        for seed in range(5):
-            plus_minus_partition(gen.separable_configuration(seed, 4, 2, 1))
-        assert counts == {"searches": 0, "partitions": 0, "programs": 0, "lps": 0}
+    def test_no_walk_and_no_search_lp_per_solve(self):
+        with counting(solver, lp) as counts:
+            for seed in range(5):
+                plus_minus_partition(gen.separable_configuration(seed, 4, 2, 1))
+        assert (
+            counts["searches"],
+            counts["partitions"],
+            counts["programs"],
+            counts["lps"],
+        ) == (0, 0, 0, 0)
 
     def test_a_corrupted_dependence_is_an_internal_error(self, monkeypatch):
         original = solver._dependences

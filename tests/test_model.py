@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -109,7 +111,15 @@ class TestConfigurationParsing:
             (lambda t: t.replace("mode classical", "mode plusminus"), "mode"),
             (lambda t: t + "stray\n", "trailing"),
             (lambda t: t.replace("d 1", "d 0"), None),
+            # d 0 with points of no coordinates reaches the validator.
+            (
+                lambda t: re.sub(r"^(\d) : \d$", r"\1 :", t, flags=re.M).replace(
+                    "d 1", "d 0"
+                ),
+                "dimension d must be at least 1",
+            ),
             (lambda t: t.replace("r 2", "r 1"), None),
+            (lambda t: t.replace("points 3", "points 0"), "point count must be positive"),
         ],
     )
     def test_rejects_malformed_configuration(self, mangle, fragment):
@@ -133,6 +143,9 @@ class TestConfigurationParsing:
             (lambda t: t.replace("C3 : 3\n", ""), None),
             (lambda t: t.replace("C3 : 3", "C3 : 3 5"), "two color classes"),
             (lambda t: t.replace("C3 : 3", "C3 : 9"), None),
+            (lambda t: t.replace("C3 : 3", "C3 :"), "class 3 is empty"),
+            (lambda t: t.replace("C0 : 0 4", "C0 : 0"), "cover every vertex"),
+            (lambda t: t.replace("colors 4", "colors 0"), "colors count must be positive"),
         ],
     )
     def test_rejects_bad_colorings(self, mangle, fragment):
@@ -193,6 +206,29 @@ class TestValidateConfiguration:
         with pytest.raises(ParseError, match="range"):
             validate_configuration(self._config(mu=(5,)))
 
+    # The parser sorts mu and every color class and accepts only the two
+    # modes, so these reach the validator on built configurations alone.
+    def test_rejects_unknown_mode(self):
+        with pytest.raises(ParseError, match="unknown mode"):
+            validate_configuration(self._config(mode="plusminus"))
+
+    def test_rejects_unsorted_mu(self):
+        with pytest.raises(ParseError, match="mu indices must be strictly"):
+            validate_configuration(self._config(mu=(2, 1)))
+
+    def test_rejects_unsorted_color_class(self):
+        points = tuple((F(i),) for i in range(tverberg_point_count(1, 3)))
+        coloring = ((1, 0), (2, 3), (4,))
+        config = Configuration(1, 3, points, COLORED, coloring=coloring)
+        with pytest.raises(ParseError, match="class 0 indices must be strictly"):
+            validate_configuration(config)
+
+    def test_a_number_over_the_digit_limit_is_named_not_printed(self):
+        # The expected point count of d = 10**5000 has more digits than
+        # ``str`` converts.
+        with pytest.raises(ParseError, match="over the 4300-digit limit"):
+            validate_configuration(self._config(d=10**5000))
+
 
 class TestCertificateParsing:
     def test_parse_golden(self):
@@ -236,6 +272,15 @@ class TestCertificateParsing:
             (lambda t: t.replace("tvpm-cert v1", "tvpm-cert v9"), "header"),
             (lambda t: t.replace("B1 : 1 2", "B1 : 1 " + "2" * 5000), "digit limit"),
             (lambda t: t.replace("coeff 2 : -1/2", "coeff 2 : -1/" + "2" * 5000), "digit limit"),
+            (lambda t: t.replace("w : -1", "w : -1 2"), "w has 2 coordinates"),
+            (lambda t: t.replace("b : 0", "b :"), "b line has no values"),
+            (
+                lambda t: t.replace("r 2", "r 1")
+                .replace("blocks 2", "blocks 1")
+                .replace("B0 : 0\nB1 : 1 2", "B0 : 0 1 2"),
+                "at least two blocks",
+            ),
+            (lambda t: t.replace("B1 : 1 2", "B1 :"), "block is empty"),
         ],
     )
     def test_rejects_malformed_certificate(self, mangle, fragment):
@@ -254,3 +299,17 @@ class TestCertificateParsing:
         )
         with pytest.raises(ParseError, match="union"):
             validate_certificate_structure(broken)
+
+    # The parser checks ``b`` and ``w`` against the header's d first.
+    def test_structure_validator_rejects_a_point_without_coordinates(self):
+        cert = replace(parse_certificate(LINE3_CERT), point_b=())
+        with pytest.raises(ParseError, match="point has no coordinates"):
+            validate_certificate_structure(cert)
+
+    @pytest.mark.parametrize("hyperplane", [None, Hyperplane((F(1), F(1)), F(0))])
+    def test_structure_validator_rejects_a_hyperplane_of_another_dimension(
+        self, hyperplane
+    ):
+        cert = replace(parse_certificate(LINE3_CERT), hyperplane=hyperplane)
+        with pytest.raises(ParseError, match="hyperplane dimension mismatch"):
+            validate_certificate_structure(cert)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gc
 import random
+import sys
 from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
@@ -14,9 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gen
-from tvpm import plus_minus_partition, solver
+from tvpm import lp, plus_minus_partition, solver
 from tvpm.errors import InternalError
 from bareiss import affine_dependence
+from search_counts import counting
 from tuple_walk import reference_partitions
 from tvpm.lp import INFEASIBLE, LpResult, integer_points, lp_solve
 from tvpm.separation import lift_configuration, separating_hyperplane
@@ -175,6 +177,11 @@ class TestBoxPruning:
         with pytest.raises(ValueError, match="points"):
             list(enumerate_partitions(3, 2, points=((F(0),), (F(1),))))
 
+    def test_points_must_have_one_length(self):
+        points = ((F(0),), (F(1), F(2)), (F(3),))
+        with pytest.raises(ValueError, match="unequal lengths"):
+            list(enumerate_partitions(3, 2, points=points))
+
     def test_one_cut_needs_one_value_for_every_block_to_come(self):
         # The running box is [0, 10] and the leftover keys are {0, 10}: each
         # bound alone has a vertex on its side for both blocks to come, but
@@ -235,7 +242,7 @@ def walk_inputs(draw):
     grid [-2, 2]^d, where ties and duplicate points are common, with or
     without a coloring, with or without points, and with or without the
     search's pairwise sum and difference keys."""
-    r = draw(st.integers(2, 4))
+    r = draw(st.integers(1, 5))
     d = draw(st.integers(1, 3))
     n = draw(st.integers(r, 9))
     points = None
@@ -247,7 +254,7 @@ def walk_inputs(draw):
     coloring = None
     if draw(st.booleans()):
         order = draw(st.permutations(range(n)))
-        cuts = sorted(draw(st.sets(st.integers(1, n - 1))))
+        cuts = sorted(draw(st.sets(st.integers(1, n - 1)))) if n > 1 else []
         bounds = [0, *cuts, n]
         coloring = [sorted(order[a:b]) for a, b in zip(bounds, bounds[1:])]
     return n, r, coloring, points
@@ -261,6 +268,24 @@ class TestBitsetWalk:
     @given(walk_inputs())
     def test_listing_is_the_tuple_walks(self, args):
         assert list(enumerate_partitions(*args)) == list(reference_partitions(*args))
+
+    def test_a_solve_nests_one_frame_per_block(self):
+        # The walk grows each block from a stack and recurses only into the
+        # next block: a d = 1 solve needs about r + 20 frames above its
+        # caller (65 for r = 60), where a frame per vertex needed about 180.
+        r = 60
+        config = gen.separable_configuration(0, 1, r, 1)
+        depth = 0
+        frame = sys._getframe()
+        while frame is not None:
+            frame, depth = frame.f_back, depth + 1
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + r + 20)
+        try:
+            cert = plus_minus_partition(config)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert len(cert.blocks) == r
 
     @pytest.mark.parametrize("colored", [False, True])
     def test_walks_leave_no_reference_cycle(self, colored):
@@ -312,35 +337,6 @@ class TestBitsetWalk:
         assert dropped > 0
 
 
-def counted_search_calls(monkeypatch) -> dict:
-    """Searches, listed partitions, programs decided and simplex LPs made
-    through ``tvpm.solver``'s globals from this call on; the LPs are the
-    programs the elimination left to ``lp_solve``."""
-    counts = {"searches": 0, "partitions": 0, "programs": 0, "lps": 0}
-    enumerate_original = solver.enumerate_partitions
-    decide_original = solver._decide
-    lp_original = solver.lp_solve
-
-    def counting_enumerate(*args, **kwargs):
-        counts["searches"] += 1
-        for blocks in enumerate_original(*args, **kwargs):
-            counts["partitions"] += 1
-            yield blocks
-
-    def counting_decide(lp):
-        counts["programs"] += 1
-        return decide_original(lp)
-
-    def counting_lp(lp):
-        counts["lps"] += 1
-        return lp_original(lp)
-
-    monkeypatch.setattr(solver, "enumerate_partitions", counting_enumerate)
-    monkeypatch.setattr(solver, "_decide", counting_decide)
-    monkeypatch.setattr(solver, "lp_solve", counting_lp)
-    return counts
-
-
 class TestTracedNames:
     """The search looks ``enumerate_partitions`` and ``_decide`` up in
     ``tvpm.solver``'s globals, once per search and once per listed
@@ -350,7 +346,6 @@ class TestTracedNames:
     and ``lp_solve``."""
 
     def test_one_solve_goes_through_both_names(self, monkeypatch):
-        counts = counted_search_calls(monkeypatch)
         refuted = set()
         refuted_original = solver._refuted
 
@@ -366,7 +361,8 @@ class TestTracedNames:
         # On (2, 3, 2) seed 0 the walk's axes cut every partition a kept
         # certificate would refute; on (3, 3, 2) the cache still skips some.
         config = gen.separable_configuration(0, 3, 3, 2)
-        plus_minus_partition(config)
+        with counting(solver, lp) as counts:
+            plus_minus_partition(config)
         assert counts["searches"] == 1
         assert refuted
         assert counts["programs"] == counts["partitions"] - len(refuted) > 1
@@ -495,18 +491,17 @@ class TestFarkasCache:
         [(3, 3, 2, 204, 63, 19), (2, 4, 3, 204, 47, 24)],
         ids=["3-3-2", "2-4-3"],
     )
-    def test_lp_counts_over_five_seeds(
-        self, monkeypatch, d, r, mu_size, partitions, programs, lps
-    ):
-        counts = counted_search_calls(monkeypatch)
-        for seed in range(5):
-            plus_minus_partition(gen.separable_configuration(seed, d, r, mu_size))
-        assert counts == {
-            "searches": 5,
-            "partitions": partitions,
-            "programs": programs,
-            "lps": lps,
-        }
+    def test_lp_counts_over_five_seeds(self, d, r, mu_size, partitions, programs, lps):
+        with counting(solver, lp) as counts:
+            for seed in range(5):
+                config = gen.separable_configuration(seed, d, r, mu_size)
+                plus_minus_partition(config)
+        assert (
+            counts["searches"],
+            counts["partitions"],
+            counts["programs"],
+            counts["lps"],
+        ) == (5, partitions, programs, lps)
 
     @settings(max_examples=400, deadline=None)
     @given(certificates_and_partitions())
@@ -723,3 +718,33 @@ class TestValidatePartition:
         blocks = (first + second[:1], second) + partition.blocks[2:]
         with pytest.raises(InternalError, match="overlap"):
             validate_partition(points, replace(partition, blocks=blocks))
+
+    def test_empty_block_is_refused(self, found):
+        points, partition = found
+        blocks = partition.blocks + ((),)
+        with pytest.raises(InternalError, match="empty block"):
+            validate_partition(points, replace(partition, blocks=blocks))
+
+    def test_index_out_of_range_is_refused(self, found):
+        points, partition = found
+        blocks = partition.blocks + ((len(points),),)
+        with pytest.raises(InternalError, match="out of range"):
+            validate_partition(points, replace(partition, blocks=blocks))
+
+    def test_coefficient_keys_must_match_the_blocks(self, found):
+        points, partition = found
+        coefficients = dict(partition.coefficients)
+        del coefficients[partition.blocks[0][0]]
+        with pytest.raises(InternalError, match="coefficient keys"):
+            validate_partition(
+                points, replace(partition, coefficients=coefficients)
+            )
+
+    def test_block_sum_must_be_one(self, found):
+        points, partition = found
+        coefficients = dict(partition.coefficients)
+        coefficients[partition.blocks[0][0]] += 1
+        with pytest.raises(InternalError, match="sum to 1"):
+            validate_partition(
+                points, replace(partition, coefficients=coefficients)
+            )

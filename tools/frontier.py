@@ -13,12 +13,12 @@ seeds, and, summed over all the seeds, the partitions the search listed
 ``_decide`` calls), the simplex LPs among them (its ``lp_solve`` calls:
 the programs that elimination could not decide), and the simplex pivots of
 the whole solve (``tvpm.lp._pivot`` calls): those of the separation LP and
-of the search's LPs.  In a checkout without ``_decide`` every program is an
-LP, and the two columns agree.  The sums do not depend on which seed ran
-slowest, so rows compare from run to run and between checkouts.  The
-counts come from wrapping those names in ``tvpm.solver``, the module the
+of the search's LPs.  The sums do not depend on which seed ran slowest, so
+rows compare from run to run and between checkouts.  The counts come from
+``counting``, which wraps those names in ``tvpm.solver``, the module the
 search looks them up in, and ``_pivot`` in ``tvpm.lp``, where the simplex
-loop looks it up.  Times are thread CPU time and include the wrappers'
+loop looks it up, and gives them back when the grid is done; the tests
+count through it too.  Times are thread CPU time and include the wrappers'
 small cost.
 The last line is the whole grid's thread time, every cell and seed.
 
@@ -37,7 +37,9 @@ import importlib
 import statistics
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
+from typing import Iterator
 
 ROOT = Path(__file__).resolve().parent.parent
 # (d, r, |mu|): ROADMAP's frontier table.  The d = 1 cells decide one search
@@ -80,40 +82,47 @@ def load(checkout: Path):
     )
 
 
-def counting(solver, lp, counts: dict[str, int]) -> None:
-    """Wrap the search's names in ``solver``, and the pivot in ``lp``, so
-    that they count.  Without ``_decide`` every program goes to
-    ``lp_solve`` and counts as both."""
+@contextmanager
+def counting(solver, lp) -> Iterator[dict[str, int]]:
+    """Counts of the searches (``enumerate_partitions`` calls) and of
+    ``COUNTS`` made inside the ``with`` block, through ``solver``'s
+    ``enumerate_partitions``, ``_decide`` and ``lp_solve`` and ``lp``'s
+    ``_pivot``; every name is given back on exit."""
+    counts = dict.fromkeys(("searches", *COUNTS), 0)
     enumerate_partitions = solver.enumerate_partitions
+    decide = solver._decide
     lp_solve = solver.lp_solve
-    decide = getattr(solver, "_decide", None)
+    pivot = lp._pivot
 
     def listed(*args, **kwargs):
+        counts["searches"] += 1
         for blocks in enumerate_partitions(*args, **kwargs):
             counts["partitions"] += 1
             yield blocks
 
-    def decided(lp):
+    def decided(program):
         counts["programs"] += 1
-        return decide(lp)
+        return decide(program)
 
-    def solved(lp):
+    def solved(program):
         counts["lps"] += 1
-        if decide is None:
-            counts["programs"] += 1
-        return lp_solve(lp)
-
-    pivot = lp._pivot
+        return lp_solve(program)
 
     def pivoted(*args):
         counts["pivots"] += 1
         return pivot(*args)
 
     solver.enumerate_partitions = listed
-    lp._pivot = pivoted
+    solver._decide = decided
     solver.lp_solve = solved
-    if decide is not None:
-        solver._decide = decided
+    lp._pivot = pivoted
+    try:
+        yield counts
+    finally:
+        solver.enumerate_partitions = enumerate_partitions
+        solver._decide = decide
+        solver.lp_solve = lp_solve
+        lp._pivot = pivot
 
 
 def seconds(value: float) -> str:
@@ -127,8 +136,6 @@ def main(argv=None) -> int:
         return 2
     checkout = Path(argv[0]).resolve() if argv else ROOT
     tvpm, solver, lp, gen = load(checkout)
-    counts = dict.fromkeys(COUNTS, 0)
-    counting(solver, lp, counts)
     print(f"frontier of {checkout}, seeds {SEEDS.start}-{SEEDS.stop - 1}")
     print(
         "| d | r | \\|mu\\| | n | median | max "
@@ -136,22 +143,25 @@ def main(argv=None) -> int:
     )
     print("|---|---|---|---|---|---|---|---|---|---|")
     total = 0.0
-    for d, r, mu_size in GRID:
-        runs = []
-        for seed in SEEDS:
-            config = gen.separable_configuration(seed, d, r, mu_size)
-            counts.update(dict.fromkeys(COUNTS, 0))
-            start = time.thread_time()
-            tvpm.plus_minus_partition(config)
-            runs.append((time.thread_time() - start, *(counts[c] for c in COUNTS)))
-        times, *sums = zip(*runs)
-        total += sum(times)
-        n = len(config.points)
-        print(
-            f"| {d} | {r} | {mu_size} | {n} | {seconds(statistics.median(times))} | "
-            f"{seconds(max(times))} | {' | '.join(str(sum(c)) for c in sums)} |",
-            flush=True,
-        )
+    with counting(solver, lp) as counts:
+        for d, r, mu_size in GRID:
+            runs = []
+            for seed in SEEDS:
+                config = gen.separable_configuration(seed, d, r, mu_size)
+                counts.update(dict.fromkeys(COUNTS, 0))
+                start = time.thread_time()
+                tvpm.plus_minus_partition(config)
+                elapsed = time.thread_time() - start
+                runs.append((elapsed, *(counts[c] for c in COUNTS)))
+            times, *sums = zip(*runs)
+            total += sum(times)
+            n = len(config.points)
+            print(
+                f"| {d} | {r} | {mu_size} | {n} | "
+                f"{seconds(statistics.median(times))} | {seconds(max(times))} | "
+                f"{' | '.join(str(sum(c)) for c in sums)} |",
+                flush=True,
+            )
     print(f"grid total: {seconds(total)} thread time")
     return 0
 
