@@ -60,8 +60,10 @@ column pairs and gives each row a slack, so it pivots on ``d + 1`` stored
 columns instead of ``2(d + 1) + n``.  Twins are read off the starting
 dictionary, whoever the caller: an objective entry is minus its column's
 sum, so only columns with opposite entries are compared, and only a column
-whose entry is 1 can be a slack.  The search's and the oracle's programs
-have no twins, and keep every column.
+whose entry is 1 can be a slack.  One path serves every program: the
+search's and the oracle's have no twins, so their twin map is empty, every
+column is stored, and the entering scan is Bland's plain one, the least
+index whose reduced cost is negative.
 
 The starting dictionary is built from one common denominator ``L`` of the
 program, with ``D = 1``, after every row with a negative right-hand side is
@@ -123,7 +125,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
-from operator import neg
 from typing import Iterable, Optional, Sequence, Union
 
 from .errors import InternalError
@@ -225,12 +226,11 @@ def lp_solve(lp: LinearProgram) -> LpResult:
         # (see the module docstring), 0 while it is basic.  A twin's is
         # shift * D minus its partner's, whether that one is stored or basic.
         reduced = dict(zip(nonbasic, [col[-1] for col in cols]))
-        if twins:
-            reduced.update(dict.fromkeys(basis, 0))
-            for v, (partner, shift) in twins.items():
-                if v in reduced and partner not in reduced:
-                    reduced[partner] = shift * d - reduced[v]
-        u = [d - reduced.get(a, 0) for a in range(n, n + m)]
+        reduced.update(dict.fromkeys(basis, 0))
+        for v, (partner, shift) in twins.items():
+            if v in reduced and partner not in reduced:
+                reduced[partner] = shift * d - reduced[v]
+        u = [d - reduced[a] for a in range(n, n + m)]
         multipliers = tuple(-y if f else y for y, f in zip(u, flipped))
         return LpResult(INFEASIBLE, multipliers=multipliers)
 
@@ -291,10 +291,8 @@ def _dictionary(lp: LinearProgram):
     rhs = [abs(bi) // gb for bi in b]
     rhs.append(-sum(rhs))
     twins = _twins(cols, n, m)
-    nonbasic = list(range(n))
-    if twins:
-        nonbasic = [j for j in nonbasic if j not in twins or j < twins[j][0] < n]
-        cols = [cols[j] for j in nonbasic]
+    nonbasic = [j for j in range(n) if j not in twins or j < twins[j][0] < n]
+    cols = [cols[j] for j in nonbasic]
     return cols, rhs, nonbasic, twins, gs, gb, flipped
 
 
@@ -313,20 +311,16 @@ def _twins(cols, n, m) -> dict[int, tuple[int, int]]:
     pairs with artificial ``n + i`` (shift 1) unless an earlier slack of
     row ``i`` did.  Then each remaining column pairs with the first
     remaining earlier one that is its negation (shift 0), compared only
-    where the reduced costs are opposite.
+    where the reduced costs are opposite.  A program without twins, the
+    search's and the oracle's, runs the same scans and gets an empty map.
     """
     twins = {}
     sums = [col[-1] for col in cols]
-    present = set(sums)
-    if 1 in present:
-        for j, c in enumerate(sums):
-            if c == 1 and cols[j].count(0) == m - 1:
-                a = n + cols[j].index(-1)
-                if a not in twins:
-                    twins[j], twins[a] = (a, 1), (j, 1)
-    present.discard(0)
-    if sums.count(0) < 2 and present.isdisjoint(map(neg, present)):
-        return twins
+    for j, c in enumerate(sums):
+        if c == 1 and cols[j].count(0) == m - 1:
+            a = n + cols[j].index(-1)
+            if a not in twins:
+                twins[j], twins[a] = (a, 1), (j, 1)
     earlier = {}
     for j, (col, c) in enumerate(zip(cols, sums)):
         if j in twins:
@@ -341,18 +335,12 @@ def _twins(cols, n, m) -> dict[int, tuple[int, int]]:
 
 
 def _minimize(cols, rhs, basis, nonbasic, twins, d) -> int:
-    """Bland's rule simplex loop; ``cols``, ``rhs``, ``basis`` and
-    ``nonbasic`` mutate.  Returns the new denominator."""
+    """Bland's rule simplex loop for every program, with or without twins;
+    ``cols``, ``rhs``, ``basis`` and ``nonbasic`` mutate.  Returns the new
+    denominator."""
     while True:
         # Entering: the least variable index with a negative reduced cost.
-        if twins:
-            pk = _entering_twin(cols, nonbasic, twins, d)
-        else:
-            pk = min(
-                (k for k, col in enumerate(cols) if col[-1] < 0),
-                key=nonbasic.__getitem__,
-                default=None,
-            )
+        pk = _entering_twin(cols, nonbasic, twins, d)
         if pk is None:
             return d
         pcol = cols[pk]
@@ -376,11 +364,12 @@ def _minimize(cols, rhs, basis, nonbasic, twins, d) -> int:
 
 
 def _entering_twin(cols, nonbasic, twins, d) -> Optional[int]:
-    """Bland's entering position when some variables have twins: each
-    stored column's candidate is its own variable when its reduced cost
-    ``c`` is negative, else its twin when the twin's, ``shift * D - c``, is
+    """Bland's entering position, for every program: each stored column's
+    candidate is its own variable when its reduced cost ``c`` is negative,
+    else its twin, if it has one, when the twin's, ``shift * D - c``, is
     (see the module docstring), weighed by the candidate's own index.  When
     the twin wins, its column, the stored one negated, takes the position.
+    With no twins this is the least index with ``c < 0``.
     """
     pk = least = None
     for k, col in enumerate(cols):

@@ -196,8 +196,6 @@ def validate_certificate_structure(cert: PlusMinusCertificate) -> None:
             raise ParseError("blocks must be sorted by least vertex")
         previous_min = block[0]
         for idx in block:
-            if idx < 0:
-                raise ParseError(f"negative vertex index {_num(idx)}")
             if idx in seen:
                 raise ParseError(f"blocks overlap at vertex {_num(idx)}")
             seen.add(idx)

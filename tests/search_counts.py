@@ -1,4 +1,9 @@
-"""``tools/frontier.py``, loaded by path, and its search-count wrapper.
+"""Repository scripts loaded by path, and ``tools/frontier.py``'s
+search-count wrapper.
+
+``load(relative_path, name)`` runs the file at ``relative_path`` under the
+repository root as a new module called ``name``; the tools and the
+benchmark's tracer are scripts, not packages, so they are loaded this way.
 
 ``counting(solver, lp)`` is a context manager: inside it the searches,
 listed partitions, programs decided, simplex LPs and pivots made through
@@ -11,14 +16,14 @@ from __future__ import annotations
 import importlib.util
 from pathlib import Path
 
-TOOL = Path(__file__).resolve().parent.parent / "tools" / "frontier.py"
+ROOT = Path(__file__).resolve().parent.parent
 
 
-def load_frontier():
-    spec = importlib.util.spec_from_file_location("frontier_tool", TOOL)
+def load(relative_path: str, name: str):
+    spec = importlib.util.spec_from_file_location(name, ROOT / relative_path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-counting = load_frontier().counting
+counting = load("tools/frontier.py", "frontier_tool").counting

@@ -2,28 +2,19 @@
 
 from __future__ import annotations
 
-import importlib.util
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-ROOT = Path(__file__).resolve().parent.parent
-
-
-def load_ab():
-    spec = importlib.util.spec_from_file_location("ab_tool", ROOT / "tools" / "ab.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from search_counts import ROOT, load
 
 
 @pytest.fixture
 def ab(monkeypatch):
     """``tools/ab.py`` on two instances and one pass; the interpreter state
     it sets for its own process is given back after."""
-    module = load_ab()
+    module = load("tools/ab.py", "ab_tool")
     monkeypatch.setattr(module, "INSTANCES", 2)
     monkeypatch.setattr(module, "PASSES", 1)
     monkeypatch.setattr(sys, "path", list(sys.path))

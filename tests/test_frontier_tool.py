@@ -5,18 +5,16 @@ from __future__ import annotations
 import re
 import subprocess
 import sys
-from pathlib import Path
 
 import gen
-from search_counts import load_frontier
+from search_counts import ROOT, load
 from tvpm import lp, plus_minus_partition, solver
 
-ROOT = Path(__file__).resolve().parent.parent
 SEEDS_RUN = range(2)
 
 
 def test_a_small_grid_prints_one_row_per_cell(monkeypatch, capsys):
-    frontier = load_frontier()
+    frontier = load("tools/frontier.py", "frontier_tool")
     monkeypatch.setattr(frontier, "GRID", ((2, 3, 2), (4, 2, 1)))
     monkeypatch.setattr(frontier, "SEEDS", SEEDS_RUN)
     # main() sets these for the process it runs in; give them back after.

@@ -281,6 +281,13 @@ class TestCertificateParsing:
                 "at least two blocks",
             ),
             (lambda t: t.replace("B1 : 1 2", "B1 :"), "block is empty"),
+            # A negative index is caught by the least-vertex order.
+            (lambda t: t.replace("B0 : 0", "B0 : -1 0"), "sorted by least vertex"),
+            (lambda t: t.replace("b : 0", "b 0"), "expected ':' in b line"),
+            (
+                lambda t: t.replace("beta : 1/2", "beta : 1/2 1"),
+                "beta line takes exactly one value",
+            ),
         ],
     )
     def test_rejects_malformed_certificate(self, mangle, fragment):

@@ -4,23 +4,12 @@ one must still exist, or a traced run stops with AttributeError."""
 from __future__ import annotations
 
 import importlib
-import importlib.util
-from pathlib import Path
 
 import pytest
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+from search_counts import load
 
-
-def load_tracing():
-    """``perfbench/tracing.py`` as a module, loaded from its path alone."""
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-tracing = load_tracing()
+tracing = load("perfbench/tracing.py", "perfbench_tracing")
 
 
 @pytest.mark.parametrize(
