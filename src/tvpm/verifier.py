@@ -16,7 +16,12 @@ this form itself, from the configuration and the certificate alone, on
 every call.  ``oracle_enumerate``
 decides, for every partition independently, whether signed coefficients with
 the required signs can present a common point; it never builds the
-projective lift, so it cross-checks the pipeline by a different route.
+projective lift, so it cross-checks the pipeline by a different route.  It
+first bounds, on each coordinate axis of the original points, the interval
+of values each block can present with its signs (``_intervals_miss``; an
+interval can be unbounded), and drops a partition whose intervals miss
+without posing its program; every other partition's program goes to the
+simplex.
 
 The oracle's program for one partition of ``n`` vertices in dimension ``d``
 into ``r`` blocks has one variable per vertex and ``r + (r - 1) * d`` rows:
@@ -34,6 +39,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import inf
+from operator import gt
 from typing import Optional, Sequence
 
 from .linalg import ZERO, common_denominator, dot, scaled
@@ -145,18 +152,79 @@ def oracle_enumerate(config: Configuration) -> list[Blocks]:
     posed directly in the original coordinates (``_presentation_program``):
     coefficients of marked vertices at most 0, of unmarked vertices at
     least 0, each block summing to 1 and presenting the same point as block
-    0.  Returns the partitions in canonical enumeration order.
+    0.  A partition whose blocks' signed intervals miss on a coordinate axis
+    (``_intervals_miss``) has an infeasible program, so it is dropped
+    before the program is built.  Returns the partitions in canonical
+    enumeration order.
     """
     validate_configuration(config)
     coloring = config.coloring if config.mode == COLORED else None
     q, points = integer_points(config.points)
     members = set(config.mu)
+    intervals: dict[tuple[int, ...], tuple] = {}
     found = []
     for blocks in enumerate_partitions(len(config.points), config.r, coloring):
+        if _intervals_miss(points, members, blocks, intervals):
+            continue
         program = _presentation_program(q, points, members, blocks)
         if lp_solve(program).status == FEASIBLE:
             found.append(blocks)
     return found
+
+
+def _intervals_miss(
+    points: Sequence[Sequence[int]],
+    members: set[int],
+    blocks: Blocks,
+    intervals: dict[tuple[int, ...], tuple],
+) -> bool:
+    """True when a coordinate axis proves that ``blocks`` have no signed
+    presentation of a common point, so their program is infeasible.
+
+    On one axis, let a block's unmarked values (of ``P = q * p``) span
+    ``[umin, umax]`` and its marked values ``[vmin, vmax]``.  Weights that
+    sum to 1, ``>= 0`` on unmarked and ``<= 0`` on marked vertices, present
+    ``(1 + T) * u - T * v``, where ``T >= 0`` is the marked weights'
+    magnitude, ``u`` a convex combination of unmarked values and ``v`` one
+    of marked values.  The weights form a convex set and the value is
+    linear in them, so the block presents an interval, closed where it is
+    finite.  Its low end is ``umin`` (at ``T = 0``) when the block has no
+    marked vertex or ``umin >= vmax``, and ``-inf`` otherwise (``u = umin``,
+    ``v = vmax``, ``T`` growing); likewise its high end is ``umax`` when the
+    block has no marked vertex or ``umax <= vmin``, and ``+inf`` otherwise.
+    A block without an unmarked vertex presents nothing, as weights ``<= 0``
+    do not sum to 1.  The common point lies in every block's interval on
+    every axis, so there is none when some block presents nothing or, on
+    some axis, the largest low end exceeds the smallest high end.
+
+    ``intervals`` keeps each block's low and high ends, one list of each
+    with one entry per axis, for one listing: ``()`` for a block that
+    presents nothing.
+    """
+    lows = highs = None
+    for block in blocks:
+        ends = intervals.get(block)
+        if ends is None:
+            unmarked = [points[i] for i in block if i not in members]
+            marked = [points[i] for i in block if i in members]
+            ends = ()
+            if unmarked:
+                low = [min(axis) for axis in zip(*unmarked)]
+                high = [max(axis) for axis in zip(*unmarked)]
+                if marked:
+                    axes = list(zip(*marked))
+                    low = [u if u >= max(v) else -inf for u, v in zip(low, axes)]
+                    high = [u if u <= min(v) else inf for u, v in zip(high, axes)]
+                ends = low, high
+            intervals[block] = ends
+        if not ends:
+            return True
+        if lows is None:
+            lows, highs = ends
+        else:
+            lows = list(map(max, lows, ends[0]))
+            highs = list(map(min, highs, ends[1]))
+    return any(map(gt, lows, highs))
 
 
 def signed_presentation(

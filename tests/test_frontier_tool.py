@@ -15,7 +15,9 @@ SEEDS_RUN = range(2)
 
 def test_a_small_grid_prints_one_row_per_cell(monkeypatch, capsys):
     frontier = load("tools/frontier.py", "frontier_tool")
-    monkeypatch.setattr(frontier, "GRID", ((2, 3, 2), (4, 2, 1)))
+    monkeypatch.setattr(
+        frontier, "GRID", ((2, 3, 2, False), (4, 2, 1, False), (2, 3, 2, True))
+    )
     monkeypatch.setattr(frontier, "SEEDS", SEEDS_RUN)
     # main() sets these for the process it runs in; give them back after.
     monkeypatch.setattr(sys, "path", list(sys.path))
@@ -37,16 +39,18 @@ def test_a_small_grid_prints_one_row_per_cell(monkeypatch, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == f"frontier of {ROOT}, seeds 0-1"
     rows = [line.split("|")[1:-1] for line in lines[3:-1]]
-    assert [tuple(int(c) for c in row[:4]) for row in rows] == [
-        (2, 3, 2, 7),
-        (4, 2, 1, 6),
+    assert [tuple(c.strip() for c in row[:5]) for row in rows] == [
+        ("2", "3", "2", "classical", "7"),
+        ("4", "2", "1", "classical", "6"),
+        ("2", "3", "2", "colored", "7"),
     ]
+    assert lines[1].startswith("| d | r | \\|mu\\| | mode | n |")
     assert lines[1].endswith(
         "| partitions (sum) | programs (sum) | LPs (sum) | pivots (sum) |"
     )
     # The last line is the whole grid's time, every cell and seed.
     assert re.fullmatch(r"grid total: [0-9.]+ m?s thread time", lines[-1])
-    partitions, programs, lps, pivots = (int(c) for c in rows[0][6:10])
+    partitions, programs, lps, pivots = (int(c) for c in rows[0][7:11])
     assert 2 <= programs <= partitions
     # The simplex decides only what elimination leaves over.
     assert lps <= programs
@@ -54,8 +58,12 @@ def test_a_small_grid_prints_one_row_per_cell(monkeypatch, capsys):
     assert pivots >= len(SEEDS_RUN)
     # Two blocks: the Radon dependence gives the hit, without a walk, a
     # program or an LP; the separation LP's pivots are left.
-    assert tuple(int(c) for c in rows[1][6:9]) == (0, 0, 0)
-    assert int(rows[1][9]) >= len(SEEDS_RUN)
+    assert tuple(int(c) for c in rows[1][7:10]) == (0, 0, 0)
+    assert int(rows[1][10]) >= len(SEEDS_RUN)
+    # The colored cell runs the rainbow search: it lists partitions and
+    # decides programs too.
+    colored_partitions, colored_programs = (int(c) for c in rows[2][7:9])
+    assert 1 <= colored_programs <= colored_partitions
     # The counts are sums over the seeds, whichever seed ran slowest.
     with frontier.counting(solver, lp) as counts:
         for seed in SEEDS_RUN:

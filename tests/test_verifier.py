@@ -4,10 +4,12 @@ brute-force oracle."""
 
 from __future__ import annotations
 
+import random
 import time
 from dataclasses import replace
 from fractions import Fraction
 from functools import cache
+from math import inf
 from pathlib import Path
 from typing import Optional
 
@@ -29,7 +31,14 @@ from tvpm.model import (
 )
 from tvpm.separation import separating_hyperplane, trivial_hyperplane
 from tvpm import verifier
-from tvpm.lp import FEASIBLE, Constraint, LinearProgram, integer_points, lp_solve
+from tvpm.lp import (
+    FEASIBLE,
+    INFEASIBLE,
+    Constraint,
+    LinearProgram,
+    integer_points,
+    lp_solve,
+)
 from tvpm.solver import enumerate_partitions
 from tvpm.verifier import (
     oracle_enumerate,
@@ -460,12 +469,13 @@ def free_point_program(config: Configuration, blocks) -> LinearProgram:
 
 
 def oracle_programs(monkeypatch, config):
-    """The oracle's listing of ``config`` and every program it solved, with
-    the partition each program was built for."""
-    programs, partitions = [], []
+    """The oracle's listing of ``config`` and every partition it listed, each
+    with its program: those its interval test dropped as well as those it
+    solved, which must be the same programs in the same order."""
+    solved, partitions = [], []
 
     def recording_solve(lp):
-        programs.append(lp)
+        solved.append(lp)
         return lp_solve(lp)
 
     def recording_partitions(*args):
@@ -477,6 +487,14 @@ def oracle_programs(monkeypatch, config):
     monkeypatch.setattr(verifier, "enumerate_partitions", recording_partitions)
     listing = oracle_enumerate(config)
     monkeypatch.undo()
+    q, points = integer_points(config.points)
+    members = set(config.mu)
+    programs = [
+        verifier._presentation_program(q, points, members, blocks)
+        for blocks in partitions
+    ]
+    remaining = iter(programs)
+    assert all(program in remaining for program in solved)
     return listing, list(zip(partitions, programs, strict=True))
 
 
@@ -529,6 +547,95 @@ class TestOracleProgram:
                     sum(coefficients[i] * config.points[i][m] for i in block)
                     for m in range(config.d)
                 )
+
+
+# (d, r) cells of the interval test's configurations: every partition goes
+# through ``lp_solve`` for the exhaustive listing, so the cells stay at nine
+# points or fewer.
+SMALL_CELLS = ((1, 2), (1, 3), (1, 4), (2, 2), (2, 3), (3, 2), (3, 3))
+
+
+def small_integer_configuration(seed) -> Configuration:
+    """Coordinates in -2..2, so points tie on an axis and repeat; a random
+    marked set, empty or not; colored classes of at most ``r - 1`` vertices
+    when ``r`` is prime and a coin says so."""
+    rng = random.Random(f"intervals{seed}")
+    d, r = rng.choice(SMALL_CELLS)
+    n = (r - 1) * (d + 1) + 1
+    points = tuple(
+        tuple(F(rng.randint(-2, 2)) for _ in range(d)) for _ in range(n)
+    )
+    mu = tuple(sorted(rng.sample(range(n), rng.randint(0, n // 2))))
+    if r in (2, 3) and rng.random() < 0.5:
+        order = rng.sample(range(n), n)
+        coloring, start = [], 0
+        while start < n:
+            size = rng.randint(1, r - 1)
+            coloring.append(tuple(sorted(order[start : start + size])))
+            start += size
+        return Configuration(
+            d=d, r=r, points=points, mode=COLORED, coloring=tuple(coloring), mu=mu
+        )
+    return Configuration(d=d, r=r, points=points, mode=CLASSICAL, mu=mu)
+
+
+class TestIntervalTest:
+    """The oracle drops a partition, before its LP, only when its blocks'
+    signed intervals miss on a coordinate axis, so it lists what solving
+    every partition's program lists."""
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_dropped_partitions_are_infeasible(self, seed):
+        config = small_integer_configuration(seed)
+        coloring = config.coloring if config.mode == COLORED else None
+        q, points = integer_points(config.points)
+        members = set(config.mu)
+        intervals = {}
+        exhaustive = []
+        for blocks in enumerate_partitions(len(config.points), config.r, coloring):
+            program = verifier._presentation_program(q, points, members, blocks)
+            status = lp_solve(program).status
+            if verifier._intervals_miss(points, members, blocks, intervals):
+                assert status == INFEASIBLE
+            elif status == FEASIBLE:
+                exhaustive.append(blocks)
+        assert oracle_enumerate(config) == exhaustive
+
+    def test_the_configurations_drop_and_list(self):
+        # The seeds above cover both modes, empty and nonempty marked sets,
+        # and both outcomes of the test.
+        configs = [small_integer_configuration(seed) for seed in range(40)]
+        assert {c.mode for c in configs} == {CLASSICAL, COLORED}
+        assert {bool(c.mu) for c in configs} == {False, True}
+        assert {(c.d, c.r) for c in configs} == set(SMALL_CELLS)
+        dropped = kept = 0
+        for config in configs:
+            coloring = config.coloring if config.mode == COLORED else None
+            _, points = integer_points(config.points)
+            members = set(config.mu)
+            for blocks in enumerate_partitions(
+                len(config.points), config.r, coloring
+            ):
+                if verifier._intervals_miss(points, members, blocks, {}):
+                    dropped += 1
+                else:
+                    kept += 1
+        assert dropped and kept
+
+    def test_a_block_of_marked_vertices_presents_nothing(self):
+        # Vertex 2 alone, marked, has no weights summing to 1.
+        _, points = integer_points(LINE3.points)
+        assert verifier._intervals_miss(points, {2}, ((0, 1), (2,)), {})
+
+    def test_a_marked_vertex_opens_the_interval(self):
+        # line3 with mu = {2}: {1, 2} presents 1 + T * (1 - 3), every value
+        # down from 1, which meets {0} at 0; {0, 2} reaches only 0 and down,
+        # which misses {1} at 1.
+        _, points = integer_points(LINE3.points)
+        intervals = {}
+        assert not verifier._intervals_miss(points, {2}, ((0,), (1, 2)), intervals)
+        assert verifier._intervals_miss(points, {2}, ((0, 2), (1,)), intervals)
+        assert intervals[(1, 2)] == ([-inf], [1])
 
 
 class TestSignedPresentation:
