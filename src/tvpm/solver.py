@@ -7,16 +7,20 @@ the first enumerated partition whose blocks' convex hulls share a point, so
 results are deterministic.
 
 The search (``_first_hit``) runs on integer vectors ``H_t`` with weights
-``N_t > 0``, the point ``H_t / N_t`` standing for point ``t``.
-``tverberg_partition`` gives it ``H = P = q * p`` (``integer_points``) and
-``N = q``; the plus-minus pipeline gives it the lift in homogeneous integer
-coordinates (``separation``), where ``H_t / N_t`` is the lifted point.  The
-program of a partition (``_hulls_program``) asks for ``x >= 0`` with block 0's
-weighted sum ``sum(N_t x_t)`` a fixed positive total and every block's
-``sum(H_t x_t)`` equal: ``N_t x_t / total`` are then convex weights of the
-points ``H_t / N_t`` with one common point.  Each column is a positive
-multiple of the rational program's column, so the kernel, which divides
-every column to a primitive one, pivots as it would on the rationals.
+``N_t > 0``, the point ``H_t / N_t`` standing for point ``t``, and every
+input it gets is homogeneous: ``N_t = <H_t, v>`` for one ``v``, so every
+point ``H_t / N_t`` lies on the hyperplane ``<x, v> = 1``.  The plus-minus
+pipeline gives it the lift in homogeneous integer coordinates
+(``separation``), where ``H_t / N_t`` is the lifted point and ``v = (W,
+-A) / K``.  ``tverberg_partition`` gives it ``H = (P, q)`` and ``N = q``,
+with ``P = q * p`` (``integer_points``): the lift with every factor ``s =
+1``, and ``v = e_last``.  The program of a partition (``_hulls_program``)
+asks for ``x >= 0`` with block 0's weighted sum ``sum(N_t x_t)`` a fixed
+positive total and every block's ``sum(H_t x_t)`` equal: ``N_t x_t /
+total`` are then convex weights of the points ``H_t / N_t`` with one common
+point.  Each column is a positive multiple of the rational program's
+column, so the kernel, which divides every column to a primitive one,
+pivots as it would on the rationals.
 
 Hulls can only meet where the blocks' bounding boxes do, so the search walks
 a box-pruned enumeration (``enumerate_partitions`` given the points) and
@@ -68,34 +72,21 @@ fail the cut against the running box from before it: growing a block only
 raises ``left[k-1]`` and lowers ``left[-k]``.  Without points the walk has
 no axes and no axis work, and without a coloring every color bit is 0.
 
-The lift puts every point on the hyperplane ``<x, (w, -alpha)> = 1``, and
-its weights are linear in its vectors: ``N_t = <H_t, v>`` for one ``v``.
-Then block ``j``'s sum row follows from block 0's and block ``j``'s
-coupling rows, so the search decides once, exactly, whether its columns
-are homogeneous in that sense (``_dependences``), and if they are its
-programs keep block 0's sum row alone: ``1 + (r-1)D`` rows instead of ``r +
-(r-1)D`` on vectors of length ``D``.  Other points, such as a flat count on
-a line through the origin, get every row.  The rows dropped are implied,
-so every verdict stays.  Bland's rule follows the rows it is given, so a
-feasible program's point, and with it the certificate's bytes, can differ
-only where the program has more than one feasible point; an infeasible
-program's multipliers read 0 on each dropped row (``_refuter``).
-
-So on the lift every program has ``1 + (r-1)(d+1) = n`` rows for its ``n``
-variables, and the full count of ``tverberg_partition``, with every sum row,
-has ``r + (r-1)d = n``: the program is square.  When its matrix is
-nonsingular the program's rows have exactly one solution, and ``_decide``
-finds it by one fraction-free elimination (Bareiss, Math. Comp. 22, 1968),
-the one ``_dependences`` runs (``_eliminate``), and integer
-back-substitution.  The program is feasible exactly when that solution is
-nonnegative, and it is then the point phase one would return, so the
-certificate's bytes do not depend on which of the two decided it.  An
-infeasible program's Farkas multipliers come from a second elimination, on
-the transpose: they vanish on every column but the one of the solution's
-first negative entry.  Singular programs (a block of more than ``D``
-points, whose columns are then dependent, or repeated or collinear points)
-and non-square ones (a flat count off a hyperplane through the origin) go
-to the simplex, ``lp_solve``.
+No block but block 0 needs a sum row: ``v`` applied to block ``j``'s
+coupling rows gives ``sum(N_t x_t : t in B_0) = sum(N_t x_t : t in B_j)``.
+So on the ``n = 1 + (r-1)D`` vectors of length ``D = d + 1`` that a search
+gets, every program has ``n`` rows for its ``n`` variables: it is square.  When its matrix is nonsingular
+the program's rows have exactly one solution, and ``_decide`` finds it by
+one fraction-free elimination (Bareiss, Math. Comp. 22, 1968), the one
+``_dependence`` runs (``_eliminate``), and integer back-substitution.  The
+program is feasible exactly when that solution is nonnegative, and it is
+then the point phase one would return, so the certificate's bytes do not
+depend on which of the two decided it.  An infeasible program's Farkas
+multipliers come from a second elimination, on the transpose: they vanish
+on every column but the one of the solution's first negative entry.
+Singular programs (a block of more than ``D`` points, whose columns are
+then dependent, or repeated or collinear points) go to the simplex,
+``lp_solve``.
 
 With two blocks the ``d + 2`` columns ``(H_t, N_t)`` of a lift have, when
 the points affinely span ``R^d``, a single linear dependence ``lambda``
@@ -103,19 +94,20 @@ the points affinely span ``R^d``, a single linear dependence ``lambda``
 of Barany and Soberon (Tverberg plus minus, 2018).  A point ``x`` of the
 program on ``(B_0, B_1)`` makes ``eps_t * x_t`` a dependence, with ``eps =
 +1`` on block 0 and ``-1`` on block 1 (the coupling rows give the ``H``
-part; the sum rows, or the homogeneity, the ``N`` part), nonzero on block 0
-since its weighted sum is positive.  So the program has a point exactly
-when ``eps * lambda`` has one sign, and that point is its only one, a
-multiple of ``eps * lambda``.  Both signs occur in ``lambda`` since the
-weights are positive, so block 0 must hold one sign class whole and none of
-the other; the first such block in canonical order takes the class of
-``lambda``'s first nonzero entry and every zero of ``lambda`` below that
-class's last index.  The box cut drops no partition whose hulls meet, and
-with two blocks color classes have one vertex, so every partition is
-rainbow: this is the walk's first hit and its program's point.  The search
-computes ``lambda`` once, by the same fraction-free elimination that
-decides homogeneity, and returns that hit without a walk or an LP, after
-one exact check against its program.  Inputs whose dependences span two or
+part, and ``N = <H, v>`` the ``N`` part), nonzero on block 0 since its
+weighted sum is positive.  So the program has a point exactly when ``eps *
+lambda`` has one sign, and that point is its only one, a multiple of ``eps
+* lambda``.  Both signs occur in ``lambda`` since the weights are positive,
+so block 0 must hold one sign class whole and none of the other; the first
+such block in canonical order takes the class of ``lambda``'s first
+nonzero entry and every zero of ``lambda`` below that class's last index.
+The box cut drops no partition whose hulls meet, and with two blocks color
+classes have one vertex, so every partition is rainbow: this is the walk's
+first hit and its program's point.  As ``N`` is linear in ``H``, the
+dependences of the columns ``(H_t, N_t)`` are those of ``H_t``; the search
+computes ``lambda`` once, by the same fraction-free elimination
+(``_dependence``), and returns that hit without a walk or an LP, after one
+exact check against its program.  Inputs whose dependences span two or
 more dimensions (repeated, coincident or collinear points) walk as above,
 and the simplex decides each listed partition, its program being
 singular.
@@ -372,7 +364,8 @@ def hulls_intersect(
     q, points = integer_points(p for blk in blocks for p in blk)
     starts = [0, *accumulate(len(b) for b in blocks)]
     indices = tuple(tuple(range(a, b)) for a, b in zip(starts, starts[1:]))
-    result = lp_solve(_hulls_program(q, points, [q] * len(points), indices))
+    columns = [(*p, q) for p in points]
+    result = lp_solve(_hulls_program(q, columns, [q] * len(columns), indices))
     if result.status != FEASIBLE:
         return None
     return _meeting_point(blocks, result.point)
@@ -383,36 +376,30 @@ def _hulls_program(
     vectors: Sequence[Sequence[int]],
     weights: Sequence[int],
     blocks: Blocks,
-    homogeneous: bool = False,
 ) -> LinearProgram:
     """The program of ``blocks`` (tuples of indices into ``vectors``) on the
-    vectors ``H_t`` with weights ``N_t > 0``.
+    vectors ``H_t`` with weights ``N_t = <H_t, v> > 0`` for one ``v``.
 
-    One variable ``x_t >= 0`` per point, in block order; then the rows
-    ``sum(N_t x_t : t in B_j) = total``, one per block ``j``, and for each
-    block ``j >= 1`` and axis ``m``, ``sum(H_t[m] x_t : t in B_0) -
-    sum(H_t[m] x_t : t in B_j) = 0``.  It has a point exactly when the
-    blocks' hulls of the points ``H_t / N_t`` meet: ``N_t x_t / total`` are
-    the convex weights.  ``hulls_intersect`` and ``tverberg_partition`` use
-    the integer points ``P = q * p`` with ``N_t = total = q``, the rational
-    program times ``q``; the plus-minus search uses the lift's vectors and
-    weights (``separation``), whose columns are positive multiples of
-    those.
-
-    With ``homogeneous`` (every weight is ``<H_t, v>`` for one ``v``,
-    ``_dependences``) only block 0's sum row is written: ``v`` applied to
-    block ``j``'s coupling rows gives ``sum(N_t x_t : t in B_0) = sum(N_t
-    x_t : t in B_j)``, so block 0's row implies block ``j``'s.
+    One variable ``x_t >= 0`` per point, in block order; then block 0's sum
+    row ``sum(N_t x_t : t in B_0) = total``, and for each block ``j >= 1``
+    and axis ``m``, ``sum(H_t[m] x_t : t in B_0) - sum(H_t[m] x_t : t in
+    B_j) = 0``.  ``v`` applied to block ``j``'s coupling rows gives
+    ``sum(N_t x_t : t in B_0) = sum(N_t x_t : t in B_j)``, so block ``j``'s
+    sum row is implied.  The program has a point exactly when the blocks'
+    hulls of the points ``H_t / N_t`` meet: ``N_t x_t / total`` are the
+    convex weights.  ``hulls_intersect`` and ``tverberg_partition`` use the
+    columns ``(P_t, q)`` of the integer points ``P = q * p`` with ``N_t =
+    total = q``, where ``v = e_last``; the plus-minus search uses the lift's
+    vectors and weights (``separation``), whose columns are positive
+    multiples of those of the lifted points.
     """
     dim = len(vectors[0])
     starts = [0, *accumulate(len(b) for b in blocks)]
     nvar = starts[-1]
-    cons = []
-    for j in range(1 if homogeneous else len(blocks)):
-        coeffs = [0] * nvar
-        for t, i in enumerate(blocks[j], starts[j]):
-            coeffs[t] = weights[i]
-        cons.append(Constraint(tuple(coeffs), total))
+    coeffs = [0] * nvar
+    for t, i in enumerate(blocks[0]):
+        coeffs[t] = weights[i]
+    cons = [Constraint(tuple(coeffs), total)]
     for j in range(1, len(blocks)):
         for m in range(dim):
             coeffs = [0] * nvar
@@ -446,42 +433,36 @@ def _refuter(
     vectors: Sequence[Sequence[int]],
     blocks: Blocks,
     multipliers: Optional[Sequence[int]],
-    homogeneous: bool = False,
 ) -> list[int]:
     """Per point, the bitmask of the Farkas functions that are ``>= 0`` on it.
 
-    ``multipliers`` certify that ``_hulls_program`` on ``blocks`` (with the
-    same ``homogeneous``) is infeasible: sum-row multipliers ``s_j`` and
-    coupling-row multipliers ``u_j`` (``j >= 1``) with ``y . A_t <= 0`` on
-    every column and ``y . b = total * sum(s_j) > 0``.  A homogeneous
-    program has no sum row for ``j >= 1``, and ``s_j = 0`` there: the same
-    ``y`` with those zeros certifies the full program.  A column of block 0
-    reads ``N*s_0 + sum_j <u_j, H>`` and one of block ``j`` reads ``N*s_j -
-    <u_j, H>``, so divided by ``N > 0`` they are, at the point ``x = H /
-    N``, the affine functions
+    ``multipliers`` certify that ``_hulls_program`` on ``blocks`` is
+    infeasible: a sum-row multiplier ``s`` and coupling-row multipliers
+    ``u_j`` (``j >= 1``) with ``y . A_t <= 0`` on every column and ``y . b =
+    total * s > 0``.  A column of block 0 reads ``N*s + sum_j <u_j, H>`` and
+    one of block ``j`` reads ``-<u_j, H>``, so divided by ``N > 0`` they
+    are, at the point ``x = H / N``, the affine functions
 
-        h_0(x) = -(s_0 + sum_j <u_j, x>),    h_j(x) = -(s_j - <u_j, x>),
+        h_0(x) = -(s + sum_j <u_j, x>),    h_j(x) = <u_j, x>,
 
     ``>= 0`` on their own block's points and adding up to the constant
-    ``-sum(s_j) < 0``.  Bit ``j`` of point ``i``'s mask is set iff
+    ``-s < 0``.  Bit ``j`` of point ``i``'s mask is set iff
     ``h_j(H_i / N_i) >= 0``, read off the column without dividing.  Raises
     InternalError unless the certificate refutes the partition it came
     from.
     """
     r = len(blocks)
     dim = len(vectors[0])
-    sums = 1 if homogeneous else r
-    if multipliers is None or len(multipliers) != sums + (r - 1) * dim:
+    if multipliers is None or len(multipliers) != 1 + (r - 1) * dim:
         raise InternalError("infeasible search LP came without its multipliers")
-    s = list(multipliers[:sums]) + [0] * (r - sums)
-    u = [multipliers[sums + (j - 1) * dim : sums + j * dim] for j in range(1, r)]
-    if sum(s) <= 0:
+    s = multipliers[0]
+    u = [multipliers[1 + (j - 1) * dim : 1 + j * dim] for j in range(1, r)]
+    if s <= 0:
         raise InternalError("search LP multipliers do not sum to a positive bound")
     masks = []
     for h, n in zip(vectors, weights):
         dots = [sum(a * c for a, c in zip(uj, h) if a) for uj in u]
-        values = [-(n * s[0] + sum(dots))]
-        values += [dot - n * sj for sj, dot in zip(s[1:], dots)]
+        values = [-(n * s + sum(dots)), *dots]
         masks.append(sum(1 << j for j, v in enumerate(values) if v >= 0))
     for j, block in enumerate(blocks):
         if any(not masks[i] >> j & 1 for i in block):
@@ -521,12 +502,14 @@ def tverberg_partition(
 ) -> TverbergPartition:
     """First partition in canonical order whose r blocks' hulls intersect.
 
-    The point count must fit r blocks: (r-1)*(dim+1)+1 points spanning the
-    ambient space, or (r-1)*dim+1 points lying on a hyperplane of it (the
-    shape produced by the projective lift).  With a coloring only rainbow
+    r must be at least 1, and the point count Tverberg's (r-1)*(dim+1)+1
+    for points of length dim; any other count, the (r-1)*dim+1 of points on
+    a hyperplane among them, is a ValueError.  With a coloring only rainbow
     partitions count; it requires prime r and color classes of at most
     r - 1 vertices each.
     """
+    if r < 1:
+        raise ValueError("r must be at least 1")
     pts = tuple(tuple(p) for p in points)
     if coloring is not None:
         if not is_prime(r):
@@ -536,11 +519,9 @@ def tverberg_partition(
                 raise ValueError(f"color class {ci} exceeds r-1 = {r - 1} vertices")
     dim = len(pts[0]) if pts else 0
     full = (r - 1) * (dim + 1) + 1
-    flat = (r - 1) * dim + 1
-    if len(pts) not in (full, flat):
+    if len(pts) != full:
         raise ValueError(
-            f"need {full} points (or {flat} on a hyperplane) for r={r} "
-            f"in dimension {dim}, got {len(pts)}"
+            f"need {full} points for r={r} in dimension {dim}, got {len(pts)}"
         )
     # A two-block search may list no partition, so check what its walk would.
     if coloring is not None:
@@ -548,10 +529,10 @@ def tverberg_partition(
     if len({len(p) for p in pts}) > 1:
         raise ValueError("points have unequal lengths")
     # Every partition covers all the points, so one scaling serves them all:
-    # each program is the one ``hulls_intersect`` would build, less the sum
-    # rows homogeneous points imply.
+    # each program is the one ``hulls_intersect`` would build.
     q, ints = integer_points(pts)
-    blocks, point = _first_hit(ints, [q] * len(ints), q, r, coloring)
+    columns = [(*p, q) for p in ints]
+    blocks, point = _first_hit(columns, [q] * len(ints), q, r, coloring)
     witness, per_block = _meeting_point(
         [[pts[i] for i in block] for block in blocks], point
     )
@@ -571,15 +552,18 @@ def _first_hit(
     """The first listed partition of the points ``H_t / N_t`` whose hulls
     meet, and the point of its ``_hulls_program``.
 
-    The search of ``tverberg_partition`` and of the plus-minus pipeline:
-    the two-block Radon hit where there is one dependence, else the
+    The columns must be homogeneous, ``N_t = <H_t, v>`` for one ``v``, and
+    their count the ``1 + (r-1)D`` of vectors of length ``D``, so that
+    every program is square: the lift's columns in the plus-minus pipeline,
+    and ``(P_t, q)`` in ``tverberg_partition``.  The search runs the
+    two-block Radon hit where there is one dependence, else the
     box-pruned walk on the points' coordinates and their pairwise sums and
     differences, the Farkas cache, and ``_decide`` on each partition left.
     It calls ``enumerate_partitions`` and ``_decide``, and ``_decide`` calls
     ``lp_solve``, through this module's globals; the benchmark's tracer
     wraps ``enumerate_partitions`` and ``lp_solve``.
     """
-    homogeneous, dependence = _dependences(vectors, weights, r)
+    dependence = _dependence(vectors) if r == 2 else None
     if dependence is not None:
         # The Radon hit (module docstring): block 0 takes the sign class of
         # lambda's first nonzero entry and every zero below its last index.
@@ -591,7 +575,7 @@ def _first_hit(
         point = tuple(
             Fraction(abs(dependence[t]) * total, norm) for b in blocks for t in b
         )
-        program = _hulls_program(total, vectors, weights, blocks, homogeneous)
+        program = _hulls_program(total, vectors, weights, blocks)
         if not satisfies(program, point):
             raise InternalError("the Radon point fails its partition's program")
         return blocks, point
@@ -601,13 +585,13 @@ def _first_hit(
     for blocks in enumerate_partitions(len(vectors), r, coloring, keys):
         if kept and _refuted(table, blocks, -1, 0):
             continue
-        program = _hulls_program(total, vectors, weights, blocks, homogeneous)
+        program = _hulls_program(total, vectors, weights, blocks)
         result = _decide(program)
         if result.status == FEASIBLE:
             return blocks, result.point
         # Two-block certificates refute only their own partition.
         if r > 2:
-            masks = _refuter(weights, vectors, blocks, result.multipliers, homogeneous)
+            masks = _refuter(weights, vectors, blocks, result.multipliers)
             for row, mask in zip(table, masks):
                 for j in range(r):
                     row[j] |= (mask >> j & 1) << kept
@@ -635,38 +619,23 @@ def _walk_keys(
     return keys
 
 
-def _dependences(
-    vectors: Sequence[Sequence[int]], weights: Sequence[int], r: int
-) -> tuple[bool, Optional[list[int]]]:
-    """``(homogeneous, dependence)`` for the columns ``(H_t, N_t)``.
+def _dependence(vectors: Sequence[Sequence[int]]) -> Optional[list[int]]:
+    """An integer generator ``lambda`` of the linear dependences ``sum_t
+    lambda_t * H_t = 0`` of the columns, or None unless they form a
+    one-dimensional space.
 
-    ``homogeneous`` says whether some ``v`` has ``<H_t, v> = N_t`` for every
-    column: whether the weights lie in the vectors' column space.
-    ``dependence`` is None unless ``r == 2`` and the columns have a
-    one-dimensional space of linear dependences, ``sum_t lambda_t * (H_t,
-    N_t) = 0``; it is then an integer generator ``lambda``.
-
-    Both come from one elimination (``_eliminate``) on the rows ``(H_t,
-    N_t)``, followed for two blocks by the unit vector ``e_t``.  The rows
-    left over once the axes of ``H`` are cleared are 0 there, so ``v``
-    exists exactly when their ``N`` entries are 0 too.  Once ``N`` is
-    cleared as well, what is left of each leftover row is the coefficients
-    of a combination of the columns that sums to 0, nonzero at the row's
-    own ``t`` and zero at every other leftover row's: a basis of the
-    dependences.
+    One elimination (``_eliminate``) of the rows ``[H_t | e_t]``: once the
+    axes of ``H`` are cleared, what is left of each leftover row is the
+    coefficients of a combination of the columns that sums to 0, nonzero at
+    the row's own ``t`` and zero at every other leftover row's, so the
+    leftover rows are a basis of the dependences.
     """
     n = len(vectors)
-    units = [[int(t == i) for t in range(n)] if r == 2 else [] for i in range(n)]
     _, rows = _eliminate(
-        [[*h, w, *e] for h, w, e in zip(vectors, weights, units)], len(vectors[0])
+        [[*h, *(int(t == i) for t in range(n))] for i, h in enumerate(vectors)],
+        len(vectors[0]),
     )
-    homogeneous = not any(row[0] for row in rows)
-    if r != 2:
-        return homogeneous, None
-    _, rows = _eliminate(rows, 1)
-    if len(rows) != 1:
-        return homogeneous, None
-    return homogeneous, rows[0]
+    return rows[0] if len(rows) == 1 else None
 
 
 def _eliminate(
@@ -734,8 +703,8 @@ def _solve_square(rows: list[list[int]]) -> Optional[tuple[int, list[int]]]:
 
 
 def _decide(program: LinearProgram) -> LpResult:
-    """``lp_solve``'s verdict on a search program, without a pivot where
-    the program is square and nonsingular.
+    """``lp_solve``'s verdict on a search program, which is square (module
+    docstring), without a pivot where the program is nonsingular.
 
     Such a program has one solution ``x = y / D`` of its rows
     (``_solve_square``), so it is feasible exactly when ``y >= 0``, and
@@ -744,14 +713,11 @@ def _decide(program: LinearProgram) -> LpResult:
     index with ``y_j < 0``, and ``z`` the integers with ``A^T z = D' e_j``,
     ``D' > 0``.  The multipliers ``-z`` read ``-D'`` on column ``j`` and 0
     on every other, and ``-z . b = -D' x_j > 0``: a Farkas certificate, as
-    ``lp_solve`` gives one.  A program that is singular or not square (the
-    full program of a flat count) goes to ``lp_solve``, through this
-    module's global.
+    ``lp_solve`` gives one.  A singular program goes to ``lp_solve``,
+    through this module's global.
     """
     cons = program.constraints
-    solved = None
-    if len(cons) == program.num_vars:
-        solved = _solve_square([[*c.coeffs, c.rhs] for c in cons])
+    solved = _solve_square([[*c.coeffs, c.rhs] for c in cons])
     if solved is None:
         return lp_solve(program)
     det, y = solved

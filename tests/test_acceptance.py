@@ -23,6 +23,7 @@ import gen
 from tvpm import Configuration
 from tvpm.cli import main as cli_main
 from bareiss import affine_dependence
+from lift_search import search_lift
 from tvpm.linalg import dot
 from tvpm.model import (
     CLASSICAL,
@@ -184,7 +185,7 @@ def test_criterion_05_per_block_normalizer_agreement(plusminus_corpus):
     for run in runs:
         config = run.config
         lifted = lift_configuration(config, run.cert.hyperplane)
-        partition = tverberg_partition(lifted.points, config.r)
+        partition = search_lift(lifted, config.r)
         betas = [
             sum(partition.coefficients[i] / lifted.sign_factors[i] for i in block)
             for block in partition.blocks

@@ -1,10 +1,10 @@
 """The search's square programs decided by fraction-free elimination.
 
 ``solver._decide`` must give ``lp_solve``'s verdict and point on every
-program, and an exact Farkas certificate on every infeasible one.  A square
-nonsingular program has one solution, found without a pivot; a singular or
-non-square one goes to the simplex.  The separation step and the oracle
-keep the simplex whatever the search does.
+program, and an exact Farkas certificate on every infeasible one.  Every
+search program is square; a nonsingular one has one solution, found
+without a pivot, and a singular one goes to the simplex.  The separation
+step and the oracle keep the simplex whatever the search does.
 """
 
 from __future__ import annotations
@@ -131,23 +131,6 @@ def test_square_programs_match_the_simplex_and_the_linear_solve(monkeypatch):
         assert [t for t, p in enumerate(products) if p] == negative[:1]
     # Each case the elimination must get right occurs often enough to count.
     assert min(seen.values()) >= 40, seen
-
-
-def test_non_square_programs_go_to_the_simplex(monkeypatch):
-    calls = []
-    original = solver.lp_solve
-
-    def recording(lp):
-        calls.append(lp)
-        return original(lp)
-
-    monkeypatch.setattr(solver, "lp_solve", recording)
-    for lp in (
-        LinearProgram(2, (Constraint((1, 1), 1),)),
-        LinearProgram(1, (Constraint((1,), 1), Constraint((2,), 3))),
-    ):
-        assert solver._decide(lp) == reference_lp_solve(lp)
-    assert len(calls) == 2
 
 
 def test_a_point_that_fails_its_program_is_an_internal_error(monkeypatch):

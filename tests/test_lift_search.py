@@ -19,6 +19,7 @@ import pytest
 
 import fraction_lift
 import gen
+from lift_search import search_lift
 from search_counts import counting
 from test_certificate_digests import DIGESTS
 from tvpm import lp, pipeline, plus_minus_partition, solver
@@ -113,8 +114,9 @@ class TestIntegerLift:
             except (SeparationInfeasible, DegenerateLift):
                 continue
             (blocks, _), result = seen[-1]
-            points, factors = fraction_lift.lift(config, cert.hyperplane)
-            partition = tverberg_partition(points, config.r, config.coloring)
+            _, factors = fraction_lift.lift(config, cert.hyperplane)
+            lifted = lift_configuration(config, cert.hyperplane)
+            partition = search_lift(lifted, config.r, config.coloring)
             assert partition.blocks == blocks == cert.blocks
             assert fraction_lift.pull_back(partition, factors) == result
             assert result == (cert.beta, cert.coefficients, cert.point_b)
@@ -135,8 +137,8 @@ def _admits(signs, blocks) -> bool:
     return len(on_both) == 1 and on_first != {0}
 
 
-def signs_of(vectors, weights) -> list:
-    _, dependence = solver._dependences(vectors, weights, 2)
+def signs_of(vectors) -> list:
+    dependence = solver._dependence(vectors)
     assert dependence is not None
     return [(v > 0) - (v < 0) for v in dependence]
 
@@ -146,7 +148,7 @@ def check_the_hit(vectors, weights, total, points) -> tuple:
     canonical order, that both the reference decision and
     ``hulls_intersect`` on ``points`` accept, and that its point is the
     LP's on that partition; return the hit."""
-    signs = signs_of(vectors, weights)
+    signs = signs_of(vectors)
     expected = next(
         blocks
         for blocks in enumerate_partitions(len(points), 2)
@@ -155,8 +157,7 @@ def check_the_hit(vectors, weights, total, points) -> tuple:
     )
     blocks, point = solver._first_hit(vectors, weights, total, 2)
     assert blocks == expected
-    homogeneous, _ = solver._dependences(vectors, weights, 2)
-    program = solver._hulls_program(total, vectors, weights, blocks, homogeneous)
+    program = solver._hulls_program(total, vectors, weights, blocks)
     assert lp_solve(program).point == point
     return blocks, point
 
@@ -166,13 +167,16 @@ def agree_on_every_partition(config) -> set:
     of ``config``'s lift, on the lift's own columns and on the rational
     lift's integer points, and that the search's hit is the first partition
     both accept; return the verdicts seen."""
-    lifted = lift_configuration(config, hyperplane_of(config))
-    homogeneous, _ = solver._dependences(lifted.vectors, lifted.weights, 2)
-    assert homogeneous
-    signs = signs_of(lifted.vectors, lifted.weights)
+    hyperplane = hyperplane_of(config)
+    lifted = lift_configuration(config, hyperplane)
+    # The columns are homogeneous: N_t = <H_t, (w, -alpha)>.
+    normal = (*hyperplane.w, -hyperplane.alpha)
+    for vector, weight in zip(lifted.vectors, lifted.weights):
+        assert sum(h * c for h, c in zip(vector, normal)) == weight
+    signs = signs_of(lifted.vectors)
     points = lifted.points
     q, ints = integer_points(points)
-    rational_signs = signs_of(ints, [q] * len(ints))
+    rational_signs = signs_of(ints)
     verdicts = set()
     for blocks in enumerate_partitions(len(points), 2):
         meets = hulls_intersect([[points[i] for i in b] for b in blocks]) is not None
@@ -199,7 +203,7 @@ class TestTwoBlockDependence:
         points = ((F(0), F(1)), (F(0), F(0)), (F(1), F(0)), (F(2), F(0)))
         config = Configuration(2, 2, points, CLASSICAL, mu=(0,))
         lifted = lift_configuration(config, hyperplane_of(config))
-        signs = signs_of(lifted.vectors, lifted.weights)
+        signs = signs_of(lifted.vectors)
         assert signs[0] == 0 and all(signs[1:])
         assert agree_on_every_partition(config) == {False, True}
 
@@ -216,10 +220,11 @@ class TestTwoBlockDependence:
                 for _ in range(tverberg_point_count(d, 2))
             ]
             q, ints = integer_points(points)
-            _, dependence = solver._dependences(ints, [q] * len(ints), 2)
+            columns = [(*p, q) for p in ints]
+            dependence = solver._dependence(columns)
             if dependence is None:
                 continue
-            blocks, _ = check_the_hit(ints, [q] * len(ints), q, points)
+            blocks, _ = check_the_hit(columns, [q] * len(ints), q, points)
             assert tverberg_partition(points, 2).blocks == blocks
             hits += 1
             leading_zeros += dependence[0] == 0
@@ -257,8 +262,7 @@ class TestTwoBlockDependence:
         points = tuple(tuple(map(F, p)) for p in points)
         config = Configuration(len(points[0]), 2, points, CLASSICAL, mu=mu)
         lifted = lift_configuration(config, hyperplane_of(config))
-        _, signs = solver._dependences(lifted.vectors, lifted.weights, 2)
-        assert signs is None
+        assert solver._dependence(lifted.vectors) is None
         with counting(solver, lp) as counts:
             cert = plus_minus_partition(config)
         assert verify_certificate(config, cert).accepted
@@ -278,13 +282,13 @@ class TestTwoBlockDependence:
         ) == (0, 0, 0, 0)
 
     def test_a_corrupted_dependence_is_an_internal_error(self, monkeypatch):
-        original = solver._dependences
+        original = solver._dependence
 
-        def corrupted(vectors, weights, r):
-            homogeneous, dependence = original(vectors, weights, r)
-            return homogeneous, [2 * dependence[0], *dependence[1:]]
+        def corrupted(vectors):
+            dependence = original(vectors)
+            return [2 * dependence[0], *dependence[1:]]
 
-        monkeypatch.setattr(solver, "_dependences", corrupted)
+        monkeypatch.setattr(solver, "_dependence", corrupted)
         with pytest.raises(InternalError, match="Radon"):
             plus_minus_partition(gen.separable_configuration(0, 4, 2, 1))
 

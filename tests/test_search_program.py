@@ -1,13 +1,16 @@
-"""The search's homogeneous program, and its outputs pinned by digest.
+"""The search's square program, and its outputs pinned by digest.
 
-Points that all lie on one hyperplane missing the origin, ``<P, v> = 1``,
-make every block's sum row but the first redundant, so the search drops
-them; in the search's weighted form, vectors ``H`` whose weights are ``N =
-<H, v>``.  The lift's points always lie on such a hyperplane; full-count
-points seldom do.  The digests were recorded while every search program
-still had one sum row per block: the outputs of full-count searches and of
-``hulls_intersect``, which keeps the full program, must not move, and the
-blocks of small integer plus-minus solves must not move either.
+Every search input is homogeneous: its weights are ``N = <H, v>`` for one
+``v``, so every point ``H / N`` lies on the hyperplane ``<x, v> = 1`` and
+every block's sum row but block 0's is implied.  The lift is homogeneous
+with ``v = (W, -A) / K``; ``tverberg_partition`` searches the columns
+``(P, q)`` of its integer points with ``N = q``, homogeneous with ``v =
+e_last``.  Every program then has ``1 + (r-1)(d+1) = n`` rows for its ``n``
+variables.  The digests were recorded while every search program still
+had one sum row per block and ``tverberg_partition`` searched the points
+``P`` themselves: the outputs of full-count searches, uncolored and
+rainbow, must not move, nor the verdicts of ``hulls_intersect``, nor the
+blocks of small integer plus-minus solves.
 """
 
 from __future__ import annotations
@@ -15,12 +18,22 @@ from __future__ import annotations
 import hashlib
 import random
 from fractions import Fraction
+from itertools import accumulate
+from math import lcm
 
 import gen
-from bareiss import solve_linear_system
+from lift_search import search_lift
 from tvpm import plus_minus_partition, solver
 from tvpm.errors import DegenerateLift, SeparationInfeasible
-from tvpm.lp import FEASIBLE, INFEASIBLE, integer_points, lp_solve, satisfies
+from tvpm.lp import (
+    FEASIBLE,
+    INFEASIBLE,
+    Constraint,
+    LinearProgram,
+    integer_points,
+    lp_solve,
+    satisfies,
+)
 from tvpm.model import CLASSICAL, COLORED, Configuration, tverberg_point_count
 from tvpm.separation import lift_configuration, separating_hyperplane
 from tvpm.solver import enumerate_partitions, hulls_intersect, tverberg_partition
@@ -30,8 +43,19 @@ F = Fraction
 
 # SHA-256 of one line per full-count search: blocks, weights, witness.
 FULL_COUNT_DIGEST = "70cca3cb54364966af42f06a80c7311f7ed2852f9ef47b9127db672e7a1930c1"
-# SHA-256 of one line per ``hulls_intersect`` call.
-HULLS_DIGEST = "ed2705b1ce322ed48840afb17d3dc7581a313f5a9df52985bb7faffe93c27c00"
+# The same for rainbow full-count searches.
+COLORED_FULL_COUNT_DIGEST = (
+    "270d695021b48e648191943c5749cd1f21ea3af6a6122e111715a14d07dc09c1"
+)
+# SHA-256 of one line per ``hulls_intersect`` call.  Case 13, three 1-D
+# blocks whose hulls meet in an interval, moved when the program went to
+# the columns ``(P, q)``: its witness is 9/4 where it was 28/5.
+HULLS_DIGEST = "89084cc88e141a9b7c5975e4f3e4e8dd20bf88c5044dc1ceee47bd972690958a"
+# (cases whose hulls meet, SHA-256 of the verdicts as one string of 0 and 1).
+HULLS_VERDICTS = (
+    28,
+    "e1e2869a4a809b93499e7ee3d73ddfd9a8135969dc2d6d36e5652a38db48d523",
+)
 # (configurations, certificates, SHA-256 of one line per solve: the error's
 # class name or the certificate's blocks).
 SMALL_INTEGER_BLOCKS = (
@@ -49,91 +73,61 @@ def small_point(rng: random.Random, dim: int) -> tuple[Fraction, ...]:
     return tuple(F(rng.randint(-2, 2)) for _ in range(dim))
 
 
-def solves_to_one(points) -> bool:
-    """The reference decision: ``P v = 1`` has a solution."""
-    result = solve_linear_system([list(p) for p in points], [1] * len(points))
-    return result.status != "inconsistent"
+def dot(a, b):
+    return sum(x * y for x, y in zip(a, b))
 
 
 class TestHomogeneity:
-    def check(self, points) -> bool:
-        q, ints = integer_points(points)
-        decided, _ = solver._dependences(ints, [q] * len(ints), 3)
-        assert decided == solves_to_one(points), points
-        return decided
-
-    def test_random_points(self):
-        rng = random.Random("homogeneous-random")
-        verdicts = set()
-        for _ in range(300):
-            dim = rng.randint(1, 4)
-            n = rng.randint(1, 8)
-            if rng.random() < 0.5:
-                points = [small_point(rng, dim) for _ in range(n)]
-            else:
-                points = [gen.random_point(rng, dim) for _ in range(n)]
-            verdicts.add(self.check(points))
-        assert verdicts == {False, True}
-
     def test_lifted_points_are_homogeneous(self):
+        # N_t = <H_t, (W, -A)> / K, with K the least common denominator of
+        # (w, alpha) and (W, A) = K * (w, alpha).
         for d, r, mu_size, colored in ((2, 3, 2, False), (4, 2, 1, False),
                                        (1, 5, 2, False), (1, 5, 3, True)):
             for seed in range(3):
                 config = gen.separable_configuration(seed, d, r, mu_size, colored)
-                lift = lift_configuration(config, separating_hyperplane(config))
-                assert self.check(lift.points)
-                # The search's own columns: N = <H, (W, -A)> / K.
-                assert solver._dependences(lift.vectors, lift.weights, r)[0]
+                hyperplane = separating_hyperplane(config)
+                coefficients = (*hyperplane.w, hyperplane.alpha)
+                k = lcm(*(c.denominator for c in coefficients))
+                *w, a = (int(c * k) for c in coefficients)
+                lift = lift_configuration(config, hyperplane)
+                for h, n in zip(lift.vectors, lift.weights):
+                    assert dot(h, (*w, -a)) == k * n
 
-    def test_points_on_an_affine_hyperplane_with_duplicates(self):
-        rng = random.Random("homogeneous-duplicates")
-        for _ in range(50):
-            dim = rng.randint(1, 3)
-            v = [F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(dim)]
-            if not any(v):
-                continue
-            # Points with <p, v> = 1, each listed twice.
-            points = []
-            for _ in range(rng.randint(1, 4)):
-                p = [F(rng.randint(-4, 4)) for _ in range(dim)]
-                k = next(m for m in range(dim) if v[m])
-                p[k] = 0
-                p[k] = (1 - sum(a * b for a, b in zip(p, v))) / v[k]
-                points += [tuple(p), tuple(p)]
-            assert self.check(points)
+    def test_full_count_columns_are_homogeneous(self, monkeypatch):
+        # tverberg_partition searches (P_t, q) with N_t = q = <H_t, e_last>.
+        searched = []
 
-    def test_points_through_the_origin_are_not(self):
-        for points in (
-            ((1, 1), (2, 2), (3, 3)),
-            ((0, 0), (1, 2)),
-            ((0,), (0,), (0,)),
-            ((1, 0, 2), (-1, 0, -2), (2, 0, 4)),
-        ):
-            assert not self.check([tuple(map(F, p)) for p in points])
+        def recording(vectors, weights, total, r, coloring=None):
+            searched.append((vectors, weights, total))
+            return first_hit(vectors, weights, total, r, coloring)
+
+        first_hit = solver._first_hit
+        monkeypatch.setattr(solver, "_first_hit", recording)
+        for points, r in full_count_searches():
+            tverberg_partition(points, r)
+            vectors, weights, total = searched.pop()
+            q, ints = integer_points(points)
+            assert vectors == [(*p, q) for p in ints]
+            assert total == q and list(weights) == [q] * len(points)
+            e_last = (0,) * len(points[0]) + (1,)
+            assert [dot(h, e_last) for h in vectors] == list(weights)
 
 
 class TestSearchProgram:
-    def test_collinear_points_through_the_origin_keep_their_partition(self):
-        # Flat point count, yet not homogeneous: the search keeps every
-        # sum row and solves them.
-        partition = tverberg_partition(((1, 1), (2, 2), (3, 3)), 2)
-        assert partition.blocks == ((0, 2), (1,))
-        assert partition.witness == (2, 2)
-
-    def row_counts(self, monkeypatch, points, r, coloring=None) -> set:
-        """The row counts of the programs the search poses, whether it
+    def row_counts(self, monkeypatch, search, *args) -> set:
+        """The row counts of the programs ``search(*args)`` poses, whether it
         solves them (the walk) or checks its point against one (the
         two-block Radon hit)."""
         rows = set()
         original = solver._hulls_program
 
-        def recording(*args, **kwargs):
-            lp = original(*args, **kwargs)
+        def recording(*parts):
+            lp = original(*parts)
             rows.add(len(lp.constraints))
             return lp
 
         monkeypatch.setattr(solver, "_hulls_program", recording)
-        tverberg_partition(points, r, coloring)
+        search(*args)
         monkeypatch.undo()
         return rows
 
@@ -147,19 +141,48 @@ class TestSearchProgram:
         ):
             config = gen.separable_configuration(0, d, r, mu_size, colored)
             lift = lift_configuration(config, separating_hyperplane(config))
-            assert self.row_counts(monkeypatch, lift.points, r, config.coloring) == {
-                rows
-            }
+            counts = self.row_counts(
+                monkeypatch, search_lift, lift, r, config.coloring
+            )
+            assert counts == {rows}
 
     def test_full_count_programs_keep_every_sum_row(self, monkeypatch):
-        # r + (r - 1) * dim rows on points spanning their space.
+        # r + (r - 1) * dim rows, as many as the program with one sum row
+        # per block: on the columns (P, q) block 0's sum row and the
+        # coupling rows on q imply every other block's.
         rng = random.Random("full-count-rows")
         for dim, r in ((1, 3), (2, 3), (3, 2)):
             points = [
                 gen.random_point(rng, dim)
                 for _ in range(tverberg_point_count(dim, r))
             ]
-            assert self.row_counts(monkeypatch, points, r) == {r + (r - 1) * dim}
+            counts = self.row_counts(monkeypatch, tverberg_partition, points, r)
+            assert counts == {r + (r - 1) * dim}
+
+
+def full_program(total, vectors, weights, blocks) -> LinearProgram:
+    """The reference program with one sum row per block: one variable per
+    point in block order, the rows ``sum(N_t x_t : t in B_j) = total`` for
+    every block ``j``, then for each block ``j >= 1`` and axis ``m`` the
+    coupling row ``sum(H_t[m] x_t : t in B_0) - sum(H_t[m] x_t : t in B_j)
+    = 0``."""
+    starts = [0, *accumulate(len(b) for b in blocks)]
+    nvar = starts[-1]
+    rows = []
+    for j, block in enumerate(blocks):
+        coeffs = [0] * nvar
+        for t, i in enumerate(block, starts[j]):
+            coeffs[t] = weights[i]
+        rows.append(Constraint(tuple(coeffs), total))
+    for j in range(1, len(blocks)):
+        for m in range(len(vectors[0])):
+            coeffs = [0] * nvar
+            for t, i in enumerate(blocks[0]):
+                coeffs[t] = vectors[i][m]
+            for t, i in enumerate(blocks[j], starts[j]):
+                coeffs[t] = -vectors[i][m]
+            rows.append(Constraint(tuple(coeffs), 0))
+    return LinearProgram(nvar, tuple(rows))
 
 
 def test_dropped_sum_rows_are_implied_and_take_multiplier_zero():
@@ -174,9 +197,9 @@ def test_dropped_sum_rows_are_implied_and_take_multiplier_zero():
         lift = lift_configuration(config, separating_hyperplane(config))
         columns = (lift.scale, lift.vectors, lift.weights)
         for blocks in enumerate_partitions(len(lift.vectors), r):
-            full = solver._hulls_program(*columns, blocks)
-            reduced = solver._hulls_program(*columns, blocks, homogeneous=True)
-            assert len(full.constraints) - len(reduced.constraints) == r - 1
+            full = full_program(*columns, blocks)
+            reduced = solver._hulls_program(*columns, blocks)
+            assert reduced.constraints == full.constraints[:1] + full.constraints[r:]
             result = lp_solve(reduced)
             verdicts.add(result.status)
             if result.status == FEASIBLE:
@@ -215,6 +238,32 @@ def test_full_count_searches_are_pinned():
     assert digest(lines) == FULL_COUNT_DIGEST
 
 
+def colored_full_count_searches():
+    """Rainbow searches of the full count: prime r, color classes of at
+    most r - 1 vertices; generic points, then points with coordinates in
+    -2..2."""
+    rng = random.Random("colored-full-count-searches")
+    for dim, r in ((1, 2), (1, 3), (2, 3), (3, 3), (1, 5)):
+        for _ in range(5):
+            n = tverberg_point_count(dim, r)
+            points = [gen.random_point(rng, dim) for _ in range(n)]
+            yield points, r, gen._random_coloring(rng, n, r)
+    for _ in range(60):
+        dim, r = rng.randint(1, 2), rng.choice((2, 3))
+        n = tverberg_point_count(dim, r)
+        points = [small_point(rng, dim) for _ in range(n)]
+        yield points, r, gen._random_coloring(rng, n, r)
+
+
+def test_colored_full_count_searches_are_pinned():
+    lines = [
+        partition_line(tverberg_partition(p, r, coloring))
+        for p, r, coloring in colored_full_count_searches()
+    ]
+    assert len(lines) == 85
+    assert digest(lines) == COLORED_FULL_COUNT_DIGEST
+
+
 def hulls_cases():
     rng = random.Random("hulls-intersect-cases")
     for _ in range(150):
@@ -228,9 +277,21 @@ def hulls_cases():
 
 def test_hulls_intersect_outputs_are_pinned():
     lines = []
+    verdicts = ""
     for blocks in hulls_cases():
         hit = hulls_intersect(blocks)
         lines.append(repr(hit))
+        verdicts += "0" if hit is None else "1"
+        if hit is None:
+            continue
+        # Every block's weights are convex and give the witness exactly.
+        witness, per_block = hit
+        for block, weights in zip(blocks, per_block):
+            assert len(weights) == len(block)
+            assert all(c >= 0 for c in weights) and sum(weights) == 1
+            for m, value in enumerate(witness):
+                assert sum(c * p[m] for c, p in zip(weights, block)) == value
+    assert (verdicts.count("1"), digest([verdicts])) == HULLS_VERDICTS
     assert digest(lines) == HULLS_DIGEST
 
 

@@ -18,6 +18,7 @@ import gen
 from tvpm import lp, plus_minus_partition, solver
 from tvpm.errors import InternalError
 from bareiss import affine_dependence
+from lift_search import search_lift
 from search_counts import counting
 from tuple_walk import reference_partitions
 from tvpm.lp import INFEASIBLE, LpResult, integer_points, lp_solve
@@ -118,9 +119,8 @@ def boxes_meet(points, blocks) -> bool:
 
 def lifted(seed, d, r, mu_size, colored):
     config = gen.separable_configuration(seed, d, r, mu_size, colored)
-    hyperplane = separating_hyperplane(config)
-    points = lift_configuration(config, hyperplane).points
-    return points, config.coloring if colored else None
+    lift = lift_configuration(config, separating_hyperplane(config))
+    return lift, config.coloring if colored else None
 
 
 class TestBoxPruning:
@@ -139,7 +139,8 @@ class TestBoxPruning:
 
     @pytest.mark.parametrize("d, r, colored", CELLS)
     def test_listing_is_the_box_filtered_listing(self, d, r, colored):
-        points, coloring = lifted(0, d, r, min(2, r - 1), colored)
+        lift, coloring = lifted(0, d, r, min(2, r - 1), colored)
+        points = lift.points
         pruned = list(enumerate_partitions(len(points), r, coloring, points))
         full = enumerate_partitions(len(points), r, coloring)
         assert pruned == [b for b in full if boxes_meet(points, b)]
@@ -222,12 +223,13 @@ class TestBoxPruning:
         # The search's walk cuts on the pairwise sums and differences of the
         # coordinates too, which the unpruned listing never looks at.
         for seed in range(2):
-            points, coloring = lifted(seed, d, r, mu_size, colored)
+            lift, coloring = lifted(seed, d, r, mu_size, colored)
+            points = lift.points
             for blocks in enumerate_partitions(len(points), r, coloring):
                 hit = hulls_intersect([[points[i] for i in b] for b in blocks])
                 if hit is not None:
                     break
-            partition = tverberg_partition(points, r, coloring)
+            partition = search_lift(lift, r, coloring)
             witness, per_block = hit
             assert partition.blocks == blocks
             assert partition.witness == witness
@@ -292,7 +294,8 @@ class TestBitsetWalk:
         # Garbage in reference cycles waits for the collector, which raises
         # the peak memory of a long run of solves.
         config = gen.separable_configuration(0, 2, 3, 2, colored)
-        points, coloring = lifted(0, 2, 3, 2, colored)
+        lift, coloring = lifted(0, 2, 3, 2, colored)
+        points = lift.points
         gc.collect()
         gc.disable()
         try:
@@ -437,9 +440,10 @@ class TestFarkasCache:
     ):
         refuted = 0
         for seed in range(2):
-            points, coloring = lifted(seed, d, r, mu_size, colored)
+            lift, coloring = lifted(seed, d, r, mu_size, colored)
+            points = lift.points
             kept = kept_certificates(monkeypatch)
-            tverberg_partition(points, r, coloring)
+            search_lift(lift, r, coloring)
             monkeypatch.undo()
             assert kept
             listing = enumerate_partitions(
@@ -520,7 +524,7 @@ class TestFarkasCache:
     def test_two_block_certificate_refutes_only_its_own_partition(self):
         # Why two-block searches keep none: h_0 + h_1 < 0 puts no point in
         # both regions, so the regions are the partition itself.
-        points, _ = lifted(0, 4, 2, 1, False)
+        points = lifted(0, 4, 2, 1, False)[0].points
         q, ints = integer_points(points)
         weights = [q] * len(ints)
         listing = list(enumerate_partitions(len(points), 2))
@@ -627,15 +631,21 @@ class TestTverbergPartition:
             expected = tuple(sorted((pos, neg), key=min))
             assert partition.blocks == expected
 
-    def test_lifted_count_accepted(self):
-        # Points on a plane embedded in three-space: the flat count rule.
+    def test_flat_count_rejected(self):
+        # Points on a plane embedded in three-space, (r-1)*dim+1 of them:
+        # the search takes the full count only, and names it.
         points = tuple(
             (p[0], p[1], F(1)) for p in gen.separable_configuration(
                 "flat", d=2, r=2, mu_size=0
             ).points
         )
-        partition = tverberg_partition(points, 2)
-        assert len(partition.blocks) == 2
+        with pytest.raises(ValueError, match="need 5 points .* got 4$"):
+            tverberg_partition(points, 2)
+
+    @pytest.mark.parametrize("points, r", [((), 0), (((F(0),),), -1)])
+    def test_r_below_one_rejected(self, points, r):
+        with pytest.raises(ValueError, match="^r must be at least 1$"):
+            tverberg_partition(points, r)
 
     def test_wrong_count_rejected(self):
         points = ((F(0),), (F(1),), (F(2),), (F(3),))
@@ -688,8 +698,8 @@ class TestValidatePartition:
     @pytest.fixture(params=CELLS, ids=str)
     def found(self, request):
         d, r, mu_size, colored = request.param
-        points, coloring = lifted(0, d, r, mu_size, colored)
-        return points, tverberg_partition(points, r, coloring)
+        lift, coloring = lifted(0, d, r, mu_size, colored)
+        return lift.points, search_lift(lift, r, coloring)
 
     def test_search_results_pass(self, found):
         validate_partition(*found)
