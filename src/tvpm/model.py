@@ -15,8 +15,9 @@ Configuration format (``tvpm-config v1``)::
 Rationals are ``p/q`` with the sign on p and q > 0, or bare integers.  The
 ``colors`` section is required in colored mode and forbidden in classical
 mode.  The ``mu`` line is optional; absent or empty means the empty face.
-Blank lines and ``#`` comments are ignored.  Indices are 0-based and the
-point count must equal (r - 1) * (d + 1) + 1.
+Blank lines and ``#`` comments are ignored, a comment up to the end of its
+line: LF, CRLF or CR.  Indices are 0-based and the point count must equal
+(r - 1) * (d + 1) + 1.
 
 Certificate format (``tvpm-cert v1``)::
 
@@ -218,9 +219,11 @@ def validate_certificate_structure(cert: PlusMinusCertificate) -> None:
 
 class _Cursor:
     def __init__(self, text: str):
+        # Not ``splitlines``, which also ends a line at U+000B, U+000C,
+        # U+001C-U+001E, U+0085, U+2028 and U+2029, inside a ``#`` comment too.
         self.lines = [
             stripped
-            for raw in text.splitlines()
+            for raw in re.split(r"\r\n?|\n", text)
             for stripped in [raw.split("#", 1)[0].strip()]
             if stripped
         ]

@@ -1,4 +1,7 @@
-"""End-to-end plus-minus solve: separate, lift, search, pull back.
+"""End-to-end plus-minus solve: separate (``separating_hyperplane``, or
+``trivial_hyperplane`` for an empty marked face), lift
+(``lift_configuration``), search, pull back.  Each stage takes the
+configuration and scales the points it needs itself.
 
 The lift is kept in homogeneous integer coordinates (``separation``): point
 ``i`` is the vector ``H_i = sign(S_i) * K * (P_i, q)`` with weight ``N_i =
@@ -38,15 +41,10 @@ from .model import (
     is_prime,
     validate_configuration,
 )
-from .lp import integer_points
-
-# ``lift_configuration`` here is the lift of points already scaled for the
-# separation, under the name the per-layer timing in ``perfbench/tracing.py``
-# wraps; the public ``separation.lift_configuration`` scales them itself.
 from .separation import (
     LiftedConfiguration,
-    _lift as lift_configuration,
-    _separate,
+    lift_configuration,
+    separating_hyperplane,
     trivial_hyperplane,
 )
 from .solver import Blocks, _first_hit
@@ -103,14 +101,11 @@ def plus_minus_partition(config: Configuration) -> PlusMinusCertificate:
             f"marked face has {len(config.mu)} vertices; "
             f"at most r-1 = {config.r - 1} allowed"
         )
-    # Both the separation and the lift work on the points times one common
-    # denominator; scale them once.
-    q, points = integer_points(config.points)
     if config.mu:
-        hyperplane = _separate(config.mu, q, points)
+        hyperplane = separating_hyperplane(config)
     else:
         hyperplane = trivial_hyperplane(config)
-    lifted = lift_configuration(hyperplane, q, points)
+    lifted = lift_configuration(config, hyperplane)
     hit = _first_hit(
         lifted.vectors, lifted.weights, lifted.scale, config.r, config.coloring
     )

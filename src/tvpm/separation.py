@@ -21,15 +21,14 @@ s_i``, and point ``i`` becomes
 so that ``H_i / N_i`` is the lifted point exactly and ``N_i / (q * K)`` is
 ``|s_i|``.  The search poses its programs on ``H`` and ``N``
 (``solver._first_hit``), and the pull-back needs only ``sign(S_i)``, the
-sign of ``H_i``'s last entry.
+sign of ``H_i``'s last entry.  ``separating_hyperplane`` and
+``lift_configuration`` each take the configuration and scale its points.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
-
 from .errors import DegenerateLift, SeparationInfeasible
 from .linalg import ONE, common_denominator, scaled
 from .lp import FEASIBLE, Constraint, LinearProgram, integer_points, lp_solve
@@ -80,17 +79,10 @@ def separating_hyperplane(config: Configuration) -> Hyperplane:
     margin rows ``s <= -1`` and ``s >= 1`` for ``s = <p, w> - alpha``, times
     ``q``, which ``lp_solve`` checks exactly before it returns the point.
     """
-    return _separate(config.mu, *integer_points(config.points))
-
-
-def _separate(
-    mu: Sequence[int], q: int, points: Sequence[Sequence[int]]
-) -> Hyperplane:
-    """``separating_hyperplane`` on the points' ``integer_points`` ``(q,
-    P)``, with the marked indices ``mu``."""
-    if not mu:
+    if not config.mu:
         raise ValueError("separating hyperplane needs a nonempty marked face")
-    members = set(mu)
+    members = set(config.mu)
+    q, points = integer_points(config.points)
     n = len(points)
     if len(members) >= n:
         raise ValueError("the complementary face must be nonempty")
@@ -127,13 +119,7 @@ def lift_configuration(
 ) -> LiftedConfiguration:
     """The lift of every configuration point, ``(p, 1) / (<p, w> - alpha)``,
     as the integer vectors and weights of the module docstring."""
-    return _lift(hyperplane, *integer_points(config.points))
-
-
-def _lift(
-    hyperplane: Hyperplane, q: int, points: Sequence[Sequence[int]]
-) -> LiftedConfiguration:
-    """``lift_configuration`` on the points' ``integer_points`` ``(q, P)``."""
+    q, points = integer_points(config.points)
     coefficients = (*hyperplane.w, hyperplane.alpha)
     k = common_denominator(coefficients)
     *w, alpha = scaled(coefficients, k)

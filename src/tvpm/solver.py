@@ -46,13 +46,13 @@ Any linear function ``f`` of the points is a valid axis: if the blocks'
 hulls share a point ``x``, then ``f(x)``, a convex combination of ``f`` at
 each block's points, lies between that block's least and greatest value of
 ``f``, so the boxes on ``f`` meet at ``f(x)``.  The search's axes
-(``_walk_keys``) are the coordinates ``H_t[m] / N_t`` and the sum and the
-difference of every pair of them, ``D + D(D-1)`` axes for points of length
-``D``, a box with ``2D^2`` faces (a k-DOP, as bounding volumes in collision
-detection use them: Klosowski, Held, Mitchell, Sowizral and Zikan, IEEE
-TVCG 4(1), 1998).  All are integers over one common multiple of the
-weights, so order and ties are the rationals'.  The search thus decides,
-in canonical order, the programs of the partitions whose boxes meet on every
+(``_walk_keys``) are the nonconstant coordinates ``H_t[m] / N_t`` and the
+sum and the difference of every pair of them, ``D + D(D-1)`` axes for ``D``
+such coordinates, a box with ``2D^2`` faces (a k-DOP, as bounding volumes
+in collision detection use them: Klosowski, Held, Mitchell, Sowizral and
+Zikan, IEEE TVCG 4(1), 1998).  All are integers over one common multiple
+of the weights, so order and ties are the rationals'.  The search thus
+decides, in canonical order, the programs of the partitions whose boxes meet on every
 axis, and the walk drops no partition whose hulls meet: the same first hit
 and the same certificate bytes as a search over every partition.
 
@@ -142,7 +142,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from fractions import Fraction
-from itertools import accumulate, combinations
+from itertools import accumulate, combinations, compress
 from math import lcm
 from typing import Iterator, Optional, Sequence, Union
 
@@ -609,11 +609,18 @@ def _walk_keys(
     b``, each an integer over one common multiple of the weights, so that
     order and ties are the rationals'.  Every axis is a linear function of
     the points, so the walk's cut on it drops no partition whose hulls meet
-    (module docstring)."""
+    (module docstring).  A constant coordinate ``c`` (``tverberg_partition``'s
+    last) is dropped: it cuts nothing, and ``a + c`` and ``a - c`` cut as
+    ``a`` does."""
     common = lcm(*weights)
+    rows = [
+        [h * multiple for h in vector]
+        for vector, multiple in zip(vectors, [common // w for w in weights])
+    ]
+    varying = [column.count(column[0]) < len(column) for column in zip(*rows)]
     keys = []
-    for vector, weight in zip(vectors, weights):
-        key = [h * (common // weight) for h in vector]
+    for row in rows:
+        key = list(compress(row, varying))
         pairs = list(combinations(key, 2))
         keys.append(key + [a + b for a, b in pairs] + [a - b for a, b in pairs])
     return keys

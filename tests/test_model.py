@@ -33,6 +33,10 @@ LINE3 = (FIXTURES / "line3.txt").read_text()
 LINE3_CERT = (FIXTURES / "line3.cert").read_text()
 PLANE7 = (FIXTURES / "colored_plane7.txt").read_text()
 PLANE7_CERT = (FIXTURES / "colored_plane7.cert").read_text()
+# Characters at which ``str.splitlines`` ends a line and the formats do not.
+LINE_SEPARATORS = [
+    "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"
+]
 
 
 class TestHelpers:
@@ -73,6 +77,18 @@ class TestConfigurationParsing:
     def test_comments_and_blank_lines_ignored(self):
         noisy = "\n# banner\n\n" + LINE3.replace("d 1", "d 1\n# mid comment\n")
         assert parse_configuration(noisy) == parse_configuration(LINE3)
+
+    @pytest.mark.parametrize("end", ["\r\n", "\r"])
+    def test_crlf_and_cr_line_ends(self, end):
+        assert parse_configuration(LINE3.replace("\n", end)) == parse_configuration(
+            LINE3
+        )
+
+    @pytest.mark.parametrize("separator", LINE_SEPARATORS)
+    def test_a_comment_runs_to_the_line_end_only(self, separator):
+        # grep and wc -l see one comment line here, and so does the parser.
+        text = LINE3.replace("mu : 2", f"# marked face switched off:{separator}mu : 2")
+        assert parse_configuration(text).mu == ()
 
     def test_unsorted_mu_is_normalized(self):
         text = LINE3.replace("mu : 2", "mu : 2 0")
@@ -243,6 +259,18 @@ class TestCertificateParsing:
     def test_round_trip_is_byte_stable(self):
         for text in (LINE3_CERT, PLANE7_CERT):
             assert serialize_certificate(parse_certificate(text)) == text
+
+    @pytest.mark.parametrize("end", ["\r\n", "\r"])
+    def test_crlf_and_cr_line_ends(self, end):
+        assert parse_certificate(LINE3_CERT.replace("\n", end)) == parse_certificate(
+            LINE3_CERT
+        )
+
+    @pytest.mark.parametrize("separator", LINE_SEPARATORS)
+    def test_a_comment_runs_to_the_line_end_only(self, separator):
+        # A trailing line would be rejected; inside the comment it is not one.
+        text = LINE3_CERT + f"# trailer{separator}alpha : 5\n"
+        assert parse_certificate(text) == parse_certificate(LINE3_CERT)
 
     def test_parse_rainbow_golden(self):
         cert = parse_certificate(PLANE7_CERT)

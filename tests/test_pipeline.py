@@ -10,13 +10,13 @@ from pathlib import Path
 import pytest
 
 import gen
+from search_counts import load
 from tvpm import (
     Configuration,
     Hyperplane,
     pipeline,
     separation,
     solver,
-    verifier,
     verify_certificate,
 )
 from tvpm.cli import main as cli_main
@@ -29,6 +29,8 @@ from tvpm.pipeline import (
     run_corollary,
 )
 from tvpm.separation import lift_configuration
+
+tracing = load("perfbench/tracing.py", "perfbench_tracing")
 
 F = Fraction
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -104,22 +106,17 @@ class TestPlusMinusPartition:
             for v, c in cert.coefficients.items():
                 assert c <= 0 if v in marked else c >= 0
 
-    @pytest.mark.parametrize("mu_size", [0, 2])
-    def test_the_points_are_scaled_once_for_separation_and_lift(
-        self, monkeypatch, mu_size
-    ):
-        # The verifier scales them again, on its own, to stay independent.
-        scaled = []
-        for module in (pipeline, separation, verifier):
-            original = module.integer_points
-
-            def counting(points, name=module.__name__, original=original):
-                scaled.append(name)
-                return original(points)
-
-            monkeypatch.setattr(module, "integer_points", counting)
-        plus_minus_partition(gen.separable_configuration(0, 2, 3, mu_size))
-        assert scaled == ["tvpm.pipeline", "tvpm.verifier"]
+    def test_the_solve_composes_the_public_separation_and_lift(self):
+        # The benchmark's tracer times the lift by wrapping the name the
+        # pipeline looks up, so that name must be the lift the solve runs.
+        assert pipeline.lift_configuration is separation.lift_configuration
+        assert pipeline.separating_hyperplane is separation.separating_hyperplane
+        tracer = tracing.Tracer()
+        with tracer.installed():
+            cert = plus_minus_partition(LINE3)
+        assert cert == LINE3_CERT
+        assert tracer.calls["separation.lift_configuration"] == 1
+        assert tracer.calls["lp.separation"] == 1
 
 
 def swap_coefficients_one_and_two(monkeypatch):

@@ -8,7 +8,7 @@ import sys
 from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -338,6 +338,28 @@ class TestBitsetWalk:
                     hit = hulls_intersect([[points[i] for i in b] for b in blocks])
                     assert hit is None, blocks
         assert dropped > 0
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_a_constant_coordinate_gives_no_axis(self, seed):
+        # tverberg_partition's columns (P_t, q) end in the same q for every
+        # point: in dimension 2 the keys are the two coordinates, their sum
+        # and their difference, and the listing is the one the full set of
+        # 9 axes, the constant one and its sums and differences included,
+        # gives.
+        rng = random.Random(seed)
+        q, ints = integer_points([gen.random_point(rng, 2) for _ in range(7)])
+        columns = [(*p, q) for p in ints]
+        keys = solver._walk_keys(columns, [q] * 7)
+        assert keys == solver._walk_keys(ints, [q] * 7)
+        assert all(len(key) == 4 for key in keys)
+        full = [
+            [*c, *(a + b for a, b in combinations(c, 2))]
+            + [a - b for a, b in combinations(c, 2)]
+            for c in columns
+        ]
+        assert list(enumerate_partitions(7, 3, None, keys)) == list(
+            enumerate_partitions(7, 3, None, full)
+        )
 
 
 class TestTracedNames:
