@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
+from functools import cache
 from typing import Optional, Sequence
 
 from .errors import (
@@ -36,8 +37,10 @@ MODES = ("classical", "plusminus", "colored", "corollary")
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
+    # Looked up per call, so a wrapped or patched command runs.
+    commands = {"solve": cmd_solve, "verify": cmd_verify, "oracle": cmd_oracle}
     try:
-        return args.func(args)
+        return commands[args.command](args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -62,7 +65,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_INTERNAL
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and kept for the
+    process (a parse does not change it)."""
     parser = argparse.ArgumentParser(
         prog="tvpm",
         description="Exact Tverberg-type partition solver and verifier.",
@@ -78,12 +84,12 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--input", required=True, help="configuration file")
     solve.add_argument("--mode", choices=MODES, default="plusminus")
     solve.add_argument("--output", help="certificate file (default: stdout)")
-    solve.set_defaults(func=cmd_solve)
+    solve.set_defaults(command="solve")
 
     verify = sub.add_parser("verify", help="re-check a certificate")
     verify.add_argument("--input", required=True, help="configuration file")
     verify.add_argument("--cert", required=True, help="certificate file")
-    verify.set_defaults(func=cmd_verify)
+    verify.set_defaults(command="verify")
 
     oracle = sub.add_parser(
         "oracle", help="list every valid partition by brute force"
@@ -94,7 +100,7 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="fail unless at least one partition is valid",
     )
-    oracle.set_defaults(func=cmd_oracle)
+    oracle.set_defaults(command="oracle")
     return parser
 
 

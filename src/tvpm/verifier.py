@@ -17,11 +17,12 @@ every call.  ``oracle_enumerate``
 decides, for every partition independently, whether signed coefficients with
 the required signs can present a common point; it never builds the
 projective lift, so it cross-checks the pipeline by a different route.  It
-first bounds, on each coordinate axis of the original points, the interval
-of values each block can present with its signs (``_intervals_miss``; an
-interval can be unbounded), and drops a partition whose intervals miss
-without posing its program; every other partition's program goes to the
-simplex.
+first bounds, on each coordinate axis of the original points and on each
+pairwise direction ``e_a + e_b`` and ``e_a - e_b`` (``_interval_keys``), the
+interval of values each block can present with its signs
+(``_intervals_miss``; an interval can be unbounded), and drops a partition
+whose intervals miss without posing its program; every other partition's
+program goes to the simplex, posed from the points themselves.
 
 The oracle's program for one partition of ``n`` vertices in dimension ``d``
 into ``r`` blocks has one variable per vertex and ``r + (r - 1) * d`` rows:
@@ -153,18 +154,20 @@ def oracle_enumerate(config: Configuration) -> list[Blocks]:
     coefficients of marked vertices at most 0, of unmarked vertices at
     least 0, each block summing to 1 and presenting the same point as block
     0.  A partition whose blocks' signed intervals miss on a coordinate axis
-    (``_intervals_miss``) has an infeasible program, so it is dropped
-    before the program is built.  Returns the partitions in canonical
-    enumeration order.
+    or on a pairwise direction ``e_a + e_b`` or ``e_a - e_b``
+    (``_intervals_miss`` on ``_interval_keys``, built once per listing) has
+    an infeasible program, so it is dropped before the program is built.
+    Returns the partitions in canonical enumeration order.
     """
     validate_configuration(config)
     coloring = config.coloring if config.mode == COLORED else None
     q, points = integer_points(config.points)
+    keys = _interval_keys(points)
     members = set(config.mu)
     intervals: dict[tuple[int, ...], tuple] = {}
     found = []
     for blocks in enumerate_partitions(len(config.points), config.r, coloring):
-        if _intervals_miss(points, members, blocks, intervals):
+        if _intervals_miss(keys, members, blocks, intervals):
             continue
         program = _presentation_program(q, points, members, blocks)
         if lp_solve(program).status == FEASIBLE:
@@ -172,16 +175,33 @@ def oracle_enumerate(config: Configuration) -> list[Blocks]:
     return found
 
 
+def _interval_keys(points: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
+    """Each point's values on the coordinate axes, then on ``e_a + e_b`` and
+    ``e_a - e_b`` for each pair of axes ``a < b``: the directions
+    ``_intervals_miss`` tries."""
+    d = len(points[0])
+    pairs = [(a, b) for a in range(d) for b in range(a + 1, d)]
+    return [
+        (*p, *(v for a, b in pairs for v in (p[a] + p[b], p[a] - p[b])))
+        for p in points
+    ]
+
+
 def _intervals_miss(
-    points: Sequence[Sequence[int]],
+    keys: Sequence[Sequence[int]],
     members: set[int],
     blocks: Blocks,
     intervals: dict[tuple[int, ...], tuple],
 ) -> bool:
-    """True when a coordinate axis proves that ``blocks`` have no signed
+    """True when a linear functional proves that ``blocks`` have no signed
     presentation of a common point, so their program is infeasible.
 
-    On one axis, let a block's unmarked values (of ``P = q * p``) span
+    ``keys[i]`` holds point ``i``'s values on a fixed list of linear
+    functionals of ``P = q * p``; the oracle passes ``_interval_keys``, the
+    coordinates and the pairwise sums and differences.  A block's signed
+    weights present on a functional the same combination of their points'
+    values, since the functional is linear, so the rule below holds on
+    each.  On one functional, let a block's unmarked values span
     ``[umin, umax]`` and its marked values ``[vmin, vmax]``.  Weights that
     sum to 1, ``>= 0`` on unmarked and ``<= 0`` on marked vertices, present
     ``(1 + T) * u - T * v``, where ``T >= 0`` is the marked weights'
@@ -193,20 +213,21 @@ def _intervals_miss(
     ``v = vmax``, ``T`` growing); likewise its high end is ``umax`` when the
     block has no marked vertex or ``umax <= vmin``, and ``+inf`` otherwise.
     A block without an unmarked vertex presents nothing, as weights ``<= 0``
-    do not sum to 1.  The common point lies in every block's interval on
-    every axis, so there is none when some block presents nothing or, on
-    some axis, the largest low end exceeds the smallest high end.
+    do not sum to 1.  The common point's value lies in every block's
+    interval on every functional, so there is none when some block presents
+    nothing or, on some functional, the largest low end exceeds the
+    smallest high end.
 
     ``intervals`` keeps each block's low and high ends, one list of each
-    with one entry per axis, for one listing: ``()`` for a block that
+    with one entry per functional, for one listing: ``()`` for a block that
     presents nothing.
     """
     lows = highs = None
     for block in blocks:
         ends = intervals.get(block)
         if ends is None:
-            unmarked = [points[i] for i in block if i not in members]
-            marked = [points[i] for i in block if i in members]
+            unmarked = [keys[i] for i in block if i not in members]
+            marked = [keys[i] for i in block if i in members]
             ends = ()
             if unmarked:
                 low = [min(axis) for axis in zip(*unmarked)]

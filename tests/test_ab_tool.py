@@ -1,7 +1,9 @@
-"""``tools/ab.py`` end to end: a checkout compared with itself."""
+"""``tools/ab.py`` end to end: a checkout compared with itself, and the
+differences it must catch."""
 
 from __future__ import annotations
 
+import shutil
 import subprocess
 import sys
 
@@ -30,9 +32,10 @@ def test_a_checkout_against_itself_gives_every_ratio(ab, capsys):
     out = capsys.readouterr().out
     ratios = [line for line in out.splitlines() if "A/B speed ratio" in line]
     assert [line.split(":")[0] for line in ratios] == [
-        "search-lp", "search-enum", "cli-oracle"
+        "search-lp", "search-enum", "cli-oracle", "cli-round"
     ]
     assert out.count("2 instances x 1 passes") == 3
+    assert out.count("17 commands x 1 passes") == 1
 
 
 def test_the_oracle_runs_on_the_generated_pairs(ab):
@@ -60,6 +63,61 @@ def test_differing_oracle_listings_exit_one(ab, capsys):
     packages = [_Oracle([((0,), (1, 2))]), _Oracle([])]
     assert ab.compare(workloads, packages, "cli-oracle") == 1
     assert "cli-oracle instance 0: the oracle listings differ" in capsys.readouterr().out
+
+
+def test_the_round_is_the_benchmark_round_with_relative_paths(ab):
+    commands = ab.round_commands(ab.load_workloads())
+    assert len(commands) == 17
+    assert commands[0] == ["solve", "--input", "line3.txt", "--output", "l.cert"]
+    assert commands[-1] == ["oracle", "--input", "c0.txt"]
+
+
+class _Cli:
+    """A stand-in package whose ``cli.main`` prints ``stderr`` and writes
+    ``written``, unless it is None, to the ``--output`` file, if any, and
+    exits 0."""
+
+    def __init__(self, stderr="", written="cert\n"):
+        self.cli = self
+        self.stderr = stderr
+        self.written = written
+
+    def main(self, argv):
+        sys.stderr.write(self.stderr)
+        if self.written is not None and "--output" in argv:
+            with open(argv[argv.index("--output") + 1], "w") as handle:
+                handle.write(self.written)
+        return 0
+
+
+@pytest.mark.parametrize(
+    "b, field",
+    [
+        (_Cli(stderr="solved\n"), "stderr"),
+        (_Cli(written="other\n"), "written certificate"),
+        (_Cli(written=None), "written certificate"),
+    ],
+    ids=["stderr", "written", "unwritten"],
+)
+def test_differing_commands_exit_one(ab, capsys, b, field):
+    assert ab.compare_round(ab.load_workloads(), [_Cli(), b]) == 1
+    assert capsys.readouterr().out == (
+        f"cli-round command 0 (solve --input line3.txt --output l.cert): "
+        f"the {field} differ\n"
+    )
+
+
+def test_a_checkout_whose_cli_prints_other_bytes_exits_one(ab, capsys, tmp_path):
+    shutil.copytree(ROOT / "src", tmp_path / "src")
+    cli = tmp_path / "src" / "tvpm" / "cli.py"
+    text = cli.read_text(encoding="utf-8")
+    cli.write_text(text.replace('"certificate accepted"', '"certificate ok"'))
+    assert ab.main([str(ROOT), str(tmp_path)]) == 1
+    out = capsys.readouterr().out
+    assert out.endswith(
+        "cli-round command 1 (verify --input line3.txt --cert l.cert): "
+        "the stderr differ\n"
+    )
 
 
 def test_a_directory_without_the_package_is_refused(tmp_path):

@@ -3,6 +3,7 @@ trips, and the oracle listing."""
 
 from __future__ import annotations
 
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import gen
+from tvpm import cli
 from tvpm.cli import main as cli_main
 from tvpm.model import serialize_configuration
 
@@ -226,6 +228,25 @@ class TestOracle:
         assert out == ""
 
 
+class TestParser:
+    def test_the_parser_is_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_the_command_is_looked_up_at_each_call(self, capsys, monkeypatch):
+        # A wrapped or patched ``cmd_*`` name runs although the parser that
+        # names the command was built before the patch.
+        assert run_cli(capsys, "oracle", "--input", str(LINE3))[0] == 0
+        seen = []
+
+        def patched(args):
+            seen.append(args.input)
+            return 7
+
+        monkeypatch.setattr(cli, "cmd_oracle", patched)
+        assert run_cli(capsys, "oracle", "--input", str(LINE3)) == (7, "", "")
+        assert seen == [str(LINE3)]
+
+
 class TestInputBytes:
     """Inputs that are not the ASCII text format end in exit 2 with one
     line on stderr, never a traceback or a silent misreading."""
@@ -412,16 +433,40 @@ class TestInputBytes:
         assert err.count("\n") == 1 and len(err.encode()) < 200
 
 
+# argparse's stderr for a missing command, a missing required option and an
+# unknown command, byte for byte at 80 columns.
+USAGE_ERRORS = {
+    (): (
+        "usage: tvpm [-h] {solve,verify,oracle} ...\n"
+        "tvpm: error: the following arguments are required: "
+        "{solve,verify,oracle}\n"
+    ),
+    ("solve",): (
+        "usage: tvpm solve [-h] --input INPUT\n"
+        "                  [--mode {classical,plusminus,colored,corollary}]\n"
+        "                  [--output OUTPUT]\n"
+        "tvpm solve: error: the following arguments are required: --input\n"
+    ),
+    ("bogus",): (
+        "usage: tvpm [-h] {solve,verify,oracle} ...\n"
+        "tvpm: error: argument {solve,verify,oracle}: invalid choice: 'bogus' "
+        "(choose from 'solve', 'verify', 'oracle')\n"
+    ),
+}
+
+
 class TestSubprocess:
     """True end-to-end runs in separate interpreters; separate processes
     also rule out hash-seed dependence in the output bytes."""
 
     def run(self, *args: str, cwd=None):
+        # argparse wraps its usage lines to COLUMNS.
         return subprocess.run(
             [sys.executable, "-m", "tvpm.cli", *args],
             capture_output=True,
             text=True,
             cwd=cwd,
+            env={**os.environ, "COLUMNS": "80"},
         )
 
     def test_help_exits_zero(self):
@@ -430,8 +475,15 @@ class TestSubprocess:
         assert "solve" in result.stdout
 
     def test_usage_error_exits_two(self):
-        result = self.run("solve")
-        assert result.returncode == 2
+        for args, stderr in USAGE_ERRORS.items():
+            result = self.run(*args)
+            assert result.returncode == 2
+            assert result.stdout == ""
+            # Newer argparse releases print the choices without quotes.
+            assert result.stderr.replace(
+                "(choose from solve, verify, oracle)",
+                "(choose from 'solve', 'verify', 'oracle')",
+            ) == stderr
 
     @pytest.mark.parametrize("command", ["solve", "oracle"])
     def test_a_walk_deeper_than_the_recursion_limit_is_one_line(

@@ -581,46 +581,92 @@ def small_integer_configuration(seed) -> Configuration:
 
 class TestIntervalTest:
     """The oracle drops a partition, before its LP, only when its blocks'
-    signed intervals miss on a coordinate axis, so it lists what solving
-    every partition's program lists."""
+    signed intervals miss on a coordinate axis or a pairwise direction, so
+    it lists what solving every partition's program lists."""
 
     @pytest.mark.parametrize("seed", range(40))
-    def test_dropped_partitions_are_infeasible(self, seed):
+    def test_dropped_partitions_are_infeasible(self, seed, monkeypatch):
         config = small_integer_configuration(seed)
         coloring = config.coloring if config.mode == COLORED else None
         q, points = integer_points(config.points)
+        keys = verifier._interval_keys(points)
         members = set(config.mu)
         intervals = {}
         exhaustive = []
+        kept = 0
         for blocks in enumerate_partitions(len(config.points), config.r, coloring):
             program = verifier._presentation_program(q, points, members, blocks)
             status = lp_solve(program).status
-            if verifier._intervals_miss(points, members, blocks, intervals):
+            if verifier._intervals_miss(keys, members, blocks, intervals):
                 assert status == INFEASIBLE
-            elif status == FEASIBLE:
-                exhaustive.append(blocks)
+            else:
+                kept += 1
+                if status == FEASIBLE:
+                    exhaustive.append(blocks)
+        # The oracle solves one LP for each partition its keys keep.
+        solved = []
+        monkeypatch.setattr(
+            verifier, "lp_solve", lambda lp: solved.append(lp) or lp_solve(lp)
+        )
         assert oracle_enumerate(config) == exhaustive
+        assert len(solved) == kept
 
     def test_the_configurations_drop_and_list(self):
         # The seeds above cover both modes, empty and nonempty marked sets,
-        # and both outcomes of the test.
+        # and both outcomes of the test; the pairwise directions drop some
+        # partitions that the coordinate axes alone keep.
         configs = [small_integer_configuration(seed) for seed in range(40)]
         assert {c.mode for c in configs} == {CLASSICAL, COLORED}
         assert {bool(c.mu) for c in configs} == {False, True}
         assert {(c.d, c.r) for c in configs} == set(SMALL_CELLS)
-        dropped = kept = 0
+        dropped = kept = pairwise = 0
         for config in configs:
             coloring = config.coloring if config.mode == COLORED else None
             _, points = integer_points(config.points)
+            keys = verifier._interval_keys(points)
             members = set(config.mu)
             for blocks in enumerate_partitions(
                 len(config.points), config.r, coloring
             ):
-                if verifier._intervals_miss(points, members, blocks, {}):
+                if verifier._intervals_miss(keys, members, blocks, {}):
                     dropped += 1
+                    pairwise += not verifier._intervals_miss(
+                        points, members, blocks, {}
+                    )
                 else:
                     kept += 1
-        assert dropped and kept
+        assert dropped and kept and pairwise
+
+    def test_the_keys_are_the_coordinates_then_each_pair(self):
+        keys = verifier._interval_keys([(1, 2, 3), (0, -1, 5)])
+        # x, y, z, then x + y, x - y, x + z, x - z, y + z, y - z.
+        assert keys == [
+            (1, 2, 3, 3, -1, 4, -2, 5, -1),
+            (0, -1, 5, -1, 1, 5, -5, 4, -6),
+        ]
+        assert verifier._interval_keys([(4,), (-2,)]) == [(4,), (-2,)]
+
+    def test_a_pairwise_direction_separates_where_the_axes_meet(self):
+        # {(0,2), (2,0)} spans [0, 2] on both axes and {(0,0), (1,0)} spans
+        # [0, 1] and [0, 0], so the axes meet; on x + y the blocks present
+        # [2, 2] and [0, 1], which miss.
+        config = Configuration(
+            d=2,
+            r=2,
+            points=((F(0), F(2)), (F(2), F(0)), (F(0), F(0)), (F(1), F(0))),
+            mode=CLASSICAL,
+        )
+        blocks = ((0, 1), (2, 3))
+        q, points = integer_points(config.points)
+        keys = verifier._interval_keys(points)
+        assert not verifier._intervals_miss(points, set(), blocks, {})
+        intervals = {}
+        assert verifier._intervals_miss(keys, set(), blocks, intervals)
+        assert intervals[(0, 1)][0][2] == intervals[(0, 1)][1][2] == 2
+        assert (intervals[(2, 3)][0][2], intervals[(2, 3)][1][2]) == (0, 1)
+        program = verifier._presentation_program(q, points, set(), blocks)
+        assert lp_solve(program).status == INFEASIBLE
+        assert blocks not in oracle_enumerate(config)
 
     def test_a_block_of_marked_vertices_presents_nothing(self):
         # Vertex 2 alone, marked, has no weights summing to 1.

@@ -18,16 +18,31 @@ to the next, so a drift in the machine's speed falls on both sides alike.
 Times are thread CPU time.
 
 The last line per workload is the speed ratio: A's total time over B's, so
-a ratio above 1 means B is faster.  This complements ``perfbench/run.py``,
-which measures one checkout per process in a closed loop: the A/B here
-cancels drift between runs, but measures neither set-up nor memory, nor
-the CLI's parsing, verifying and printing around the oracle.
+a ratio above 1 means B is faster.
+
+A last line, ``cli-round``, runs the 17 commands of the cli-oracle plan's
+round 0 (``perfbench/workloads.py``) through each checkout's ``cli.main``,
+``PASSES`` times, in one temporary copy of that workload's inputs
+(``workloads.prepare``, under ``.perfbench-work/``, removed after).  Each
+command is run by A and by B back to back, the order alternating as above,
+and the two must agree on the exit code, stdout, stderr and the bytes of
+the certificate written to ``--output`` (removed before each run); a
+difference stops the script with exit 1.  This line times the whole
+command: argument parsing, reading, solving, verifying, the oracle and
+printing.
+
+This complements ``perfbench/run.py``, which measures one checkout per
+process in a closed loop: the A/B here cancels drift between runs, but
+measures neither set-up nor memory.
 """
 
 from __future__ import annotations
 
+import contextlib
 import importlib
 import importlib.util
+import io
+import os
 import shutil
 import statistics
 import sys
@@ -59,6 +74,7 @@ def load_package(checkout: Path, name: str, into: Path):
     if not (source / "__init__.py").is_file():
         raise SystemExit(f"no src/tvpm package in {checkout}")
     shutil.copytree(source, into / name, ignore=shutil.ignore_patterns("__pycache__"))
+    importlib.import_module(f"{name}.cli")
     return importlib.import_module(name)
 
 
@@ -91,28 +107,103 @@ def compare(workloads, packages, workload: str) -> int:
         run, outputs = solve, "certificates"
     texts = inputs(workloads, workload)
     configs = [[p.parse_configuration(t) for t in texts] for p in packages]
+
+    def differs(i, a, b):
+        return None if a == b else f"instance {i}: the {outputs} differ"
+
+    return interleave(
+        workload,
+        "instance",
+        len(texts),
+        lambda side, i: run(packages[side], configs[side][i]),
+        differs,
+    )
+
+
+def interleave(name: str, noun: str, count: int, run, differs) -> int:
+    """``run(side, i) -> (time, result)`` for each ``i < count``, ``PASSES``
+    times over, by A (side 0) and B back to back, the order alternating from
+    one ``i`` to the next.  The first ``differs(i, a, b)`` message about the
+    two results is printed and returns 1; otherwise the totals and the speed
+    ratio are printed and 0 is returned."""
     totals = [0.0, 0.0]
     ratios = []
     for _ in range(PASSES):
-        for i in range(len(texts)):
+        for i in range(count):
             order = (0, 1) if i % 2 == 0 else (1, 0)
-            times, results = [0.0, 0.0], ["", ""]
+            times, results = [0.0, 0.0], [None, None]
             for side in order:
-                times[side], results[side] = run(packages[side], configs[side][i])
-            if results[0] != results[1]:
-                print(f"{workload} instance {i}: the {outputs} differ")
+                times[side], results[side] = run(side, i)
+            difference = differs(i, *results)
+            if difference:
+                print(f"{name} {difference}")
                 return 1
             totals[0] += times[0]
             totals[1] += times[1]
             if times[1] > 0:
                 ratios.append(times[0] / times[1])
     print(
-        f"{workload}: A {totals[0]:.3f} s, B {totals[1]:.3f} s over "
-        f"{len(texts)} instances x {PASSES} passes; "
-        f"median per-instance A/B {statistics.median(ratios):.3f}"
+        f"{name}: A {totals[0]:.3f} s, B {totals[1]:.3f} s over "
+        f"{count} {noun}s x {PASSES} passes; "
+        f"median per-{noun} A/B {statistics.median(ratios):.3f}"
     )
-    print(f"{workload}: A/B speed ratio {totals[0] / totals[1]:.3f}")
+    print(f"{name}: A/B speed ratio {totals[0] / totals[1]:.3f}")
     return 0
+
+
+def round_commands(workloads) -> list[list[str]]:
+    """The argument lists of the cli-oracle plan's round 0, with paths
+    relative to the directory that holds the inputs.  The plan is read from
+    ``Workload._cli_round`` without loading ``tvpm``; every argument is
+    free of spaces, so each call's label splits back into its arguments."""
+    plan = workloads.Workload.__new__(workloads.Workload)
+    plan.workdir = Path()
+    return [call.label.split(" ") for call in plan._cli_round(0)]
+
+
+def command(package, argv: list[str]) -> tuple[float, tuple]:
+    """One ``cli.main`` call in the current directory: its time, and its exit
+    code, stdout, stderr and the bytes written to ``--output`` (None when
+    the file was not written)."""
+    output = Path(argv[argv.index("--output") + 1]) if "--output" in argv else None
+    if output is not None:
+        output.unlink(missing_ok=True)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        start = time.thread_time()
+        try:
+            code = package.cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        elapsed = time.thread_time() - start
+    written = output.read_bytes() if output is not None and output.exists() else None
+    return elapsed, (code, out.getvalue(), err.getvalue(), written)
+
+
+def compare_round(workloads, packages) -> int:
+    commands = round_commands(workloads)
+    fields = ("exit code", "stdout", "stderr", "written certificate")
+
+    def differs(i, a, b):
+        for field, x, y in zip(fields, a, b):
+            if x != y:
+                return f"command {i} ({' '.join(commands[i])}): the {field} differ"
+        return None
+
+    workdir, _ = workloads.prepare("cli-oracle", SEED, ROOT)
+    cwd = os.getcwd()
+    try:
+        os.chdir(workdir)
+        return interleave(
+            "cli-round",
+            "command",
+            len(commands),
+            lambda side, i: command(packages[side], commands[i]),
+            differs,
+        )
+    finally:
+        os.chdir(cwd)
+        workloads.discard(workdir)
 
 
 def main(argv=None) -> int:
@@ -131,7 +222,7 @@ def main(argv=None) -> int:
         for workload in WORKLOADS:
             if compare(workloads, packages, workload):
                 return 1
-    return 0
+        return compare_round(workloads, packages)
 
 
 if __name__ == "__main__":
