@@ -34,15 +34,11 @@ from .model import (
     validate_certificate_structure,
     validate_configuration,
 )
-from .pipeline import (
-    corollary_coloring,
-    plus_minus_partition,
-    pull_back_coefficients,
-    run_corollary,
-)
+from .pipeline import corollary_coloring, plus_minus_partition, run_corollary
 from .separation import (
     LiftedConfiguration,
     lift_configuration,
+    pull_back_coefficients,
     separating_hyperplane,
     trivial_hyperplane,
 )

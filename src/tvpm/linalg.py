@@ -1,9 +1,13 @@
 """Exact rational scalars and points.
 
-Every numeric quantity in this package is a ``fractions.Fraction``:
-arbitrary-precision integers underneath, always reduced, denominator always
-positive.  There is deliberately no floating-point code path anywhere, so
-every comparison and equality test in the package is exact.
+Every scalar at the package's interfaces (parsed and serialized
+configurations and certificates, and the points and coefficients its
+functions take and return) is a ``fractions.Fraction``: always reduced,
+denominator always positive.  Inside, the LP kernel, the search, the lift
+and the verifier scale those to integers (``common_denominator``,
+``scaled``) and work on them.  There is deliberately no floating-point
+code path anywhere, so every comparison and equality test in the package
+is exact.
 """
 
 from __future__ import annotations

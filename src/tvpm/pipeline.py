@@ -10,30 +10,16 @@ of its columns ``(N_t, H_t)`` is a positive multiple of the column the
 rational lift ``(p, 1) / s`` would give, so the LP kernel, which divides
 every column to a primitive one, starts from the same dictionary: the same
 Bland pivots, the same Farkas multipliers and the same point, up to those
-column scales.
-
-The pull-back reads the certificate off the LP's point ``u`` (one value per
-point, on the hit's blocks).  The sum row gives ``sum(|s_t| u_t : t in
-B_0) = 1``, so ``|s_t| u_t`` are block 0's convex weights on the lifted
-points, and
-
-    beta = sum(sign_t * u_t : t in B_0),  c_i = sign_i * u_i / beta,
-    b = sum(c_t * p_t : t in B_0),
-
-with ``sign_t`` the sign of ``s_t``: marked vertices (negative factors)
-come back nonpositive and unmarked ones nonnegative, while each block
-still presents the same point b affinely.  No lifted point, witness or
-common denominator over the lift is built.
+column scales.  The pull-back (``separation.pull_back_coefficients``)
+reads the certificate off the search's hit; the solve calls it through
+this module's name, which the benchmark's tracer wraps.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from fractions import Fraction
-from typing import Sequence
 
 from .errors import InternalError, MuTooLarge, ParseError
-from .linalg import common_denominator, scaled
 from .model import (
     COLORED,
     Configuration,
@@ -42,47 +28,13 @@ from .model import (
     validate_configuration,
 )
 from .separation import (
-    LiftedConfiguration,
     lift_configuration,
+    pull_back_coefficients,
     separating_hyperplane,
     trivial_hyperplane,
 )
-from .solver import Blocks, _first_hit
+from .solver import _first_hit
 from .verifier import verify_certificate
-
-
-def pull_back_coefficients(
-    hit: tuple[Blocks, Sequence[Fraction]], lifted: LiftedConfiguration
-) -> tuple[Fraction, dict[int, Fraction], tuple[Fraction, ...]]:
-    """Signed coefficients and target point from a search hit on the lift.
-
-    ``hit`` is the blocks and the LP's point ``u``, one value per point in
-    block order, of the search's program on ``lifted``.  Returns (beta,
-    coefficients, b) as in the module docstring, read off the homogeneous
-    vector ``sum(u_t * H_t : t in B_0)``: ``H_t = sign_t * scale * (p_t,
-    1)``, so that vector is ``scale * (beta * b, beta)``.  beta is positive
-    because at least one block avoids the marked face; the guard protects
-    the division.
-    """
-    blocks, point = hit
-    values = dict(zip((i for block in blocks for i in block), point))
-    vectors = lifted.vectors
-    # x = den * sum(u_t * H_t : t in B_0) in integers, which is den * scale
-    # times (beta * b, beta).
-    den = common_denominator(values[t] for t in blocks[0])
-    den_u = scaled([values[t] for t in blocks[0]], den)
-    x = [
-        sum(a * vectors[t][m] for a, t in zip(den_u, blocks[0]) if a)
-        for m in range(len(vectors[0]))
-    ]
-    beta = Fraction(x[-1], den * lifted.scale)
-    if beta <= 0:
-        raise InternalError(f"normalizer must be positive, got {beta}")
-    coefficients = {
-        i: (v if vectors[i][-1] > 0 else -v) / beta for i, v in values.items()
-    }
-    b = tuple(Fraction(v, x[-1]) for v in x[:-1])
-    return beta, coefficients, b
 
 
 def plus_minus_partition(config: Configuration) -> PlusMinusCertificate:
@@ -106,9 +58,7 @@ def plus_minus_partition(config: Configuration) -> PlusMinusCertificate:
     else:
         hyperplane = trivial_hyperplane(config)
     lifted = lift_configuration(config, hyperplane)
-    hit = _first_hit(
-        lifted.vectors, lifted.weights, lifted.scale, config.r, config.coloring
-    )
+    hit = _first_hit(lifted, config.r, config.coloring)
     beta, coefficients, b = pull_back_coefficients(hit, lifted)
     cert = PlusMinusCertificate(
         blocks=hit[0],

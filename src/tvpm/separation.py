@@ -23,13 +23,34 @@ so that ``H_i / N_i`` is the lifted point exactly and ``N_i / (q * K)`` is
 (``solver._first_hit``), and the pull-back needs only ``sign(S_i)``, the
 sign of ``H_i``'s last entry.  ``separating_hyperplane`` and
 ``lift_configuration`` each take the configuration and scale its points.
+The classical search is the same lift with every factor ``s = 1``: ``H_i =
+(P_i, q)``, ``N_i = q`` and ``scale = q`` (``lift_configuration`` for ``w =
+0`` and ``alpha = -1``), which ``solver.tverberg_partition`` and
+``solver.hulls_intersect`` search.
+
+The pull-back (``pull_back_coefficients``) reads the certificate off the
+LP's point ``u`` of a search hit (one value per point, on the hit's
+blocks).  The sum row gives ``sum(|s_t| u_t : t in B_0) = 1``, so ``|s_t|
+u_t`` are block 0's convex weights on the lifted points, and
+
+    beta = sum(sign_t * u_t : t in B_0),  c_i = sign_i * u_i / beta,
+    b = sum(c_t * p_t : t in B_0),
+
+with ``sign_t`` the sign of ``s_t``: marked vertices (negative factors)
+come back nonpositive and unmarked ones nonnegative, while each block
+still presents the same point b affinely.  No lifted point, witness or
+common denominator over the lift is built.  On the lift with every factor
+1, beta is 1, the coefficients are the convex weights and b is the common
+point of the blocks' hulls.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from .errors import DegenerateLift, SeparationInfeasible
+from typing import Sequence
+
+from .errors import DegenerateLift, InternalError, SeparationInfeasible
 from .linalg import ONE, common_denominator, scaled
 from .lp import FEASIBLE, Constraint, LinearProgram, integer_points, lp_solve
 from .model import Configuration, Hyperplane
@@ -63,6 +84,41 @@ class LiftedConfiguration:
             Fraction(n if vector[-1] > 0 else -n, self.scale)
             for vector, n in zip(self.vectors, self.weights)
         )
+
+
+def pull_back_coefficients(
+    hit: tuple[Sequence[Sequence[int]], Sequence[Fraction]],
+    lifted: LiftedConfiguration,
+) -> tuple[Fraction, dict[int, Fraction], tuple[Fraction, ...]]:
+    """Signed coefficients and target point from a search hit on the lift.
+
+    ``hit`` is the blocks and the LP's point ``u``, one value per point in
+    block order, of the search's program on ``lifted``.  Returns (beta,
+    coefficients, b) as in the module docstring, read off the homogeneous
+    vector ``sum(u_t * H_t : t in B_0)``: ``H_t = sign_t * scale * (p_t,
+    1)``, so that vector is ``scale * (beta * b, beta)``.  beta is positive
+    because at least one block avoids the marked face; the guard protects
+    the division.
+    """
+    blocks, point = hit
+    values = dict(zip((i for block in blocks for i in block), point))
+    vectors = lifted.vectors
+    # x = den * sum(u_t * H_t : t in B_0) in integers, which is den * scale
+    # times (beta * b, beta).
+    den = common_denominator(values[t] for t in blocks[0])
+    den_u = scaled([values[t] for t in blocks[0]], den)
+    x = [
+        sum(a * vectors[t][m] for a, t in zip(den_u, blocks[0]) if a)
+        for m in range(len(vectors[0]))
+    ]
+    beta = Fraction(x[-1], den * lifted.scale)
+    if beta <= 0:
+        raise InternalError(f"normalizer must be positive, got {beta}")
+    coefficients = {
+        i: (v if vectors[i][-1] > 0 else -v) / beta for i, v in values.items()
+    }
+    b = tuple(Fraction(v, x[-1]) for v in x[:-1])
+    return beta, coefficients, b
 
 
 def separating_hyperplane(config: Configuration) -> Hyperplane:

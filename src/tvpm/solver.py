@@ -6,21 +6,25 @@ partitions is lexicographic on that nested-tuple form.  The search returns
 the first enumerated partition whose blocks' convex hulls share a point, so
 results are deterministic.
 
-The search (``_first_hit``) runs on integer vectors ``H_t`` with weights
-``N_t > 0``, the point ``H_t / N_t`` standing for point ``t``, and every
-input it gets is homogeneous: ``N_t = <H_t, v>`` for one ``v``, so every
-point ``H_t / N_t`` lies on the hyperplane ``<x, v> = 1``.  The plus-minus
-pipeline gives it the lift in homogeneous integer coordinates
-(``separation``), where ``H_t / N_t`` is the lifted point and ``v = (W,
--A) / K``.  ``tverberg_partition`` gives it ``H = (P, q)`` and ``N = q``,
-with ``P = q * p`` (``integer_points``): the lift with every factor ``s =
-1``, and ``v = e_last``.  The program of a partition (``_hulls_program``)
-asks for ``x >= 0`` with block 0's weighted sum ``sum(N_t x_t)`` a fixed
-positive total and every block's ``sum(H_t x_t)`` equal: ``N_t x_t /
-total`` are then convex weights of the points ``H_t / N_t`` with one common
-point.  Each column is a positive multiple of the rational program's
-column, so the kernel, which divides every column to a primitive one,
-pivots as it would on the rationals.
+The search (``_first_hit``) runs on a ``LiftedConfiguration``
+(``separation``): integer vectors ``H_t`` with weights ``N_t > 0``, the
+point ``H_t / N_t`` standing for point ``t``, and a positive ``scale``.
+Every lift it gets is homogeneous: ``N_t = <H_t, v>`` for one ``v``, so
+every point ``H_t / N_t`` lies on the hyperplane ``<x, v> = 1``.  The
+plus-minus pipeline gives it the lift by the separating hyperplane, where
+``H_t / N_t`` is the lifted point and ``v = (W, -A) / K``.
+``tverberg_partition`` and ``hulls_intersect`` give it the lift with every
+factor ``s = 1``: ``H = (P, q)``, ``N = q`` and ``scale = q``, with ``P = q
+* p`` (``integer_points``), and ``v = e_last``.  The program of a partition
+(``_hulls_program``) asks for ``x >= 0`` with block 0's weighted sum
+``sum(N_t x_t)`` equal to the scale and every block's ``sum(H_t x_t)``
+equal: ``N_t x_t / scale`` are then convex weights of the points ``H_t /
+N_t`` with one common point.  Every hit is read by one pull-back
+(``separation.pull_back_coefficients``); on the lift with every factor 1
+its beta is 1, its coefficients are the convex weights and its point ``b``
+is the common point.  Each column is a positive multiple of the rational
+program's column, so the kernel, which divides every column to a primitive
+one, pivots as it would on the rationals.
 
 Hulls can only meet where the blocks' bounding boxes do, so the search walks
 a box-pruned enumeration (``enumerate_partitions`` given the points) and
@@ -159,6 +163,7 @@ from .lp import (
     satisfies,
 )
 from .model import TverbergPartition, is_prime
+from .separation import LiftedConfiguration, pull_back_coefficients
 
 Blocks = tuple[tuple[int, ...], ...]
 # Per axis, the running box (lo, hi) in the walk's coordinates.
@@ -364,42 +369,41 @@ def hulls_intersect(
     q, points = integer_points(p for blk in blocks for p in blk)
     starts = [0, *accumulate(len(b) for b in blocks)]
     indices = tuple(tuple(range(a, b)) for a, b in zip(starts, starts[1:]))
-    columns = [(*p, q) for p in points]
-    result = lp_solve(_hulls_program(q, columns, [q] * len(columns), indices))
+    lift = LiftedConfiguration(
+        tuple((*p, q) for p in points), (q,) * len(points), q
+    )
+    result = lp_solve(_hulls_program(lift, indices))
     if result.status != FEASIBLE:
         return None
-    return _meeting_point(blocks, result.point)
+    _, coefficients, witness = pull_back_coefficients((indices, result.point), lift)
+    return witness, [[coefficients[i] for i in block] for block in indices]
 
 
-def _hulls_program(
-    total: int,
-    vectors: Sequence[Sequence[int]],
-    weights: Sequence[int],
-    blocks: Blocks,
-) -> LinearProgram:
-    """The program of ``blocks`` (tuples of indices into ``vectors``) on the
-    vectors ``H_t`` with weights ``N_t = <H_t, v> > 0`` for one ``v``.
+def _hulls_program(lift: LiftedConfiguration, blocks: Blocks) -> LinearProgram:
+    """The program of ``blocks`` (tuples of indices into the lift) on the
+    lift's vectors ``H_t`` with weights ``N_t = <H_t, v> > 0`` for one
+    ``v``.
 
     One variable ``x_t >= 0`` per point, in block order; then block 0's sum
-    row ``sum(N_t x_t : t in B_0) = total``, and for each block ``j >= 1``
+    row ``sum(N_t x_t : t in B_0) = scale``, and for each block ``j >= 1``
     and axis ``m``, ``sum(H_t[m] x_t : t in B_0) - sum(H_t[m] x_t : t in
     B_j) = 0``.  ``v`` applied to block ``j``'s coupling rows gives
     ``sum(N_t x_t : t in B_0) = sum(N_t x_t : t in B_j)``, so block ``j``'s
     sum row is implied.  The program has a point exactly when the blocks'
-    hulls of the points ``H_t / N_t`` meet: ``N_t x_t / total`` are the
+    hulls of the points ``H_t / N_t`` meet: ``N_t x_t / scale`` are the
     convex weights.  ``hulls_intersect`` and ``tverberg_partition`` use the
-    columns ``(P_t, q)`` of the integer points ``P = q * p`` with ``N_t =
-    total = q``, where ``v = e_last``; the plus-minus search uses the lift's
-    vectors and weights (``separation``), whose columns are positive
-    multiples of those of the lifted points.
+    lift with every factor 1 (``separation``), where ``v = e_last``; the
+    plus-minus search uses the separating hyperplane's lift, whose columns
+    are positive multiples of those of the lifted points.
     """
+    vectors = lift.vectors
     dim = len(vectors[0])
     starts = [0, *accumulate(len(b) for b in blocks)]
     nvar = starts[-1]
     coeffs = [0] * nvar
     for t, i in enumerate(blocks[0]):
-        coeffs[t] = weights[i]
-    cons = [Constraint(tuple(coeffs), total)]
+        coeffs[t] = lift.weights[i]
+    cons = [Constraint(tuple(coeffs), lift.scale)]
     for j in range(1, len(blocks)):
         for m in range(dim):
             coeffs = [0] * nvar
@@ -409,23 +413,6 @@ def _hulls_program(
                 coeffs[t] = -vectors[i][m]
             cons.append(Constraint(tuple(coeffs), 0))
     return LinearProgram(nvar, tuple(cons))
-
-
-def _meeting_point(
-    blocks: Sequence[Sequence[Point]], point: Sequence[Fraction]
-) -> tuple[tuple[Fraction, ...], list[list[Fraction]]]:
-    """The witness and per-block coefficients of a feasible point of
-    ``_hulls_program`` built on ``blocks`` with ``N_t = total``."""
-    per_block = []
-    start = 0
-    for blk in blocks:
-        per_block.append(list(point[start : start + len(blk)]))
-        start += len(blk)
-    witness = tuple(
-        sum((c * p[m] for c, p in zip(per_block[0], blocks[0]) if c), ZERO)
-        for m in range(len(blocks[0][0]))
-    )
-    return witness, per_block
 
 
 def _refuter(
@@ -439,7 +426,7 @@ def _refuter(
     ``multipliers`` certify that ``_hulls_program`` on ``blocks`` is
     infeasible: a sum-row multiplier ``s`` and coupling-row multipliers
     ``u_j`` (``j >= 1``) with ``y . A_t <= 0`` on every column and ``y . b =
-    total * s > 0``.  A column of block 0 reads ``N*s + sum_j <u_j, H>`` and
+    scale * s > 0``.  A column of block 0 reads ``N*s + sum_j <u_j, H>`` and
     one of block ``j`` reads ``-<u_j, H>``, so divided by ``N > 0`` they
     are, at the point ``x = H / N``, the affine functions
 
@@ -531,31 +518,25 @@ def tverberg_partition(
     # Every partition covers all the points, so one scaling serves them all:
     # each program is the one ``hulls_intersect`` would build.
     q, ints = integer_points(pts)
-    columns = [(*p, q) for p in ints]
-    blocks, point = _first_hit(columns, [q] * len(ints), q, r, coloring)
-    witness, per_block = _meeting_point(
-        [[pts[i] for i in block] for block in blocks], point
-    )
-    coefficients = {
-        i: c for block, cs in zip(blocks, per_block) for i, c in zip(block, cs)
-    }
-    return TverbergPartition(blocks, coefficients, witness)
+    lift = LiftedConfiguration(tuple((*p, q) for p in ints), (q,) * len(ints), q)
+    hit = _first_hit(lift, r, coloring)
+    _, coefficients, witness = pull_back_coefficients(hit, lift)
+    return TverbergPartition(hit[0], coefficients, witness)
 
 
 def _first_hit(
-    vectors: Sequence[Sequence[int]],
-    weights: Sequence[int],
-    total: int,
+    lift: LiftedConfiguration,
     r: int,
     coloring: Optional[Sequence[Sequence[int]]] = None,
 ) -> tuple[Blocks, tuple[Fraction, ...]]:
-    """The first listed partition of the points ``H_t / N_t`` whose hulls
-    meet, and the point of its ``_hulls_program``.
+    """The first listed partition of the lift's points ``H_t / N_t`` whose
+    hulls meet, and the point of its ``_hulls_program``.
 
-    The columns must be homogeneous, ``N_t = <H_t, v>`` for one ``v``, and
-    their count the ``1 + (r-1)D`` of vectors of length ``D``, so that
-    every program is square: the lift's columns in the plus-minus pipeline,
-    and ``(P_t, q)`` in ``tverberg_partition``.  The search runs the
+    The lift's columns must be homogeneous, ``N_t = <H_t, v>`` for one
+    ``v``, and their count the ``1 + (r-1)D`` of vectors of length ``D``,
+    so that every program is square: the separating hyperplane's lift in
+    the plus-minus pipeline, and the lift with every factor 1 in
+    ``tverberg_partition``.  The search runs the
     two-block Radon hit where there is one dependence, else the
     box-pruned walk on the points' coordinates and their pairwise sums and
     differences, the Farkas cache, and ``_decide`` on each partition left.
@@ -563,6 +544,8 @@ def _first_hit(
     ``lp_solve``, through this module's globals; the benchmark's tracer
     wraps ``enumerate_partitions`` and ``lp_solve``.
     """
+    vectors = lift.vectors
+    weights = lift.weights
     dependence = _dependence(vectors) if r == 2 else None
     if dependence is not None:
         # The Radon hit (module docstring): block 0 takes the sign class of
@@ -573,9 +556,11 @@ def _first_hit(
         blocks = (first, tuple(t for t in range(len(vectors)) if t not in first))
         norm = sum(weights[t] * abs(dependence[t]) for t in first)
         point = tuple(
-            Fraction(abs(dependence[t]) * total, norm) for b in blocks for t in b
+            Fraction(abs(dependence[t]) * lift.scale, norm)
+            for b in blocks
+            for t in b
         )
-        program = _hulls_program(total, vectors, weights, blocks)
+        program = _hulls_program(lift, blocks)
         if not satisfies(program, point):
             raise InternalError("the Radon point fails its partition's program")
         return blocks, point
@@ -585,7 +570,7 @@ def _first_hit(
     for blocks in enumerate_partitions(len(vectors), r, coloring, keys):
         if kept and _refuted(table, blocks, -1, 0):
             continue
-        program = _hulls_program(total, vectors, weights, blocks)
+        program = _hulls_program(lift, blocks)
         result = _decide(program)
         if result.status == FEASIBLE:
             return blocks, result.point

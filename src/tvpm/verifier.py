@@ -45,12 +45,7 @@ from operator import gt
 from typing import Optional, Sequence
 
 from .linalg import ZERO, common_denominator, dot, scaled
-from .model import (
-    COLORED,
-    Configuration,
-    PlusMinusCertificate,
-    validate_configuration,
-)
+from .model import Configuration, PlusMinusCertificate, validate_configuration
 from .lp import FEASIBLE, Constraint, LinearProgram, integer_points, lp_solve
 from .solver import Blocks, enumerate_partitions
 
@@ -160,13 +155,12 @@ def oracle_enumerate(config: Configuration) -> list[Blocks]:
     Returns the partitions in canonical enumeration order.
     """
     validate_configuration(config)
-    coloring = config.coloring if config.mode == COLORED else None
     q, points = integer_points(config.points)
     keys = _interval_keys(points)
     members = set(config.mu)
     intervals: dict[tuple[int, ...], tuple] = {}
     found = []
-    for blocks in enumerate_partitions(len(config.points), config.r, coloring):
+    for blocks in enumerate_partitions(len(config.points), config.r, config.coloring):
         if _intervals_miss(keys, members, blocks, intervals):
             continue
         program = _presentation_program(q, points, members, blocks)

@@ -1,8 +1,8 @@
 """The plus-minus pipeline's own search on a lift, read as a partition of
 the lifted points.
 
-``search_lift(lift, r, coloring)`` runs ``solver._first_hit`` on the lift's
-vectors, weights and scale, as ``plus_minus_partition`` does, and returns a
+``search_lift(lift, r, coloring)`` runs ``solver._first_hit`` on the lift,
+as ``plus_minus_partition`` does, and returns a
 ``TverbergPartition`` of ``lift.points``: the hit's blocks, the convex
 weights ``N_t * u_t / scale`` of the search's point ``u``, and the witness
 they give on block 0.  Block 0's sum row makes its weights sum to 1, and
@@ -20,9 +20,7 @@ from tvpm.model import TverbergPartition
 
 
 def search_lift(lift, r: int, coloring=None) -> TverbergPartition:
-    blocks, point = solver._first_hit(
-        lift.vectors, lift.weights, lift.scale, r, coloring
-    )
+    blocks, point = solver._first_hit(lift, r, coloring)
     order = [t for block in blocks for t in block]
     coefficients = {
         t: lift.weights[t] * u / lift.scale for t, u in zip(order, point)

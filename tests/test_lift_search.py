@@ -27,6 +27,7 @@ from tvpm.errors import DegenerateLift, InternalError, SeparationInfeasible
 from tvpm.lp import integer_points, lp_solve
 from tvpm.model import CLASSICAL, COLORED, Configuration, tverberg_point_count
 from tvpm.separation import (
+    LiftedConfiguration,
     lift_configuration,
     separating_hyperplane,
     trivial_hyperplane,
@@ -143,21 +144,21 @@ def signs_of(vectors) -> list:
     return [(v > 0) - (v < 0) for v in dependence]
 
 
-def check_the_hit(vectors, weights, total, points) -> tuple:
-    """Assert the search's hit on the columns is the first partition, in
+def check_the_hit(lift, points) -> tuple:
+    """Assert the search's hit on the lift's columns is the first partition, in
     canonical order, that both the reference decision and
     ``hulls_intersect`` on ``points`` accept, and that its point is the
     LP's on that partition; return the hit."""
-    signs = signs_of(vectors)
+    signs = signs_of(lift.vectors)
     expected = next(
         blocks
         for blocks in enumerate_partitions(len(points), 2)
         if _admits(signs, blocks)
         and hulls_intersect([[points[i] for i in b] for b in blocks]) is not None
     )
-    blocks, point = solver._first_hit(vectors, weights, total, 2)
+    blocks, point = solver._first_hit(lift, 2)
     assert blocks == expected
-    program = solver._hulls_program(total, vectors, weights, blocks)
+    program = solver._hulls_program(lift, blocks)
     assert lp_solve(program).point == point
     return blocks, point
 
@@ -183,8 +184,8 @@ def agree_on_every_partition(config) -> set:
         assert _admits(signs, blocks) == meets, blocks
         assert _admits(rational_signs, blocks) == meets, blocks
         verdicts.add(meets)
-    check_the_hit(lifted.vectors, lifted.weights, lifted.scale, points)
-    check_the_hit(ints, [q] * len(ints), q, points)
+    check_the_hit(lifted, points)
+    check_the_hit(LiftedConfiguration(tuple(ints), (q,) * len(ints), q), points)
     return verdicts
 
 
@@ -224,7 +225,8 @@ class TestTwoBlockDependence:
             dependence = solver._dependence(columns)
             if dependence is None:
                 continue
-            blocks, _ = check_the_hit(columns, [q] * len(ints), q, points)
+            lift = LiftedConfiguration(tuple(columns), (q,) * len(ints), q)
+            blocks, _ = check_the_hit(lift, points)
             assert tverberg_partition(points, 2).blocks == blocks
             hits += 1
             leading_zeros += dependence[0] == 0

@@ -124,6 +124,7 @@ class TestConfigurationParsing:
             (lambda t: t.replace("mu : 2", "mu : \uff12"), "mu"),
             (lambda t: t.replace("mu : 2", "mu : 3"), "range"),
             (lambda t: t.replace("mu : 2", "mu : 2 2"), "duplicate"),
+            (lambda t: t.replace("mu : 2", "mu 2"), "expected ':' in mu line"),
             (lambda t: t.replace("mode classical", "mode plusminus"), "mode"),
             (lambda t: t + "stray\n", "trailing"),
             (lambda t: t.replace("d 1", "d 0"), None),
@@ -162,6 +163,7 @@ class TestConfigurationParsing:
             (lambda t: t.replace("C3 : 3", "C3 :"), "class 3 is empty"),
             (lambda t: t.replace("C0 : 0 4", "C0 : 0"), "cover every vertex"),
             (lambda t: t.replace("colors 4", "colors 0"), "colors count must be positive"),
+            (lambda t: t.replace("C0 : 0 4", "C0 0 4"), "expected ':' in class C0 line"),
         ],
     )
     def test_rejects_bad_colorings(self, mangle, fragment):
@@ -286,6 +288,7 @@ class TestCertificateParsing:
             (lambda t: t.replace("B0 : 0", "B0 : 0 1"), "overlap"),
             (lambda t: t.replace("B0 : 0\nB1 : 1 2", "B0 : 1 2\nB1 : 0"), "sorted"),
             (lambda t: t.replace("B1 : 1 2", "B1 : 2 1"), "increasing"),
+            (lambda t: t.replace("B0 : 0", "B0 0"), "expected ':' in block B0 line"),
             (lambda t: t.replace("beta : 1/2", "beta : 0"), "positive"),
             (lambda t: t.replace("beta : 1/2", "beta : -1/2"), "positive"),
             (lambda t: t.replace("w : -1", "w : 0"), "zero"),

@@ -58,7 +58,7 @@ class TestPullBack:
         # signed presentation; only beta reflects the choice.
         alternate = Hyperplane((F(-2),), F(-4))
         lifted = lift_configuration(LINE3, alternate)
-        hit = solver._first_hit(lifted.vectors, lifted.weights, lifted.scale, LINE3.r)
+        hit = solver._first_hit(lifted, LINE3.r)
         beta, coefficients, b = pull_back_coefficients(hit, lifted)
         assert hit[0] == LINE3_CERT.blocks
         assert coefficients == LINE3_CERT.coefficients
@@ -97,6 +97,34 @@ class TestPlusMinusPartition:
         with pytest.raises(ParseError):
             plus_minus_partition(bad)
 
+    @pytest.mark.parametrize(
+        "d, r, colored",
+        [
+            (1, 3, False),
+            (2, 3, False),
+            (1, 5, False),
+            (2, 4, False),
+            (3, 3, False),
+            (4, 2, False),
+            (2, 3, True),
+            (3, 3, True),
+            (2, 5, True),
+        ],
+    )
+    def test_empty_face_solve_is_the_classical_search(self, d, r, colored):
+        # The trivial hyperplane's lift and the lift with every factor 1
+        # both give every point a positive factor, so a partition's hulls
+        # meet on one exactly when they meet on the other: the two searches
+        # stop at the same partition, and the pull-back reads the same
+        # convex weights and common point off either hit.
+        for seed in range(10):
+            config = gen.separable_configuration(seed, d, r, 0, colored)
+            partition = solver.tverberg_partition(config.points, r, config.coloring)
+            cert = plus_minus_partition(config)
+            assert cert.blocks == partition.blocks
+            assert cert.coefficients == partition.coefficients
+            assert cert.point_b == partition.witness
+
     def test_certificates_verify_on_random_instances(self):
         for i in range(8):
             config = gen.separable_configuration(f"pipe{i}", d=2, r=3, mu_size=2)
@@ -111,6 +139,7 @@ class TestPlusMinusPartition:
         # pipeline looks up, so that name must be the lift the solve runs.
         assert pipeline.lift_configuration is separation.lift_configuration
         assert pipeline.separating_hyperplane is separation.separating_hyperplane
+        assert pipeline.pull_back_coefficients is separation.pull_back_coefficients
         tracer = tracing.Tracer()
         with tracer.installed():
             cert = plus_minus_partition(LINE3)

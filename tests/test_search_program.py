@@ -97,9 +97,9 @@ class TestHomogeneity:
         # tverberg_partition searches (P_t, q) with N_t = q = <H_t, e_last>.
         searched = []
 
-        def recording(vectors, weights, total, r, coloring=None):
-            searched.append((vectors, weights, total))
-            return first_hit(vectors, weights, total, r, coloring)
+        def recording(lift, r, coloring=None):
+            searched.append((lift.vectors, lift.weights, lift.scale))
+            return first_hit(lift, r, coloring)
 
         first_hit = solver._first_hit
         monkeypatch.setattr(solver, "_first_hit", recording)
@@ -107,7 +107,7 @@ class TestHomogeneity:
             tverberg_partition(points, r)
             vectors, weights, total = searched.pop()
             q, ints = integer_points(points)
-            assert vectors == [(*p, q) for p in ints]
+            assert vectors == tuple((*p, q) for p in ints)
             assert total == q and list(weights) == [q] * len(points)
             e_last = (0,) * len(points[0]) + (1,)
             assert [dot(h, e_last) for h in vectors] == list(weights)
@@ -198,7 +198,7 @@ def test_dropped_sum_rows_are_implied_and_take_multiplier_zero():
         columns = (lift.scale, lift.vectors, lift.weights)
         for blocks in enumerate_partitions(len(lift.vectors), r):
             full = full_program(*columns, blocks)
-            reduced = solver._hulls_program(*columns, blocks)
+            reduced = solver._hulls_program(lift, blocks)
             assert reduced.constraints == full.constraints[:1] + full.constraints[r:]
             result = lp_solve(reduced)
             verdicts.add(result.status)

@@ -22,7 +22,11 @@ from lift_search import search_lift
 from search_counts import counting
 from tuple_walk import reference_partitions
 from tvpm.lp import INFEASIBLE, LpResult, integer_points, lp_solve
-from tvpm.separation import lift_configuration, separating_hyperplane
+from tvpm.separation import (
+    LiftedConfiguration,
+    lift_configuration,
+    separating_hyperplane,
+)
 from tvpm.solver import (
     enumerate_partitions,
     hulls_intersect,
@@ -552,7 +556,8 @@ class TestFarkasCache:
         listing = list(enumerate_partitions(len(points), 2))
         certificates = 0
         for blocks in listing[:40]:
-            program = solver._hulls_program(q, ints, weights, blocks)
+            lift = LiftedConfiguration(tuple(ints), tuple(weights), q)
+            program = solver._hulls_program(lift, blocks)
             result = lp_solve(program)
             if result.status != INFEASIBLE:
                 continue
