@@ -17,12 +17,17 @@ every call.  ``oracle_enumerate``
 decides, for every partition independently, whether signed coefficients with
 the required signs can present a common point; it never builds the
 projective lift, so it cross-checks the pipeline by a different route.  It
-first bounds, on each coordinate axis of the original points and on each
-pairwise direction ``e_a + e_b`` and ``e_a - e_b`` (``_interval_keys``), the
-interval of values each block can present with its signs
-(``_intervals_miss``; an interval can be unbounded), and drops a partition
-whose intervals miss without posing its program; every other partition's
-program goes to the simplex, posed from the points themselves.
+first bounds, on each direction of a list it builds from the points
+(``_directions``: the coordinate axes, the pairwise directions ``e_a + e_b``
+and ``e_a - e_b``, and the in-plane normals of the point differences), the
+interval of values each block can present with its signs (an interval can
+be unbounded), and drops a partition whose intervals miss without posing
+its program (``_intervals_miss``).  The points' order on every direction is
+packed into one bitmask per point (``_gap_masks``), so each block's
+interval ends on all directions are two integers, built once per block,
+and a partition costs one OR per block and one AND; every partition the
+test keeps has its program go to the simplex, posed from the points
+themselves.
 
 The oracle's program for one partition of ``n`` vertices in dimension ``d``
 into ``r`` blocks has one variable per vertex and ``r + (r - 1) * d`` rows:
@@ -40,8 +45,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import inf
-from operator import gt
+from itertools import combinations
+from math import gcd
+from operator import mul
 from typing import Optional, Sequence
 
 from .linalg import ZERO, common_denominator, dot, scaled
@@ -148,20 +154,24 @@ def oracle_enumerate(config: Configuration) -> list[Blocks]:
     posed directly in the original coordinates (``_presentation_program``):
     coefficients of marked vertices at most 0, of unmarked vertices at
     least 0, each block summing to 1 and presenting the same point as block
-    0.  A partition whose blocks' signed intervals miss on a coordinate axis
-    or on a pairwise direction ``e_a + e_b`` or ``e_a - e_b``
-    (``_intervals_miss`` on ``_interval_keys``, built once per listing) has
-    an infeasible program, so it is dropped before the program is built.
-    Returns the partitions in canonical enumeration order.
+    0.  A partition with a block that presents nothing, or two blocks whose
+    signed intervals miss on one of ``_directions`` (the coordinate axes,
+    the pairwise directions ``e_a + e_b`` and ``e_a - e_b``, and the
+    in-plane normals of the point differences), has an infeasible program,
+    so it is dropped before the program is built (``_intervals_miss``, one
+    AND of bitmasks per partition).  In ``d = 2`` the test drops exactly
+    the partitions with a block that presents nothing or two blocks that
+    present no common point.  Returns the partitions in canonical
+    enumeration order.
     """
     validate_configuration(config)
     q, points = integer_points(config.points)
-    keys = _interval_keys(points)
+    masks = _gap_masks(points, _directions(points))
     members = set(config.mu)
-    intervals: dict[tuple[int, ...], tuple] = {}
+    ends: dict[tuple[int, ...], tuple[int, ...]] = {}
     found = []
     for blocks in enumerate_partitions(len(config.points), config.r, config.coloring):
-        if _intervals_miss(keys, members, blocks, intervals):
+        if _intervals_miss(masks, members, blocks, ends):
             continue
         program = _presentation_program(q, points, members, blocks)
         if lp_solve(program).status == FEASIBLE:
@@ -169,77 +179,187 @@ def oracle_enumerate(config: Configuration) -> list[Blocks]:
     return found
 
 
-def _interval_keys(points: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
-    """Each point's values on the coordinate axes, then on ``e_a + e_b`` and
-    ``e_a - e_b`` for each pair of axes ``a < b``: the directions
-    ``_intervals_miss`` tries."""
+def _directions(points: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
+    """The integer directions ``_intervals_miss`` tries on ``points``.
+
+    The coordinate axes; ``e_a + e_b`` and ``e_a - e_b`` for each pair of
+    axes ``a < b``; then, for each pair of axes ``a < b`` and each pair of
+    points ``s < t``, the normal of ``P_t - P_s`` in the plane of those
+    axes, ``-(P_t[b] - P_s[b])`` on axis ``a`` and ``P_t[a] - P_s[a]`` on
+    axis ``b``.  Each is divided by the gcd of its entries and signed so
+    that its first nonzero entry is positive; zero vectors and repeats are
+    dropped, the first of equal directions kept.
+
+    In ``d = 2`` these make the interval test exact for two blocks: a
+    block's signed presentations are the polyhedron ``conv(U) + cone(U -
+    V)`` of its unmarked points ``U`` and marked points ``V``, whose edges
+    and rays are parallel to differences of points, and so is every edge
+    of the difference of two such polyhedra.  When two blocks present no
+    common point, 0 lies outside that closed difference: strictly beyond
+    the line of one of its edges, whose normal is here, or, when the
+    difference is a point, a segment or a ray, off it along that line's
+    normal or a coordinate axis.  On that direction the two blocks'
+    intervals miss.
+    """
     d = len(points[0])
     pairs = [(a, b) for a in range(d) for b in range(a + 1, d)]
-    return [
-        (*p, *(v for a, b in pairs for v in (p[a] + p[b], p[a] - p[b])))
-        for p in points
+    vectors = [[int(m == a) for m in range(d)] for a in range(d)]
+    vectors += [
+        [int(m == a) + sign * int(m == b) for m in range(d)]
+        for a, b in pairs
+        for sign in (1, -1)
     ]
+    for a, b in pairs:
+        for ps, pt in combinations(points, 2):
+            v = [0] * d
+            v[a], v[b] = ps[b] - pt[b], pt[a] - ps[a]
+            vectors.append(v)
+    directions: dict[tuple[int, ...], None] = {}
+    for v in vectors:
+        g = gcd(*v)
+        if g:
+            if next(c for c in v if c) < 0:
+                g = -g
+            directions.setdefault(tuple(c // g for c in v), None)
+    return list(directions)
+
+
+def _gap_masks(
+    points: Sequence[Sequence[int]], directions: Sequence[Sequence[int]]
+) -> tuple[list[int], list[int], int]:
+    """Each point's place on each direction, as bitmasks over the gaps.
+
+    On one direction, the distinct values of the points, in increasing
+    order, leave one gap between each two consecutive values, at most
+    ``n - 1`` for ``n`` points.  Direction ``k`` has the lane of ``n`` bits
+    from bit ``k * n``: one bit per gap, lowest gap first, and above them a
+    guard bit that no mask sets.  Returns ``(lt, ge, full)``: ``lt[i]`` has
+    the bits of the gaps below point ``i``'s value on every direction,
+    ``ge[i]`` every other bit but the guards, and ``full`` every bit but the
+    guards.  Points that tie on a direction get the same bits there.
+    """
+    n = len(points)
+    lt = [0] * n
+    full = 0
+    for k, direction in enumerate(directions):
+        values = [sum(map(mul, direction, p)) for p in points]
+        rank = {v: j for j, v in enumerate(sorted(set(values)))}
+        for i, v in enumerate(values):
+            lt[i] |= ((1 << rank[v]) - 1) << (k * n)
+        full |= ((1 << (n - 1)) - 1) << (k * n)
+    return lt, [full ^ below for below in lt], full
+
+
+def _block_ends(
+    masks: tuple[list[int], list[int], int],
+    members: set[int],
+    block: tuple[int, ...],
+) -> tuple[int, ...]:
+    """The low and high ends of the interval ``block`` presents on every
+    direction of ``masks`` (``_gap_masks``), as ``(low, high)`` bitmasks,
+    or ``()`` when it presents nothing.
+
+    ``low`` has the gaps below the low end and ``high`` the bits above the
+    high end, so an unbounded end has no bits in its direction's lane.  On
+    one direction, with ``umin``, ``umax`` the least and greatest unmarked
+    values and ``vmin``, ``vmax`` the marked ones (``_intervals_miss``):
+    the AND of the unmarked points' ``lt`` is the gaps below ``umin``, and
+    of their ``ge`` the bits above ``umax``.  The OR of the unmarked
+    points' ``ge`` and of the marked points' ``lt`` share a gap exactly
+    when ``umin < vmax``, where the low end is ``-inf``; likewise the OR of
+    the marked ``ge`` and the unmarked ``lt`` share one exactly when
+    ``vmin < umax``, where the high end is ``+inf``; ``_whole_lanes``
+    widens each to the lanes to clear.
+    """
+    lt, ge, full = masks
+    unmarked = [i for i in block if i not in members]
+    if not unmarked:
+        return ()
+    low, high = full, full
+    above_umin = below_umax = 0
+    for i in unmarked:
+        low &= lt[i]
+        high &= ge[i]
+        above_umin |= ge[i]
+        below_umax |= lt[i]
+    if len(unmarked) < len(block):
+        below_vmax = above_vmin = 0
+        for i in block:
+            if i in members:
+                below_vmax |= lt[i]
+                above_vmin |= ge[i]
+        width = len(lt) - 1
+        low &= ~_whole_lanes(above_umin & below_vmax, full, width)
+        high &= ~_whole_lanes(above_vmin & below_umax, full, width)
+    return low, high
+
+
+def _whole_lanes(x: int, full: int, width: int) -> int:
+    """The gap bits of every lane in which ``x`` has a bit.
+
+    Each lane of ``full`` (``_gap_masks``) is ``width`` gap bits, all set,
+    under a clear guard bit.  Adding ``full`` to ``x``, which has no guard
+    bits, carries into a lane's guard exactly when ``x`` has a bit in that
+    lane, and never past the guard; each such guard, less itself shifted
+    down by ``width``, is its lane's gap bits.
+    """
+    guards = (x + full) & ~full
+    return guards - (guards >> width)
 
 
 def _intervals_miss(
-    keys: Sequence[Sequence[int]],
+    masks: tuple[list[int], list[int], int],
     members: set[int],
     blocks: Blocks,
-    intervals: dict[tuple[int, ...], tuple],
+    ends: dict[tuple[int, ...], tuple[int, ...]],
 ) -> bool:
     """True when a linear functional proves that ``blocks`` have no signed
     presentation of a common point, so their program is infeasible.
 
-    ``keys[i]`` holds point ``i``'s values on a fixed list of linear
-    functionals of ``P = q * p``; the oracle passes ``_interval_keys``, the
-    coordinates and the pairwise sums and differences.  A block's signed
-    weights present on a functional the same combination of their points'
-    values, since the functional is linear, so the rule below holds on
-    each.  On one functional, let a block's unmarked values span
-    ``[umin, umax]`` and its marked values ``[vmin, vmax]``.  Weights that
-    sum to 1, ``>= 0`` on unmarked and ``<= 0`` on marked vertices, present
-    ``(1 + T) * u - T * v``, where ``T >= 0`` is the marked weights'
-    magnitude, ``u`` a convex combination of unmarked values and ``v`` one
-    of marked values.  The weights form a convex set and the value is
-    linear in them, so the block presents an interval, closed where it is
-    finite.  Its low end is ``umin`` (at ``T = 0``) when the block has no
-    marked vertex or ``umin >= vmax``, and ``-inf`` otherwise (``u = umin``,
-    ``v = vmax``, ``T`` growing); likewise its high end is ``umax`` when the
-    block has no marked vertex or ``umax <= vmin``, and ``+inf`` otherwise.
-    A block without an unmarked vertex presents nothing, as weights ``<= 0``
-    do not sum to 1.  The common point's value lies in every block's
-    interval on every functional, so there is none when some block presents
-    nothing or, on some functional, the largest low end exceeds the
-    smallest high end.
+    ``masks`` (``_gap_masks``) orders the points' values on a fixed list of
+    linear functionals of ``P = q * p``; the oracle passes ``_directions``.
+    A block's signed weights present on a functional the same combination
+    of their points' values, since the functional is linear, so the rule
+    below holds on each.  On one functional, let a block's unmarked values
+    span ``[umin, umax]`` and its marked values ``[vmin, vmax]``.  Weights
+    that sum to 1, ``>= 0`` on unmarked and ``<= 0`` on marked vertices,
+    present ``(1 + T) * u - T * v``, where ``T >= 0`` is the marked
+    weights' magnitude, ``u`` a convex combination of unmarked values and
+    ``v`` one of marked values.  The weights form a convex set and the
+    value is linear in them, so the block presents an interval, closed
+    where it is finite.  Its low end is ``umin`` (at ``T = 0``) when the
+    block has no marked vertex or ``umin >= vmax``, and ``-inf`` otherwise
+    (``u = umin``, ``v = vmax``, ``T`` growing); likewise its high end is
+    ``umax`` when the block has no marked vertex or ``umax <= vmin``, and
+    ``+inf`` otherwise.  A block without an unmarked vertex presents
+    nothing, as weights ``<= 0`` do not sum to 1.  The common point's value
+    lies in every block's interval on every functional, so there is none
+    when some block presents nothing or, on some functional, the largest
+    low end exceeds the smallest high end.
 
-    ``intervals`` keeps each block's low and high ends, one list of each
-    with one entry per functional, for one listing: ``()`` for a block that
-    presents nothing.
+    Each block's ends are one pair of bitmasks (``_block_ends``): ``low``
+    has the gaps below its low end, ``high`` the bits above its high end.
+    ``low_i & high_j`` has a bit exactly when, on that bit's functional, a
+    gap lies below block ``i``'s low end and above block ``j``'s high end,
+    that is when block ``i``'s low end exceeds block ``j``'s high end; a
+    block's own ``low & high`` is 0, as its low end does not exceed its
+    high end.  So the OR of the blocks' ``low`` ANDed with the OR of their
+    ``high``, which is the OR of ``low_i & high_j`` over all pairs, is
+    nonzero exactly when, on some functional, the largest low end exceeds
+    the smallest high end.
+
+    ``ends`` keeps each block's ``_block_ends`` for one listing.
     """
-    lows = highs = None
+    lows = highs = 0
     for block in blocks:
-        ends = intervals.get(block)
-        if ends is None:
-            unmarked = [keys[i] for i in block if i not in members]
-            marked = [keys[i] for i in block if i in members]
-            ends = ()
-            if unmarked:
-                low = [min(axis) for axis in zip(*unmarked)]
-                high = [max(axis) for axis in zip(*unmarked)]
-                if marked:
-                    axes = list(zip(*marked))
-                    low = [u if u >= max(v) else -inf for u, v in zip(low, axes)]
-                    high = [u if u <= min(v) else inf for u, v in zip(high, axes)]
-                ends = low, high
-            intervals[block] = ends
-        if not ends:
+        block_ends = ends.get(block)
+        if block_ends is None:
+            block_ends = ends[block] = _block_ends(masks, members, block)
+        if not block_ends:
             return True
-        if lows is None:
-            lows, highs = ends
-        else:
-            lows = list(map(max, lows, ends[0]))
-            highs = list(map(min, highs, ends[1]))
-    return any(map(gt, lows, highs))
+        lows |= block_ends[0]
+        highs |= block_ends[1]
+    return bool(lows & highs)
 
 
 def signed_presentation(

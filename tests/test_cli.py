@@ -512,6 +512,26 @@ class TestSubprocess:
             "recursion limit (50)\n"
         )
 
+    def test_the_package_runs_as_a_module(self):
+        # ``python -m tvpm`` from a checkout, with the package on the path.
+        src = str(Path(__file__).parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": src}
+
+        def run(*args):
+            return subprocess.run(
+                [sys.executable, "-m", "tvpm", *args],
+                capture_output=True,
+                text=True,
+                env=env,
+            )
+
+        listing = run("oracle", "--input", str(LINE3))
+        assert listing.returncode == 0
+        assert listing.stdout == (FIXTURES / "line3.oracle").read_text()
+        refused = run("solve", "--mode", "classical", "--input", str(LINE3))
+        assert refused.returncode == 2
+        assert refused.stdout == ""
+
     def test_round_trip_and_cross_process_determinism(self, tmp_path):
         first = self.run("solve", "--input", str(LINE3))
         second = self.run("solve", "--input", str(LINE3))

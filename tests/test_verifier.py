@@ -10,6 +10,7 @@ from dataclasses import replace
 from fractions import Fraction
 from functools import cache
 from math import inf
+from operator import mul
 from pathlib import Path
 from typing import Optional
 
@@ -579,31 +580,70 @@ def small_integer_configuration(seed) -> Configuration:
     return Configuration(d=d, r=r, points=points, mode=CLASSICAL, mu=mu)
 
 
+def axis_and_pair_directions(d: int) -> list[tuple[int, ...]]:
+    """The coordinate axes, then ``e_a + e_b`` and ``e_a - e_b`` for each
+    pair of axes ``a < b``."""
+    axes = [tuple(int(m == a) for m in range(d)) for a in range(d)]
+    return axes + [
+        tuple(x + sign * y for x, y in zip(axes[a], axes[b]))
+        for a in range(d)
+        for b in range(a + 1, d)
+        for sign in (1, -1)
+    ]
+
+
+def interval_rule(keys, members, blocks) -> bool:
+    """The interval rule of ``verifier._intervals_miss``'s docstring on
+    ``keys[i]``, point ``i``'s values on each direction, with infinite
+    ends: the reference the bitmasks are checked against."""
+    lows, highs = [], []
+    for block in blocks:
+        unmarked = [keys[i] for i in block if i not in members]
+        marked = [keys[i] for i in block if i in members]
+        if not unmarked:
+            return True
+        low = [min(values) for values in zip(*unmarked)]
+        high = [max(values) for values in zip(*unmarked)]
+        if marked:
+            columns = list(zip(*marked))
+            low = [u if u >= max(v) else -inf for u, v in zip(low, columns)]
+            high = [u if u <= min(v) else inf for u, v in zip(high, columns)]
+        lows.append(low)
+        highs.append(high)
+    return any(max(low) > min(high) for low, high in zip(zip(*lows), zip(*highs)))
+
+
+def interval_masks(points, directions=None):
+    if directions is None:
+        directions = verifier._directions(points)
+    return verifier._gap_masks(points, directions)
+
+
 class TestIntervalTest:
     """The oracle drops a partition, before its LP, only when its blocks'
-    signed intervals miss on a coordinate axis or a pairwise direction, so
-    it lists what solving every partition's program lists."""
+    signed intervals miss on one of its directions, so it lists what
+    solving every partition's program lists."""
 
     @pytest.mark.parametrize("seed", range(40))
     def test_dropped_partitions_are_infeasible(self, seed, monkeypatch):
         config = small_integer_configuration(seed)
         coloring = config.coloring if config.mode == COLORED else None
         q, points = integer_points(config.points)
-        keys = verifier._interval_keys(points)
+        masks = interval_masks(points)
         members = set(config.mu)
-        intervals = {}
+        ends = {}
         exhaustive = []
         kept = 0
         for blocks in enumerate_partitions(len(config.points), config.r, coloring):
             program = verifier._presentation_program(q, points, members, blocks)
             status = lp_solve(program).status
-            if verifier._intervals_miss(keys, members, blocks, intervals):
+            if verifier._intervals_miss(masks, members, blocks, ends):
                 assert status == INFEASIBLE
             else:
                 kept += 1
                 if status == FEASIBLE:
                     exhaustive.append(blocks)
-        # The oracle solves one LP for each partition its keys keep.
+        # The oracle solves one LP for each partition its directions keep.
         solved = []
         monkeypatch.setattr(
             verifier, "lp_solve", lambda lp: solved.append(lp) or lp_solve(lp)
@@ -611,40 +651,83 @@ class TestIntervalTest:
         assert oracle_enumerate(config) == exhaustive
         assert len(solved) == kept
 
+    @pytest.mark.parametrize("seed", range(40))
+    def test_the_masks_decide_as_the_interval_ends(self, seed):
+        # Ties, repeated points and marked vertices on both sides of the
+        # unmarked ones, on every direction the oracle tries.
+        config = small_integer_configuration(seed)
+        _, points = integer_points(config.points)
+        directions = verifier._directions(points)
+        masks = interval_masks(points, directions)
+        keys = [
+            [sum(map(mul, direction, p)) for direction in directions]
+            for p in points
+        ]
+        members = set(config.mu)
+        ends = {}
+        for blocks in enumerate_partitions(len(points), config.r, config.coloring):
+            assert verifier._intervals_miss(
+                masks, members, blocks, ends
+            ) == interval_rule(keys, members, blocks)
+
     def test_the_configurations_drop_and_list(self):
         # The seeds above cover both modes, empty and nonempty marked sets,
         # and both outcomes of the test; the pairwise directions drop some
-        # partitions that the coordinate axes alone keep.
+        # partitions that the coordinate axes alone keep, and the normals
+        # of the point differences some that both keep.
         configs = [small_integer_configuration(seed) for seed in range(40)]
         assert {c.mode for c in configs} == {CLASSICAL, COLORED}
         assert {bool(c.mu) for c in configs} == {False, True}
         assert {(c.d, c.r) for c in configs} == set(SMALL_CELLS)
-        dropped = kept = pairwise = 0
+        dropped = kept = pairwise = normals = 0
         for config in configs:
-            coloring = config.coloring if config.mode == COLORED else None
             _, points = integer_points(config.points)
-            keys = verifier._interval_keys(points)
+            tried = axis_and_pair_directions(config.d)
+            axes = interval_masks(points, tried[: config.d])
+            pairs = interval_masks(points, tried)
+            every = interval_masks(points)
             members = set(config.mu)
             for blocks in enumerate_partitions(
-                len(config.points), config.r, coloring
+                len(config.points), config.r, config.coloring
             ):
-                if verifier._intervals_miss(keys, members, blocks, {}):
+                if verifier._intervals_miss(every, members, blocks, {}):
                     dropped += 1
-                    pairwise += not verifier._intervals_miss(
-                        points, members, blocks, {}
-                    )
+                    if not verifier._intervals_miss(pairs, members, blocks, {}):
+                        normals += 1
+                    elif not verifier._intervals_miss(axes, members, blocks, {}):
+                        pairwise += 1
                 else:
                     kept += 1
-        assert dropped and kept and pairwise
+        assert dropped and kept and pairwise and normals
 
-    def test_the_keys_are_the_coordinates_then_each_pair(self):
-        keys = verifier._interval_keys([(1, 2, 3), (0, -1, 5)])
-        # x, y, z, then x + y, x - y, x + z, x - z, y + z, y - z.
-        assert keys == [
-            (1, 2, 3, 3, -1, 4, -2, 5, -1),
-            (0, -1, 5, -1, 1, 5, -5, 4, -6),
+    def test_the_directions_are_the_axes_the_pairs_then_the_normals(self):
+        directions = verifier._directions([(1, 2, 3), (0, -1, 5)])
+        # P_1 - P_0 = (-1, -3, 2): its normals in the planes of axes 0 and
+        # 1, 0 and 2, 1 and 2 are (3, -1, 0), (-2, 0, -1) and (0, -2, -3),
+        # signed so that the first nonzero entry is positive.
+        assert directions == axis_and_pair_directions(3) + [
+            (3, -1, 0),
+            (2, 0, 1),
+            (0, 2, 3),
         ]
-        assert verifier._interval_keys([(4,), (-2,)]) == [(4,), (-2,)]
+        assert verifier._directions([(4,), (-2,)]) == [(1,)]
+
+    def test_the_directions_are_primitive_and_distinct(self):
+        # (2, 4) - (0, 0) has normal (-4, 2), so (2, -1) once made
+        # primitive; (1, 2) - (0, 0) and (1, 2) - (2, 4) give it again, and
+        # the repeated point a zero vector.
+        directions = verifier._directions([(0, 0), (2, 4), (1, 2), (0, 0)])
+        assert directions == axis_and_pair_directions(2) + [(2, -1)]
+
+    def test_the_gap_masks_rank_the_values(self):
+        # x takes 0, 1 and 3 on three points, so two gaps in a lane of
+        # three bits; y ties on every point, so no gap.
+        lt, ge, full = verifier._gap_masks(
+            [(0, 5), (3, 5), (1, 5)], [(1, 0), (0, 1)]
+        )
+        assert full == 0b011_011
+        assert lt == [0b000_000, 0b000_011, 0b000_001]
+        assert ge == [0b011_011, 0b011_000, 0b011_010]
 
     def test_a_pairwise_direction_separates_where_the_axes_meet(self):
         # {(0,2), (2,0)} spans [0, 2] on both axes and {(0,0), (1,0)} spans
@@ -658,30 +741,86 @@ class TestIntervalTest:
         )
         blocks = ((0, 1), (2, 3))
         q, points = integer_points(config.points)
-        keys = verifier._interval_keys(points)
-        assert not verifier._intervals_miss(points, set(), blocks, {})
-        intervals = {}
-        assert verifier._intervals_miss(keys, set(), blocks, intervals)
-        assert intervals[(0, 1)][0][2] == intervals[(0, 1)][1][2] == 2
-        assert (intervals[(2, 3)][0][2], intervals[(2, 3)][1][2]) == (0, 1)
+        tried = axis_and_pair_directions(2)
+        assert not verifier._intervals_miss(
+            interval_masks(points, tried[:2]), set(), blocks, {}
+        )
+        assert verifier._intervals_miss(
+            interval_masks(points, tried), set(), blocks, {}
+        )
         program = verifier._presentation_program(q, points, set(), blocks)
         assert lp_solve(program).status == INFEASIBLE
         assert blocks not in oracle_enumerate(config)
 
+    def test_a_difference_normal_separates_where_the_pairs_meet(self):
+        # The segment from (0,0) to (4,1) and the point (2,1) meet on x, y,
+        # x + y and x - y; on (1, -4), the normal of (4,1) - (0,0), the
+        # segment presents 0 and the point -2.
+        points = [(0, 0), (4, 1), (2, 1)]
+        blocks = ((0, 1), (2,))
+        assert not verifier._intervals_miss(
+            interval_masks(points, axis_and_pair_directions(2)), set(), blocks, {}
+        )
+        assert (1, -4) in verifier._directions(points)
+        assert verifier._intervals_miss(interval_masks(points), set(), blocks, {})
+        program = verifier._presentation_program(1, points, set(), blocks)
+        assert lp_solve(program).status == INFEASIBLE
+
     def test_a_block_of_marked_vertices_presents_nothing(self):
         # Vertex 2 alone, marked, has no weights summing to 1.
         _, points = integer_points(LINE3.points)
-        assert verifier._intervals_miss(points, {2}, ((0, 1), (2,)), {})
+        ends = {}
+        blocks = ((0, 1), (2,))
+        assert verifier._intervals_miss(interval_masks(points), {2}, blocks, ends)
+        assert ends[(2,)] == ()
 
     def test_a_marked_vertex_opens_the_interval(self):
         # line3 with mu = {2}: {1, 2} presents 1 + T * (1 - 3), every value
         # down from 1, which meets {0} at 0; {0, 2} reaches only 0 and down,
         # which misses {1} at 1.
         _, points = integer_points(LINE3.points)
-        intervals = {}
-        assert not verifier._intervals_miss(points, {2}, ((0,), (1, 2)), intervals)
-        assert verifier._intervals_miss(points, {2}, ((0, 2), (1,)), intervals)
-        assert intervals[(1, 2)] == ([-inf], [1])
+        masks = interval_masks(points)
+        lt, ge, _ = masks
+        ends = {}
+        assert not verifier._intervals_miss(masks, {2}, ((0,), (1, 2)), ends)
+        assert verifier._intervals_miss(masks, {2}, ((0, 2), (1,)), ends)
+        # The low end of {1, 2} is -inf, no gap below it; its high end is
+        # vertex 1's value.
+        assert ends[(1, 2)] == (0, ge[1])
+        assert ends[(0, 2)] == (lt[0], ge[0])
+
+
+# The cli-oracle workload's cell: every partition's verdict is compared with
+# the pairwise programs, so these stay at seven points.
+PLANE_CONFIGS = [
+    gen.separable_configuration(seed, 2, 3, 2, colored)
+    for seed in range(5)
+    for colored in (False, True)
+] + [c for c in map(small_integer_configuration, range(200)) if c.d == 2]
+
+
+@pytest.mark.parametrize("index", range(len(PLANE_CONFIGS)))
+def test_the_interval_test_is_exact_for_block_pairs_in_the_plane(index):
+    # In d = 2 the oracle drops a partition exactly when a block has no
+    # unmarked vertex or two of its blocks present no common point.
+    config = PLANE_CONFIGS[index]
+    q, points = integer_points(config.points)
+    masks = interval_masks(points)
+    members = set(config.mu)
+    ends = {}
+
+    @cache
+    def pair_infeasible(first, second):
+        program = verifier._presentation_program(q, points, members, (first, second))
+        return lp_solve(program).status == INFEASIBLE
+
+    for blocks in enumerate_partitions(len(points), config.r, config.coloring):
+        expected = any(members.issuperset(block) for block in blocks) or any(
+            pair_infeasible(blocks[i], blocks[j])
+            for i in range(len(blocks))
+            for j in range(i + 1, len(blocks))
+        )
+        assert verifier._intervals_miss(masks, members, blocks, ends) == expected
 
 
 class TestSignedPresentation:
