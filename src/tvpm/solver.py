@@ -50,15 +50,35 @@ Any linear function ``f`` of the points is a valid axis: if the blocks'
 hulls share a point ``x``, then ``f(x)``, a convex combination of ``f`` at
 each block's points, lies between that block's least and greatest value of
 ``f``, so the boxes on ``f`` meet at ``f(x)``.  The search's axes
-(``_walk_keys``) are the nonconstant coordinates ``H_t[m] / N_t`` and the
-sum and the difference of every pair of them, ``D + D(D-1)`` axes for ``D``
-such coordinates, a box with ``2D^2`` faces (a k-DOP, as bounding volumes
-in collision detection use them: Klosowski, Held, Mitchell, Sowizral and
-Zikan, IEEE TVCG 4(1), 1998).  All are integers over one common multiple
-of the weights, so order and ties are the rationals'.  The search thus
-decides, in canonical order, the programs of the partitions whose boxes meet on every
-axis, and the walk drops no partition whose hulls meet: the same first hit
-and the same certificate bytes as a search over every partition.
+(``_walk_keys``) are the nonconstant coordinates ``H_t[m] / N_t`` and, for
+``d != 2``, the sum and the difference of every pair of them, ``D + D(D-1)``
+axes for ``D`` such coordinates, a box with ``2D^2`` faces (a k-DOP, as
+bounding volumes in collision detection use them: Klosowski, Held,
+Mitchell, Sowizral and Zikan, IEEE TVCG 4(1), 1998).  All are integers over
+one common multiple of the weights, so order and ties are the rationals'.
+The search thus decides, in canonical order, the programs of the
+partitions whose boxes meet on every axis, and the walk drops no partition
+whose hulls meet: the same first hit and the same certificate bytes as a
+search over every partition.
+
+For ``d = 2`` the pairwise sums and differences give way to the normals of
+the point differences, up to ``3 + n(n-1)/2`` axes for ``n`` points, and
+the cut becomes exact for two blocks.  The points lie on the plane ``<x, v>
+= 1``, and the normals are taken in a plane of two coordinates onto which
+that plane projects one to one (``_normals``), so two blocks' hulls meet
+exactly where their projections do.  Two disjoint convex polygons are
+separated by a line parallel to an edge of one of them (the
+separating-axis theorem), and each edge is a point difference, whose
+normal is an axis.  Where the projected hulls are points or segments whose
+difference is a point or a segment, they miss along its line's normal or
+along that line, on which one of the two coordinates is one to one.  So
+two blocks whose hulls miss have intervals that miss on some axis, and as
+intervals on one axis that meet pairwise share a point, the walk lists no
+partition with two such blocks.  Points that are collinear are cut exactly
+by a varying coordinate alone and get no normals.  For ``d >= 3`` no such
+short list exists: separating two polytopes there takes facet normals and
+the cross products of pairs of edges, and normals in one coordinate plane
+are neither exact nor cheap enough to pay for their set-up.
 
 The walk holds blocks and pools as point bitmasks (``_axes``).  On each axis
 the points are numbered in order of their values, so a block's least and
@@ -147,7 +167,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from itertools import accumulate, combinations, compress
-from math import lcm
+from math import gcd, lcm
 from typing import Iterator, Optional, Sequence, Union
 
 from .errors import InternalError
@@ -538,8 +558,8 @@ def _first_hit(
     the plus-minus pipeline, and the lift with every factor 1 in
     ``tverberg_partition``.  The search runs the
     two-block Radon hit where there is one dependence, else the
-    box-pruned walk on the points' coordinates and their pairwise sums and
-    differences, the Farkas cache, and ``_decide`` on each partition left.
+    box-pruned walk on the axes of ``_walk_keys``, the Farkas cache, and
+    ``_decide`` on each partition left.
     It calls ``enumerate_partitions`` and ``_decide``, and ``_decide`` calls
     ``lp_solve``, through this module's globals; the benchmark's tracer
     wraps ``enumerate_partitions`` and ``lp_solve``.
@@ -590,25 +610,79 @@ def _walk_keys(
     vectors: Sequence[Sequence[int]], weights: Sequence[int]
 ) -> list[list[int]]:
     """The search walk's axes at the points ``H_t / N_t``: the coordinates,
-    then the sum and then the difference of every pair of coordinates ``a <
-    b``, each an integer over one common multiple of the weights, so that
-    order and ties are the rationals'.  Every axis is a linear function of
-    the points, so the walk's cut on it drops no partition whose hulls meet
-    (module docstring).  A constant coordinate ``c`` (``tverberg_partition``'s
-    last) is dropped: it cuts nothing, and ``a + c`` and ``a - c`` cut as
-    ``a`` does."""
+    then, on vectors of length 3 (``d = 2``), the normals of the point
+    differences (``_normals``), and on any other length the sum and then the
+    difference of every pair of coordinates ``a < b``.  Each is an integer
+    over one common multiple of the weights, so that order and ties are the
+    rationals'.  Every axis is a linear function of the points, so the
+    walk's cut on it drops no partition whose hulls meet, and the normals
+    make it drop every partition with two blocks whose hulls miss (module
+    docstring).  A constant coordinate ``c`` (``tverberg_partition``'s last)
+    is dropped: it cuts nothing, and ``a + c`` and ``a - c`` cut as ``a``
+    does.  The length of the vectors is the one property the choice reads.
+    """
     common = lcm(*weights)
     rows = [
         [h * multiple for h in vector]
         for vector, multiple in zip(vectors, [common // w for w in weights])
     ]
     varying = [column.count(column[0]) < len(column) for column in zip(*rows)]
+    coordinates = [list(compress(row, varying)) for row in rows]
+    if len(vectors[0]) == 3:
+        normals = _normals(coordinates)
+        return [key + extra for key, extra in zip(coordinates, normals)]
     keys = []
-    for row in rows:
-        key = list(compress(row, varying))
+    for key in coordinates:
         pairs = list(combinations(key, 2))
         keys.append(key + [a + b for a, b in pairs] + [a - b for a, b in pairs])
     return keys
+
+
+def _normals(coordinates: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Per point, its values on the normals of the point differences in the
+    first plane of two key coordinates on which the points are not
+    collinear; no values when there is none (fewer than two coordinates, or
+    collinear points).
+
+    Point ``(x, y)`` in that plane has value ``u x + w y`` on the normal
+    ``(u, w) = (y_t - y_s, x_s - x_t)`` of points ``s < t``, made primitive
+    with its first nonzero entry positive.  Zero normals, repeats and the
+    plane's own coordinate axes are dropped.  A nonzero normal that is
+    constant on the points puts them all on one line, so the first
+    difference's normal tells whether a plane will do, and in a plane that
+    does no normal is constant.
+
+    The projection onto a coordinate plane is one to one on the plane
+    that the points span exactly when the projected points are not
+    collinear.  On a lift, whose points lie on ``<x, v> = 1``, the plane of
+    coordinates ``a, b`` fails only where ``v`` is 0 on the third, and when
+    all three vary at most one entry of ``v`` is 0.
+    """
+    for a, b in combinations(range(len(coordinates[0])), 2):
+        plane = [(key[a], key[b]) for key in coordinates]
+        x0, y0 = origin = plane[0]
+        # Some point differs from the first, since coordinate a varies.
+        xt, yt = next(p for p in plane if p != origin)
+        u, w = yt - y0, x0 - xt
+        level = u * x0 + w * y0
+        if any(u * x + w * y != level for x, y in plane):
+            break
+    else:
+        return [[] for _ in coordinates]
+    seen = {(1, 0), (0, 1)}
+    normals = []
+    for (xs, ys), (xt, yt) in combinations(plane, 2):
+        u, w = yt - ys, xs - xt
+        g = gcd(u, w)
+        if not g:
+            continue
+        if u < 0 or not u and w < 0:
+            g = -g
+        normal = (u // g, w // g)
+        if normal not in seen:
+            seen.add(normal)
+            normals.append(normal)
+    return [[u * x + w * y for u, w in normals] for x, y in plane]
 
 
 def _dependence(vectors: Sequence[Sequence[int]]) -> Optional[list[int]]:

@@ -32,10 +32,49 @@ def test_a_checkout_against_itself_gives_every_ratio(ab, capsys):
     out = capsys.readouterr().out
     ratios = [line for line in out.splitlines() if "A/B speed ratio" in line]
     assert [line.split(":")[0] for line in ratios] == [
-        "search-lp", "search-enum", "cli-oracle", "cli-round"
+        "search-lp", "search-enum", "cli-oracle", "cli-round", "frontier-round"
     ]
-    assert out.count("2 instances x 1 passes") == 3
+    assert out.count("2 instances x 1 passes") == 4
     assert out.count("17 commands x 1 passes") == 1
+
+
+def test_the_frontier_round_solves_the_frontier_grid(ab):
+    frontier = load("tools/frontier.py", "frontier_grid")
+    texts = ab.frontier_texts()
+    assert len(texts) == len(frontier.GRID) * len(frontier.SEEDS) == 80
+    tvpm, _, _, gen = frontier.load(ROOT)
+    cells = [(cell, seed) for cell in frontier.GRID for seed in frontier.SEEDS]
+    for i in (0, 1, 41, 79):
+        (d, r, mu_size, colored), seed = cells[i]
+        config = gen.separable_configuration(seed, d, r, mu_size, colored)
+        assert tvpm.parse_configuration(texts[i]) == config
+    # The grid ends on colored (2, 5, 4), which no benchmark input reaches.
+    assert "mode colored" in texts[-1] and "r 5" in texts[-1]
+
+
+class _Solver:
+    """A stand-in package whose solve of any input serializes to ``text``."""
+
+    def __init__(self, text):
+        self.text = text
+
+    def parse_configuration(self, text):
+        return text
+
+    def plus_minus_partition(self, config):
+        return self.text
+
+    def serialize_certificate(self, cert):
+        return cert
+
+
+def test_differing_frontier_certificates_exit_one(ab, capsys):
+    texts = ab.frontier_texts()[:2]
+    packages = [_Solver("cert\n"), _Solver("other\n")]
+    assert ab.compare(packages, "frontier-round", texts) == 1
+    assert capsys.readouterr().out == (
+        "frontier-round instance 0: the certificates differ\n"
+    )
 
 
 def test_the_oracle_runs_on_the_generated_pairs(ab):
@@ -61,7 +100,8 @@ class _Oracle:
 def test_differing_oracle_listings_exit_one(ab, capsys):
     workloads = ab.load_workloads()
     packages = [_Oracle([((0,), (1, 2))]), _Oracle([])]
-    assert ab.compare(workloads, packages, "cli-oracle") == 1
+    texts = ab.inputs(workloads, "cli-oracle")
+    assert ab.compare(packages, "cli-oracle", texts) == 1
     assert "cli-oracle instance 0: the oracle listings differ" in capsys.readouterr().out
 
 

@@ -461,9 +461,13 @@ def test_column_scaling_keeps_the_verdict_and_maps_the_point():
 # drop partitions before they cost an LP.  The counts were 370, 89, 205 and
 # 195 while every search program went to the simplex; a square nonsingular
 # one is now decided by elimination (``solver._decide``), so what is left
-# is the separation LPs and the search's singular programs.
+# is the separation LPs and the search's singular programs.  The (2, 3, 2)
+# count was 134 while the planar walk cut on the pairwise sums and
+# differences of the coordinates; on the normals of the point differences
+# it lists no partition whose singular program the simplex decided, and
+# the separation LPs' pivots are left.
 SEARCH_PIVOTS = {
-    (2, 3, 2, False): 134,
+    (2, 3, 2, False): 95,
     (4, 2, 1, False): 89,
     (1, 5, 2, False): 93,
     (1, 5, 3, True): 99,
@@ -493,17 +497,21 @@ def test_search_pivot_counts_and_tableau_entry_sizes(monkeypatch, cell):
 
 # SHA-256 of the Farkas multipliers of every infeasible search program, one
 # line of space-separated integers per program in solve order, over seeds
-# 0-4 of three cells, whether the elimination or the simplex decided it.
+# 0-4 of four cells, whether the elimination or the simplex decided it.
 # The search's refuter cache is built from them, yet ``LpResult`` equality
 # ignores them.  While the simplex decided every search program they were
 # 234 LPs (digest f43da201...) with every sum row, 197 (abbba8ad...) with
 # block 0's sum row alone, and 112 (788c7a6e...) once the walk also cut on
 # pairwise sums and differences of the coordinates.  The elimination's
 # certificates are tight at one column, so they refute other partitions
-# than Bland's did.
+# than Bland's did; over the first three cells they were 108 (5de0e480...).
+# The planar walk now cuts on the normals of the point differences and
+# lists no partition with two blocks whose hulls miss, so (2, 3, 2) and (2,
+# 4, 3) decide 1 and 11 infeasible programs where they decided 8 and 42;
+# the fourth cell, (2, 5, 4), adds 22 more planar ones.
 SEARCH_MULTIPLIERS = (
-    108,
-    "5de0e48009708d7425916afc9e8a724d9370d3e5d2fdf79cb8dd4fc9e88c787a",
+    92,
+    "a234b4ede87d566cdf391054e8fc84d554b359e117ba969a8228a7f55221f2db",
 )
 
 
@@ -519,7 +527,7 @@ def test_search_farkas_multipliers_are_pinned(monkeypatch):
         return result
 
     monkeypatch.setattr(solver, "_decide", recording_solve)
-    for cell in ((2, 3, 2), (3, 3, 2), (2, 4, 3)):
+    for cell in ((2, 3, 2), (3, 3, 2), (2, 4, 3), (2, 5, 4)):
         for seed in range(5):
             plus_minus_partition(gen.separable_configuration(seed, *cell))
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()

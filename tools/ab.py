@@ -20,7 +20,7 @@ Times are thread CPU time.
 The last line per workload is the speed ratio: A's total time over B's, so
 a ratio above 1 means B is faster.
 
-A last line, ``cli-round``, runs the 17 commands of the cli-oracle plan's
+Then ``cli-round`` runs the 17 commands of the cli-oracle plan's
 round 0 (``perfbench/workloads.py``) through each checkout's ``cli.main``,
 ``PASSES`` times, in one temporary copy of that workload's inputs
 (``workloads.prepare``, under ``.perfbench-work/``, removed after).  Each
@@ -30,6 +30,15 @@ the certificate written to ``--output`` (removed before each run); a
 difference stops the script with exit 1.  This line times the whole
 command: argument parsing, reading, solving, verifying, the oracle and
 printing.
+
+Last, ``frontier-round`` solves the inputs of ``tools/frontier.py``:
+every cell of its ``GRID`` at every seed of its ``SEEDS`` (the first
+``INSTANCES`` of them), built by this checkout's ``tests/gen.py`` and handed
+to both checkouts as configuration text, ``PASSES`` times as above.  The
+two certificates must serialize to the same text; a difference stops the
+script with exit 1.  These cells reach what the benchmark's inputs never
+do: four and five blocks, colored planar inputs, and two-block inputs up to
+dimension 10.
 
 This complements ``perfbench/run.py``, which measures one checkout per
 process in a closed loop: the A/B here cancels drift between runs, but
@@ -57,16 +66,34 @@ INSTANCES = 200
 PASSES = 3
 
 
-def load_workloads():
-    """``perfbench/workloads.py`` as a module, without writing bytecode
-    next to it."""
+def load_script(relative_path: str, name: str):
+    """The script at ``relative_path`` under this checkout as a module
+    called ``name``, without writing bytecode next to it."""
     sys.dont_write_bytecode = True
-    path = ROOT / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    spec = importlib.util.spec_from_file_location(name, ROOT / relative_path)
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module
     spec.loader.exec_module(module)
     return module
+
+
+def load_workloads():
+    """``perfbench/workloads.py`` as a module."""
+    return load_script("perfbench/workloads.py", "perfbench_workloads")
+
+
+def frontier_texts() -> list[str]:
+    """The inputs of ``tools/frontier.py`` as configuration text: each cell
+    of its ``GRID``, each seed of its ``SEEDS``, in that order, built by the
+    ``tests/gen.py`` and written by the ``tvpm`` of this checkout, which
+    that script's ``load`` puts on ``sys.path``."""
+    frontier = load_script("tools/frontier.py", "frontier_tool")
+    tvpm, _, _, gen = frontier.load(ROOT)
+    return [
+        tvpm.serialize_configuration(gen.separable_configuration(seed, *cell))
+        for cell in frontier.GRID
+        for seed in frontier.SEEDS
+    ]
 
 
 def load_package(checkout: Path, name: str, into: Path):
@@ -100,19 +127,20 @@ def inputs(workloads, workload: str) -> list[str]:
     return texts[:INSTANCES]
 
 
-def compare(workloads, packages, workload: str) -> int:
-    if workload == "cli-oracle":
+def compare(packages, name: str, texts: list[str]) -> int:
+    """Each configuration of ``texts`` run by both packages: listed by the
+    oracle for cli-oracle, solved otherwise (``interleave``)."""
+    if name == "cli-oracle":
         run, outputs = oracle, "oracle listings"
     else:
         run, outputs = solve, "certificates"
-    texts = inputs(workloads, workload)
     configs = [[p.parse_configuration(t) for t in texts] for p in packages]
 
     def differs(i, a, b):
         return None if a == b else f"instance {i}: the {outputs} differ"
 
     return interleave(
-        workload,
+        name,
         "instance",
         len(texts),
         lambda side, i: run(packages[side], configs[side][i]),
@@ -220,9 +248,11 @@ def main(argv=None) -> int:
             load_package(dir_b, "tvpm_b", Path(tmp)),
         ]
         for workload in WORKLOADS:
-            if compare(workloads, packages, workload):
+            if compare(packages, workload, inputs(workloads, workload)):
                 return 1
-        return compare_round(workloads, packages)
+        if compare_round(workloads, packages):
+            return 1
+        return compare(packages, "frontier-round", frontier_texts()[:INSTANCES])
 
 
 if __name__ == "__main__":
