@@ -18,16 +18,15 @@ decides, for every partition independently, whether signed coefficients with
 the required signs can present a common point; it never builds the
 projective lift, so it cross-checks the pipeline by a different route.  It
 first bounds, on each direction of a list it builds from the points
-(``_directions``: the coordinate axes, the pairwise directions ``e_a + e_b``
-and ``e_a - e_b``, and the in-plane normals of the point differences), the
-interval of values each block can present with its signs (an interval can
-be unbounded), and drops a partition whose intervals miss without posing
-its program (``_intervals_miss``).  The points' order on every direction is
-packed into one bitmask per point (``_gap_masks``), so each block's
-interval ends on all directions are two integers, built once per block,
-and a partition costs one OR per block and one AND; every partition the
-test keeps has its program go to the simplex, posed from the points
-themselves.
+(``_directions``: the coordinate axes and the in-plane normals of the point
+differences), the interval of values each block can present with its signs
+(an interval can be unbounded), and drops a partition whose intervals miss
+without posing its program (``_intervals_miss``).  The points' order on
+every direction is packed into one bitmask per point (``_gap_masks``), so
+each block's interval ends on all directions are two integers, built once
+per block, and a partition costs one OR per block and one AND; every
+partition the test keeps has its program go to the simplex, posed from the
+points themselves.
 
 The oracle's program for one partition of ``n`` vertices in dimension ``d``
 into ``r`` blocks has one variable per vertex and ``r + (r - 1) * d`` rows:
@@ -155,14 +154,13 @@ def oracle_enumerate(config: Configuration) -> list[Blocks]:
     coefficients of marked vertices at most 0, of unmarked vertices at
     least 0, each block summing to 1 and presenting the same point as block
     0.  A partition with a block that presents nothing, or two blocks whose
-    signed intervals miss on one of ``_directions`` (the coordinate axes,
-    the pairwise directions ``e_a + e_b`` and ``e_a - e_b``, and the
-    in-plane normals of the point differences), has an infeasible program,
-    so it is dropped before the program is built (``_intervals_miss``, one
-    AND of bitmasks per partition).  In ``d = 2`` the test drops exactly
-    the partitions with a block that presents nothing or two blocks that
-    present no common point.  Returns the partitions in canonical
-    enumeration order.
+    signed intervals miss on one of ``_directions`` (the coordinate axes
+    and the in-plane normals of the point differences), has an infeasible
+    program, so it is dropped before the program is built
+    (``_intervals_miss``, one AND of bitmasks per partition).  In ``d = 2``
+    the test drops exactly the partitions with a block that presents
+    nothing or two blocks that present no common point.  Returns the
+    partitions in canonical enumeration order.
     """
     validate_configuration(config)
     q, points = integer_points(config.points)
@@ -182,13 +180,12 @@ def oracle_enumerate(config: Configuration) -> list[Blocks]:
 def _directions(points: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
     """The integer directions ``_intervals_miss`` tries on ``points``.
 
-    The coordinate axes; ``e_a + e_b`` and ``e_a - e_b`` for each pair of
-    axes ``a < b``; then, for each pair of axes ``a < b`` and each pair of
-    points ``s < t``, the normal of ``P_t - P_s`` in the plane of those
-    axes, ``-(P_t[b] - P_s[b])`` on axis ``a`` and ``P_t[a] - P_s[a]`` on
-    axis ``b``.  Each is divided by the gcd of its entries and signed so
-    that its first nonzero entry is positive; zero vectors and repeats are
-    dropped, the first of equal directions kept.
+    The coordinate axes; then, for each pair of axes ``a < b`` and each
+    pair of points ``s < t``, the normal of ``P_t - P_s`` in the plane of
+    those axes, ``-(P_t[b] - P_s[b])`` on axis ``a`` and ``P_t[a] -
+    P_s[a]`` on axis ``b``.  Each is divided by the gcd of its entries and
+    signed so that its first nonzero entry is positive; zero vectors and
+    repeats are dropped, the first of equal directions kept.
 
     In ``d = 2`` these make the interval test exact for two blocks: a
     block's signed presentations are the polyhedron ``conv(U) + cone(U -
@@ -200,16 +197,16 @@ def _directions(points: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
     difference is a point, a segment or a ray, off it along that line's
     normal or a coordinate axis.  On that direction the two blocks'
     intervals miss.
+
+    In any ``d`` a direction in the plane of two axes, ``e_a + e_b`` say,
+    would drop nothing more: where the blocks' intervals miss on it, two
+    blocks miss there (Helly in one dimension), so their presentations
+    projected onto that plane miss, and the argument above, on the
+    projected points, finds a direction here on which they miss.
     """
     d = len(points[0])
-    pairs = [(a, b) for a in range(d) for b in range(a + 1, d)]
     vectors = [[int(m == a) for m in range(d)] for a in range(d)]
-    vectors += [
-        [int(m == a) + sign * int(m == b) for m in range(d)]
-        for a, b in pairs
-        for sign in (1, -1)
-    ]
-    for a, b in pairs:
+    for a, b in combinations(range(d), 2):
         for ps, pt in combinations(points, 2):
             v = [0] * d
             v[a], v[b] = ps[b] - pt[b], pt[a] - ps[a]

@@ -10,7 +10,7 @@ from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -364,19 +364,15 @@ class TestBitsetWalk:
     @pytest.mark.parametrize("seed", range(4))
     def test_a_constant_coordinate_gives_no_axis(self, seed):
         # tverberg_partition's columns (P_t, q) end in the same q for every
-        # point: in dimension 2 the keys are the two coordinates and the
-        # normals of the point differences in their plane, and the listing
-        # is the one those keys give together with the constant axis and
-        # the sums and differences of all three coordinates.
+        # point: in dimension 2 the keys are the two coordinates and then
+        # the lines through two points, and the listing is the one those
+        # keys give together with the constant axis and the sums and
+        # differences of all three coordinates.
         rng = random.Random(seed)
         q, ints = integer_points([gen.random_point(rng, 2) for _ in range(7)])
         columns = [(*p, q) for p in ints]
         keys = solver._walk_keys(columns, [q] * 7)
         assert [key[:2] for key in keys] == [list(p) for p in ints]
-        normals = plane_normals(ints)
-        assert [key[2:] for key in keys] == [
-            [u * x + w * y for u, w in normals] for x, y in ints
-        ]
         full = [pairwise_keys(c) + key[2:] for c, key in zip(columns, keys)]
         assert list(enumerate_partitions(7, 3, None, keys)) == list(
             enumerate_partitions(7, 3, None, full)
@@ -404,6 +400,36 @@ def plane_normals(plane) -> list[tuple[int, int]]:
     return normals
 
 
+def collinear(plane) -> bool:
+    """Whether the points ``(x, y)`` lie on one line."""
+    (x0, y0), *rest = plane
+    return all(
+        (xs - x0) * (yt - y0) == (xt - x0) * (ys - y0)
+        for (xs, ys), (xt, yt) in combinations(rest, 2)
+    )
+
+
+def chart_keys(vectors, weights) -> list[list[int]]:
+    """Planar walk keys taken in a coordinate chart: the varying
+    coordinates of the points ``H_t / N_t`` over one common multiple of the
+    weights, then ``plane_normals`` of the first plane of two of them on
+    which the points are not collinear, none when there is no such plane.
+    The walk on these keys is the reference the cross-product keys of
+    ``solver._walk_keys`` are checked against."""
+    common = lcm(*weights)
+    rows = [[h * (common // w) for h in v] for v, w in zip(vectors, weights)]
+    varying = [column for column in zip(*rows) if len(set(column)) > 1]
+    keys = [list(point) for point in zip(*varying)] or [[] for _ in rows]
+    for xs, ys in combinations(varying, 2):
+        plane = list(zip(xs, ys))
+        if not collinear(plane):
+            normals = plane_normals(plane)
+            for key, (x, y) in zip(keys, plane):
+                key += [u * x + w * y for u, w in normals]
+            break
+    return keys
+
+
 def degenerate(r, points, mu=(), coloring=None):
     return Configuration(
         2,
@@ -420,15 +446,13 @@ COLLINEAR = ((0, 0), (1, 2), (2, 4), (3, 6), (-1, -2), (5, 10), (2, 4))
 
 
 class TestPlanarNormals:
-    """For d = 2 the walk cuts on the coordinates and the normals of the
-    point differences in one coordinate plane, which lists no partition
-    with two blocks whose hulls miss."""
+    """For d = 2 the walk cuts on the coordinates and on the lines through
+    two points, the cross products of their homogeneous vectors, which
+    lists no partition with two blocks whose hulls miss."""
 
-    # The lifts of generated configurations are never collinear, so the
-    # plane the keys take their normals in is one onto which the lift's
-    # plane projects one to one.  The whole listing of a (2, 5, 4) walk
-    # takes seconds per seed; there the listing is checked up to the
-    # search's hit, which is what a solve lists.
+    # The whole listing of a (2, 5, 4) walk takes seconds per seed; there
+    # the listing is checked up to the search's hit, which is what a solve
+    # lists.
     @pytest.mark.parametrize(
         "d, r, mu_size, colored, whole",
         [
@@ -459,16 +483,21 @@ class TestPlanarNormals:
                     break
         assert listed > 0
 
-    def test_the_normals_come_from_a_plane_the_points_span(self):
+    def test_the_normals_are_the_lines_through_two_points(self):
         # The points (a, 1 - a, z) lie on x + y = 1, which projects onto
-        # the (x, y) plane as a line: the normals are taken in the (x, z)
-        # plane, where two blocks that miss are cut apart.
+        # the (x, y) plane as a line; the keys need no such projection.
+        # Every normal is 0 at two points, and every two points are 0 on
+        # the cross product of their vectors, (0, 1, 0) x (1, 0, 2) = (2,
+        # 0, -1) for points 0 and 2, or, where it is a unit vector, on that
+        # coordinate: (0, 1, 0) x (2, -1, 0) = (0, 0, -2) for points 0, 1.
         vectors = [(0, 1, 0), (2, -1, 0), (1, 0, 2), (1, 0, -2), (3, -2, 1)]
         keys = solver._walk_keys(vectors, [1] * 5)
-        plane = [(x, z) for x, _, z in vectors]
-        assert [key[3:] for key in keys] == [
-            [u * x + w * z for u, w in plane_normals(plane)] for x, z in plane
-        ]
+        columns = list(zip(*keys))
+        normals = columns[3:]
+        assert all(column.count(0) >= 2 for column in normals)
+        for s, t in combinations(range(5), 2):
+            assert any(column[s] == column[t] == 0 for column in columns)
+        assert tuple(2 * x - z for x, _, z in vectors) in normals
         # Segments {0, 1} and {2, 3} cross at (1, 0, 0).  {0, 2} and {1, 3}
         # are parallel, 2x - z being 0 on one and 4 on the other, yet their
         # boxes on the coordinates meet.
@@ -479,16 +508,67 @@ class TestPlanarNormals:
             4, 2, None, [k[:3] for k in keys[:4]]
         )
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_the_walk_lists_what_a_chart_walk_lists(self, seed):
+        # On the points' plane the line through two points and the normal
+        # of their difference in a coordinate chart onto which that plane
+        # projects one to one are affine with the same level lines, so they
+        # order the points alike up to sign, and the walk's cut is the same
+        # on a reversed axis: the cross-product keys list what the chart's
+        # keys list.
+        inputs = [
+            (*lifted(seed, d, r, mu_size, colored), r)
+            for d, r, mu_size, colored in (
+                (2, 3, 2, False), (2, 4, 3, False), (2, 3, 2, True)
+            )
+        ]
+        # tverberg_partition's columns (P_t, q), whose weights are all q.
+        rng = random.Random(seed)
+        q, ints = integer_points([gen.random_point(rng, 2) for _ in range(7)])
+        columns = tuple((*p, q) for p in ints)
+        inputs.append((LiftedConfiguration(columns, (q,) * 7, q), None, 3))
+        if seed == 0:
+            for config, _, _ in self.DEGENERATE.values():
+                hyperplane = (
+                    separating_hyperplane(config)
+                    if config.mu
+                    else trivial_hyperplane(config)
+                )
+                lift = lift_configuration(config, hyperplane)
+                inputs.append((lift, config.coloring, config.r))
+        for lift, coloring, r in inputs:
+            n = len(lift.vectors)
+            keys = solver._walk_keys(lift.vectors, lift.weights)
+            chart = chart_keys(lift.vectors, lift.weights)
+            assert list(enumerate_partitions(n, r, coloring, keys)) == list(
+                enumerate_partitions(n, r, coloring, chart)
+            )
+
+    @pytest.mark.parametrize("colored", [False, True])
+    def test_every_two_points_tie_on_some_key(self, colored):
+        # The line through two distinct points is 0 at both, and where it
+        # is a coordinate axis that coordinate is 0 at both.
+        for seed in range(5):
+            lift, _ = lifted(seed, 2, 3, 2, colored)
+            keys = solver._walk_keys(lift.vectors, lift.weights)
+            assert not collinear([key[:2] for key in keys])
+            for s, t in combinations(range(len(keys)), 2):
+                assert keys[s][:3] != keys[t][:3]
+                ties = [a == b for a, b in zip(keys[s], keys[t])]
+                assert any(ties), (seed, s, t)
+
     # Per input: the configuration, the number of walk axes of its lift,
     # and the SHA-256 of its certificate as the walk on the coordinates'
     # pairwise sums and differences solved it, the oracle's first partition
-    # every time.  All-equal points vary in no coordinate and get no axis;
-    # collinear ones get their three varying coordinates alone, every
-    # normal being constant on them.  The duplicates' lifts have four
-    # distinct points, three of them collinear: of their six differences,
-    # three are parallel and two lie along the plane's axes, so two normals
-    # are left; with the seventh point moved to (5, 5) and marked, no three
-    # are collinear and four are left.
+    # every time.  All-equal points vary in no coordinate and get no axis.
+    # Collinear ones get their three varying coordinates and the one line
+    # through them all, whose normal is 0 on every point: a constant axis
+    # ties every pair and cuts nothing, so it changes no listing.  The
+    # duplicates' lifts have four distinct points, three of them collinear,
+    # so four lines pass through two of them; the two through the origin
+    # are the coordinate axes x = 0 and y = 0, so two normals are left.
+    # With the seventh point moved to (5, 5) and marked, no three are
+    # collinear: of the six lines, four are left.
     DEGENERATE = {
         "all-equal": (
             degenerate(2, [(1, 1)] * 4),
@@ -517,17 +597,17 @@ class TestPlanarNormals:
         ),
         "collinear": (
             degenerate(3, COLLINEAR),
-            3,
+            4,
             "132be544773d259c28e3e747ec776338f097c54ee55eb25f24852cde6820a513",
         ),
         "collinear-marked": (
             degenerate(3, COLLINEAR, (5,)),
-            3,
+            4,
             "0a3f276d32ad2059848482e8eeb5e7bf1055cce4f8185c8ca5a8a89f5adb4fd1",
         ),
         "collinear-colored": (
             degenerate(3, COLLINEAR, (5,), ((0, 1), (2, 3), (4, 5), (6,))),
-            3,
+            4,
             "bd47e9e79bd85f456eeaa96188ebf9a03a18489b03ec798377f35f2cdfe024ef",
         ),
     }
