@@ -15,9 +15,10 @@ Configuration format (``tvpm-config v1``)::
 Rationals are ``p/q`` with the sign on p and q > 0, or bare integers.  The
 ``colors`` section is required in colored mode and forbidden in classical
 mode.  The ``mu`` line is optional; absent or empty means the empty face.
-Blank lines and ``#`` comments are ignored, a comment up to the end of its
-line: LF, CRLF or CR.  Indices are 0-based and the point count must equal
-(r - 1) * (d + 1) + 1.
+Tokens are separated by ASCII spaces and tabs; no other character is a
+blank.  Blank lines and ``#`` comments are ignored, a comment up to the end
+of its line: LF, CRLF or CR.  Indices are 0-based and the point count must
+equal (r - 1) * (d + 1) + 1.
 
 Certificate format (``tvpm-cert v1``)::
 
@@ -217,14 +218,24 @@ def validate_certificate_structure(cert: PlusMinusCertificate) -> None:
 # parsing
 
 
+# Tokens are separated by ASCII spaces and tabs only: ``str.split`` and
+# ``str.strip`` would also take U+000B, U+000C, U+001C-U+001F, U+0085,
+# U+00A0, U+2028, U+3000 and the other Unicode blanks for them, so that
+# ``1<U+00A0>2`` would read as two numbers.
+_BLANKS_RE = re.compile(r"[ \t]+")
+
+
 class _Cursor:
+    """The lines of a text, each as its list of tokens, without comments
+    and blank lines."""
+
     def __init__(self, text: str):
         # Not ``splitlines``, which also ends a line at U+000B, U+000C,
         # U+001C-U+001E, U+0085, U+2028 and U+2029, inside a ``#`` comment too.
         self.lines = [
-            stripped
+            _BLANKS_RE.split(stripped)
             for raw in re.split(r"\r\n?|\n", text)
-            for stripped in [raw.split("#", 1)[0].strip()]
+            for stripped in [raw.split("#", 1)[0].strip(" \t")]
             if stripped
         ]
         self.pos = 0
@@ -232,18 +243,18 @@ class _Cursor:
     def next(self, what: str) -> list[str]:
         if self.pos >= len(self.lines):
             raise ParseError(f"unexpected end of input, expected {what}")
-        tokens = self.lines[self.pos].split()
         self.pos += 1
-        return tokens
+        return self.lines[self.pos - 1]
 
     def peek(self) -> Optional[list[str]]:
         if self.pos >= len(self.lines):
             return None
-        return self.lines[self.pos].split()
+        return self.lines[self.pos]
 
     def done(self) -> None:
         if self.pos < len(self.lines):
-            raise ParseError(f"unexpected trailing line: {excerpt(self.lines[self.pos])}")
+            line = " ".join(self.lines[self.pos])
+            raise ParseError(f"unexpected trailing line: {excerpt(line)}")
 
 
 def _num(value) -> str:

@@ -49,26 +49,37 @@ axis.
 Any linear function ``f`` of the points is a valid axis: if the blocks'
 hulls share a point ``x``, then ``f(x)``, a convex combination of ``f`` at
 each block's points, lies between that block's least and greatest value of
-``f``, so the boxes on ``f`` meet at ``f(x)``.  The search's axes
-(``_walk_keys``) are the nonconstant coordinates ``H_t[m] / N_t`` and, for
-``d != 2``, the sum and the difference of every pair of them, ``D + D(D-1)``
-axes for ``D`` such coordinates, a box with ``2D^2`` faces (a k-DOP, as
-bounding volumes in collision detection use them: Klosowski, Held,
-Mitchell, Sowizral and Zikan, IEEE TVCG 4(1), 1998).  All are integers over
-one common multiple of the weights, so order and ties are the rationals'.
-The search thus decides, in canonical order, the programs of the
-partitions whose boxes meet on every axis, and the walk drops no partition
-whose hulls meet: the same first hit and the same certificate bytes as a
-search over every partition.
+``f``, so the boxes on ``f`` meet at ``f(x)``.  The cut reads an axis only
+through the order and ties of the points on it, and it is the same on a
+reversed axis, so an axis that is constant on the points cuts nothing and
+one that orders them as another does, up to reversal, cuts as that one
+does.  The search's axes (``_walk_keys``) are the nonconstant coordinates
+``H_t[m] / N_t`` and, for ``d >= 3``, the sum and the difference of every
+pair of them, ``D + D(D-1)`` axes for ``D`` such coordinates, a box with
+``2D^2`` faces (a k-DOP, as bounding volumes in collision detection use
+them: Klosowski, Held, Mitchell, Sowizral and Zikan, IEEE TVCG 4(1),
+1998).  All are integers over one common multiple of the weights, so order
+and ties are the rationals'.  The search thus decides, in canonical order,
+the programs of the partitions whose boxes meet on every axis, and the walk
+drops no partition whose hulls meet: the same first hit and the same
+certificate bytes as a search over every partition.
+
+For ``d = 1`` the lifted points lie on the line ``<x, v> = 1`` of ``R^2``,
+on which every linear function is affine, so every function that is not
+constant on the points orders them alike up to reversal: the first
+nonconstant coordinate is the one axis, and every other would cut as it
+does.
 
 For ``d = 2`` the pairwise sums and differences give way to the lines
-through two points, up to ``3 + n(n-1)/2`` axes for ``n`` points, and the
-cut becomes exact for two blocks.  In the homogeneous vectors the line
-through two points is the cross product ``H_s x H_t`` (``_normals``): it is
-0 at both, and on the plane ``<x, v> = 1`` of the points it is affine and
-vanishes exactly on their line, so it orders the points as the normal of
-their difference does, up to sign.  Two disjoint convex polygons are
-separated by a line parallel to an edge of one of them (the
+through two points, ``n(n-1)/2`` axes after the coordinates for ``n``
+points, and the cut becomes exact for two blocks.  In the homogeneous
+vectors the line through two points is the cross product ``H_s x H_t``
+(``_normals``): it is 0 at both, and on the plane ``<x, v> = 1`` of the
+points it is affine and vanishes exactly on their line, so it orders the
+points as the normal of their difference does, up to sign.  Where the two
+points coincide the product is 0, and where the points are collinear every
+product is 0 on all of them: constant axes.  Two disjoint convex polygons
+are separated by a line parallel to an edge of one of them (the
 separating-axis theorem), and each edge joins two points, whose line is an
 axis.  Where the hulls are points or segments whose difference is a point
 or a segment, they miss along its line's normal or along that line, on
@@ -165,7 +176,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from itertools import accumulate, combinations, compress
-from math import gcd, lcm
+from math import lcm
 from typing import Iterator, Optional, Sequence, Union
 
 from .errors import InternalError
@@ -607,26 +618,29 @@ def _first_hit(
 def _walk_keys(
     vectors: Sequence[Sequence[int]], weights: Sequence[int]
 ) -> list[list[int]]:
-    """The search walk's axes at the points ``H_t / N_t``: the coordinates,
-    then, on vectors of length 3 (``d = 2``), the lines through two points
-    (``_normals``), and on any other length the sum and then the difference
-    of every pair of coordinates ``a < b``.  Each is an integer over one
-    common multiple of the weights, so that order and ties are the
-    rationals': point ``t`` has ``multiple_t * H_t[m]`` on coordinate ``m``
-    and ``multiple_t * <n, H_t>`` on normal ``n``.  Every axis is a linear
-    function of the points, so the walk's cut on it drops no partition whose
-    hulls meet, and the normals make it drop every partition with two
+    """The search walk's axes at the points ``H_t / N_t``: on vectors of
+    length 2 (``d = 1``) the first nonconstant coordinate alone; on any
+    other length the nonconstant coordinates, then, on length 3 (``d =
+    2``), the lines through two points (``_normals``), and on a longer one
+    the sum and then the difference of every pair of coordinates ``a < b``.
+    Each is an integer over one common multiple of the weights, so that
+    order and ties are the rationals': point ``t`` has ``multiple_t *
+    H_t[m]`` on coordinate ``m`` and ``multiple_t * <n, H_t>`` on normal
+    ``n``.  Every axis is a linear function of the points, so the walk's cut
+    on it drops no partition whose hulls meet; on a line one axis decides
+    every cut, and the normals make the walk drop every partition with two
     blocks whose hulls miss (module docstring).  A constant coordinate ``c``
     (``tverberg_partition``'s last) is dropped: it cuts nothing, and ``a +
-    c`` and ``a - c`` cut as ``a`` does.  Collinear points have one line,
-    whose normal is 0 on all of them and cuts nothing either; it is kept.
-    The length of the vectors is the one property the choice reads.
+    c`` and ``a - c`` cut as ``a`` does.  The length of the vectors is the
+    one property the choice reads.
     """
     common = lcm(*weights)
     multiples = [common // w for w in weights]
     rows = [[h * m for h in vector] for vector, m in zip(vectors, multiples)]
     varying = [column.count(column[0]) < len(column) for column in zip(*rows)]
     coordinates = [list(compress(row, varying)) for row in rows]
+    if len(vectors[0]) == 2:
+        return [key[:1] for key in coordinates]
     if len(vectors[0]) == 3:
         normals = _normals(vectors)
         return [
@@ -642,29 +656,19 @@ def _walk_keys(
 
 def _normals(vectors: Sequence[Sequence[int]]) -> list[tuple[int, int, int]]:
     """The cross products ``H_s x H_t`` of the vectors ``s < t`` of length
-    3, each made primitive with its first nonzero entry positive; zero
-    ones, repeats and the three unit vectors, whose values are a
-    coordinate's, are dropped.
+    3, in pair order.
 
     ``<H_s x H_t, x>`` is 0 at ``H_s`` and ``H_t``, and on the plane ``<x,
     v> = 1`` of a lift's points it is affine and, unless the two points
     coincide (where the product is 0), nonconstant: its zero set there is
-    the line through them.
+    the line through them.  The walk reads an axis only through the order
+    of the points on it, so a product that is 0, or a multiple of another,
+    is kept as it is: it cuts as a constant axis or as that other one does.
     """
-    seen = {(1, 0, 0), (0, 1, 0), (0, 0, 1)}
-    normals = []
-    for (x, y, z), (u, v, w) in combinations(vectors, 2):
-        a, b, c = y * w - z * v, z * u - x * w, x * v - y * u
-        g = gcd(a, b, c)
-        if not g:
-            continue
-        if a < 0 or not a and (b < 0 or not b and c < 0):
-            g = -g
-        normal = (a // g, b // g, c // g)
-        if normal not in seen:
-            seen.add(normal)
-            normals.append(normal)
-    return normals
+    return [
+        (y * w - z * v, z * u - x * w, x * v - y * u)
+        for (x, y, z), (u, v, w) in combinations(vectors, 2)
+    ]
 
 
 def _dependence(vectors: Sequence[Sequence[int]]) -> Optional[list[int]]:

@@ -21,12 +21,15 @@ first bounds, on each direction of a list it builds from the points
 (``_directions``: the coordinate axes and the in-plane normals of the point
 differences), the interval of values each block can present with its signs
 (an interval can be unbounded), and drops a partition whose intervals miss
-without posing its program (``_intervals_miss``).  The points' order on
-every direction is packed into one bitmask per point (``_gap_masks``), so
-each block's interval ends on all directions are two integers, built once
-per block, and a partition costs one OR per block and one AND; every
-partition the test keeps has its program go to the simplex, posed from the
-points themselves.
+without posing its program (``_intervals_miss``).  The test reads a
+direction only through the order and ties of the points on it, and reads a
+reversed direction alike, so the list is kept as built: a zero direction
+drops nothing, and a repeated or reversed one drops what its twin drops.
+The points' order on every direction is packed into one bitmask per point
+(``_gap_masks``), so each block's interval ends on all directions are two
+integers, built once per block, and a partition costs one OR per block and
+one AND; every partition the test keeps has its program go to the simplex,
+posed from the points themselves.
 
 The oracle's program for one partition of ``n`` vertices in dimension ``d``
 into ``r`` blocks has one variable per vertex and ``r + (r - 1) * d`` rows:
@@ -45,7 +48,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
 from operator import mul
 from typing import Optional, Sequence
 
@@ -177,15 +179,16 @@ def oracle_enumerate(config: Configuration) -> list[Blocks]:
     return found
 
 
-def _directions(points: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
+def _directions(points: Sequence[Sequence[int]]) -> list[list[int]]:
     """The integer directions ``_intervals_miss`` tries on ``points``.
 
     The coordinate axes; then, for each pair of axes ``a < b`` and each
     pair of points ``s < t``, the normal of ``P_t - P_s`` in the plane of
-    those axes, ``-(P_t[b] - P_s[b])`` on axis ``a`` and ``P_t[a] -
-    P_s[a]`` on axis ``b``.  Each is divided by the gcd of its entries and
-    signed so that its first nonzero entry is positive; zero vectors and
-    repeats are dropped, the first of equal directions kept.
+    those axes, ``P_s[b] - P_t[b]`` on axis ``a`` and ``P_t[a] - P_s[a]``
+    on axis ``b``.  They are taken as they come: a zero direction gives
+    every point one value, where no two intervals miss, and a repeated,
+    reversed or rescaled direction orders the points as its twin does, up
+    to reversal, so its intervals miss exactly when its twin's do.
 
     In ``d = 2`` these make the interval test exact for two blocks: a
     block's signed presentations are the polyhedron ``conv(U) + cone(U -
@@ -205,20 +208,13 @@ def _directions(points: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
     projected points, finds a direction here on which they miss.
     """
     d = len(points[0])
-    vectors = [[int(m == a) for m in range(d)] for a in range(d)]
+    directions = [[int(m == a) for m in range(d)] for a in range(d)]
     for a, b in combinations(range(d), 2):
         for ps, pt in combinations(points, 2):
             v = [0] * d
             v[a], v[b] = ps[b] - pt[b], pt[a] - ps[a]
-            vectors.append(v)
-    directions: dict[tuple[int, ...], None] = {}
-    for v in vectors:
-        g = gcd(*v)
-        if g:
-            if next(c for c in v if c) < 0:
-                g = -g
-            directions.setdefault(tuple(c // g for c in v), None)
-    return list(directions)
+            directions.append(v)
+    return directions
 
 
 def _gap_masks(

@@ -26,6 +26,7 @@ def test_a_small_grid_prints_one_row_per_cell(monkeypatch, capsys):
         solver.enumerate_partitions,
         solver._decide,
         solver.lp_solve,
+        solver._narrow,
         lp._pivot,
     )
     assert frontier.main([str(ROOT)]) == 0
@@ -34,6 +35,7 @@ def test_a_small_grid_prints_one_row_per_cell(monkeypatch, capsys):
         solver.enumerate_partitions,
         solver._decide,
         solver.lp_solve,
+        solver._narrow,
         lp._pivot,
     ) == wrapped
     lines = capsys.readouterr().out.splitlines()
@@ -46,12 +48,15 @@ def test_a_small_grid_prints_one_row_per_cell(monkeypatch, capsys):
     ]
     assert lines[1].startswith("| d | r | \\|mu\\| | mode | n |")
     assert lines[1].endswith(
-        "| partitions (sum) | programs (sum) | LPs (sum) | pivots (sum) |"
+        "| partitions (sum) | programs (sum) | LPs (sum) | pivots (sum) "
+        "| walk nodes (sum) |"
     )
     # The last line is the whole grid's time, every cell and seed.
     assert re.fullmatch(r"grid total: [0-9.]+ m?s thread time", lines[-1])
-    partitions, programs, lps, pivots = (int(c) for c in rows[0][7:11])
+    partitions, programs, lps, pivots, nodes = (int(c) for c in rows[0][7:12])
     assert 2 <= programs <= partitions
+    # Each listed partition ends one node of the walk's last grown block.
+    assert nodes >= partitions
     # The simplex decides only what elimination leaves over.
     assert lps <= programs
     # Every solve's separation LP pivots at least once.
@@ -60,6 +65,7 @@ def test_a_small_grid_prints_one_row_per_cell(monkeypatch, capsys):
     # program or an LP; the separation LP's pivots are left.
     assert tuple(int(c) for c in rows[1][7:10]) == (0, 0, 0)
     assert int(rows[1][10]) >= len(SEEDS_RUN)
+    assert int(rows[1][11]) == 0
     # The colored cell runs the rainbow search: it lists partitions and
     # decides programs too.
     colored_partitions, colored_programs = (int(c) for c in rows[2][7:9])
@@ -69,7 +75,7 @@ def test_a_small_grid_prints_one_row_per_cell(monkeypatch, capsys):
         for seed in SEEDS_RUN:
             plus_minus_partition(gen.separable_configuration(seed, 2, 3, 2))
     assert counts["searches"] == len(SEEDS_RUN)
-    assert (partitions, programs, lps, pivots) == tuple(
+    assert (partitions, programs, lps, pivots, nodes) == tuple(
         counts[c] for c in frontier.COUNTS
     )
 

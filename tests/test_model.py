@@ -37,6 +37,12 @@ PLANE7_CERT = (FIXTURES / "colored_plane7.cert").read_text()
 LINE_SEPARATORS = [
     "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"
 ]
+# Characters that ``str.split`` and ``str.strip`` take for blanks and the
+# formats do not: only ASCII spaces and tabs separate tokens.
+NON_ASCII_BLANKS = [
+    "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0",
+    "\u2028", "\u2029", "\u3000",
+]
 
 
 class TestHelpers:
@@ -89,6 +95,28 @@ class TestConfigurationParsing:
         # grep and wc -l see one comment line here, and so does the parser.
         text = LINE3.replace("mu : 2", f"# marked face switched off:{separator}mu : 2")
         assert parse_configuration(text).mu == ()
+
+    @pytest.mark.parametrize("blank", NON_ASCII_BLANKS)
+    def test_only_spaces_and_tabs_separate_point_coordinates(self, blank):
+        # "4 : 1<blank>4" used to read as the point (1, 4).
+        text = PLANE7.replace("4 : 1 4", f"4 : 1{blank}4")
+        with pytest.raises(ParseError, match="bad coordinate"):
+            parse_configuration(text)
+
+    @pytest.mark.parametrize("blank", NON_ASCII_BLANKS)
+    def test_only_spaces_and_tabs_separate_mu_indices(self, blank):
+        text = PLANE7.replace("mu : 0 1", f"mu : 0{blank}1")
+        with pytest.raises(ParseError, match="bad mu index"):
+            parse_configuration(text)
+
+    @pytest.mark.parametrize("blank", NON_ASCII_BLANKS)
+    def test_only_spaces_and_tabs_end_a_line(self, blank):
+        with pytest.raises(ParseError):
+            parse_configuration(PLANE7.replace("mu : 0 1", f"mu : 0 1{blank}"))
+
+    def test_tabs_separate_tokens(self):
+        text = PLANE7.replace(" ", "\t").replace("\n", " \t\n")
+        assert parse_configuration(text) == parse_configuration(PLANE7)
 
     def test_unsorted_mu_is_normalized(self):
         text = LINE3.replace("mu : 2", "mu : 2 0")
@@ -272,6 +300,16 @@ class TestCertificateParsing:
     def test_a_comment_runs_to_the_line_end_only(self, separator):
         # A trailing line would be rejected; inside the comment it is not one.
         text = LINE3_CERT + f"# trailer{separator}alpha : 5\n"
+        assert parse_certificate(text) == parse_certificate(LINE3_CERT)
+
+    @pytest.mark.parametrize("blank", NON_ASCII_BLANKS)
+    def test_only_spaces_and_tabs_separate_a_coeff_line(self, blank):
+        text = LINE3_CERT.replace("coeff 1 : 3/2", f"coeff{blank}1 : 3/2")
+        with pytest.raises(ParseError, match="coeff"):
+            parse_certificate(text)
+
+    def test_tabs_separate_tokens(self):
+        text = LINE3_CERT.replace(" ", "\t").replace("\n", "\t \n")
         assert parse_certificate(text) == parse_certificate(LINE3_CERT)
 
     def test_parse_rainbow_golden(self):

@@ -27,6 +27,7 @@ from tvpm import (
 )
 from tvpm.errors import InternalError
 from bareiss import affine_dependence
+from canonical_functionals import canonical_walk_keys
 from lift_search import search_lift
 from search_counts import counting
 from tuple_walk import reference_partitions
@@ -560,54 +561,52 @@ class TestPlanarNormals:
     # Per input: the configuration, the number of walk axes of its lift,
     # and the SHA-256 of its certificate as the walk on the coordinates'
     # pairwise sums and differences solved it, the oracle's first partition
-    # every time.  All-equal points vary in no coordinate and get no axis.
-    # Collinear ones get their three varying coordinates and the one line
-    # through them all, whose normal is 0 on every point: a constant axis
-    # ties every pair and cuts nothing, so it changes no listing.  The
-    # duplicates' lifts have four distinct points, three of them collinear,
-    # so four lines pass through two of them; the two through the origin
-    # are the coordinate axes x = 0 and y = 0, so two normals are left.
-    # With the seventh point moved to (5, 5) and marked, no three are
-    # collinear: of the six lines, four are left.
+    # every time.  Every lift gets its varying coordinates and one cross
+    # product per pair of its points, taken as they come.  All-equal points
+    # vary in no coordinate, and every product is 0: 6 axes for 4 points,
+    # 21 for 7, all constant.  The others vary in three coordinates and get
+    # 21 products.  A repeated point gives the product 0, and the products
+    # of collinear points are all 0 on every point: constant axes, which tie
+    # every pair, cut nothing and change no listing.
     DEGENERATE = {
         "all-equal": (
             degenerate(2, [(1, 1)] * 4),
-            0,
+            6,
             "68035fcaa971988cf332a48471f114e7e7ced39bd7e1b82e508d100e0cfb991c",
         ),
         "all-equal-r3": (
             degenerate(3, [(0, 2)] * 7),
-            0,
+            21,
             "8af091f033cc97fc902fb3c43ab99894255be1483fc078a41e82c60656a915ef",
         ),
         "duplicates": (
             degenerate(3, DUPLICATES),
-            5,
+            24,
             "20b0e7d3ce40e39574ce874ccfcac683e9d9c14cd927f1eeed553213f3d86fab",
         ),
         "duplicates-marked": (
             degenerate(3, DUPLICATES[:6] + ((5, 5),), (6,)),
-            7,
+            24,
             "61c7a71fa1371d8412e8222b33962dc73cf51fdd7e20aaf09706b5abcb36795b",
         ),
         "duplicates-colored": (
             degenerate(3, DUPLICATES, (), ((0, 2), (1, 4), (3, 5), (6,))),
-            5,
+            24,
             "bd220bf84cf5cb4755ef3fd12195734003dc87be098fde795bd1b08582202926",
         ),
         "collinear": (
             degenerate(3, COLLINEAR),
-            4,
+            24,
             "132be544773d259c28e3e747ec776338f097c54ee55eb25f24852cde6820a513",
         ),
         "collinear-marked": (
             degenerate(3, COLLINEAR, (5,)),
-            4,
+            24,
             "0a3f276d32ad2059848482e8eeb5e7bf1055cce4f8185c8ca5a8a89f5adb4fd1",
         ),
         "collinear-colored": (
             degenerate(3, COLLINEAR, (5,), ((0, 1), (2, 3), (4, 5), (6,))),
-            4,
+            24,
             "bd47e9e79bd85f456eeaa96188ebf9a03a18489b03ec798377f35f2cdfe024ef",
         ),
     }
@@ -625,6 +624,110 @@ class TestPlanarNormals:
         lift = lift_configuration(config, hyperplane)
         keys = solver._walk_keys(lift.vectors, lift.weights)
         assert [len(key) for key in keys] == [axes] * len(keys)
+
+
+@st.composite
+def small_lifts(draw):
+    """A homogeneous lift of up to 8 points of a line (``d = 1``) or a
+    plane (``d = 2``), with ``r`` and a coloring or None.  Each vector is
+    ``H_t = (h, N_t - <a, h>)`` with weight ``N_t = <H_t, (a, 1)> > 0``, so
+    every point ``H_t / N_t`` lies on ``<x, (a, 1)> = 1``.  Entries are
+    small, so points tie on coordinates, coincide (``(1, 1)`` with weight
+    1 and ``(2, 2)`` with weight 2) and three lie on a line; with a coin, a
+    planar lift has every point on one line, ``H_t = N_t * (p, 1 - <a,
+    p>)`` with ``p`` on it."""
+    d = draw(st.integers(1, 2))
+    r = draw(st.integers(2, 4))
+    n = draw(st.integers(r, 8))
+    small = st.integers(-2, 2)
+    a = draw(st.lists(small, min_size=d, max_size=d))
+    weights = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    if d == 2 and draw(st.booleans()):
+        x, y, dx, dy = (draw(small) for _ in range(4))
+        steps = draw(st.lists(small, min_size=n, max_size=n))
+        vectors = [
+            (w * p, w * q, w * (1 - a[0] * p - a[1] * q))
+            for w, k in zip(weights, steps)
+            for p, q in [(x + k * dx, y + k * dy)]
+        ]
+    else:
+        heads = [draw(st.lists(small, min_size=d, max_size=d)) for _ in range(n)]
+        vectors = [
+            (*h, w - sum(c * e for c, e in zip(a, h)))
+            for h, w in zip(heads, weights)
+        ]
+    coloring = None
+    if draw(st.booleans()):
+        order = draw(st.permutations(range(n)))
+        cuts = sorted(draw(st.sets(st.integers(1, n - 1))))
+        bounds = [0, *cuts, n]
+        coloring = [sorted(order[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+    return vectors, weights, r, coloring
+
+
+class TestPlainFunctionals:
+    """The walk's axes are plain functionals: the cross products as they
+    come, and on a ``d = 1`` line one coordinate.  The walk on them lists
+    what it lists on the canonical axes of ``tests/canonical_functionals.py``
+    (primitive, signed and deduplicated normals, and on a line the
+    coordinates with their pairwise sums and differences)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(small_lifts())
+    def test_the_walk_lists_what_the_canonical_walk_lists(self, lift):
+        vectors, weights, r, coloring = lift
+        n = len(vectors)
+        keys = solver._walk_keys(vectors, weights)
+        canonical = canonical_walk_keys(vectors, weights)
+        assert list(enumerate_partitions(n, r, coloring, keys)) == list(
+            enumerate_partitions(n, r, coloring, canonical)
+        )
+
+    # search-enum's cells and the frontier's (1, 8, 3); the planar lifts of
+    # the generated cells are checked against a chart walk above.
+    @pytest.mark.parametrize(
+        "r, mu_size, colored", [(5, 2, False), (8, 3, False), (5, 3, True)]
+    )
+    def test_a_generated_line_lists_as_the_canonical_walk(
+        self, r, mu_size, colored
+    ):
+        for seed in range(5):
+            lift, coloring = lifted(seed, 1, r, mu_size, colored)
+            n = len(lift.vectors)
+            keys = solver._walk_keys(lift.vectors, lift.weights)
+            canonical = canonical_walk_keys(lift.vectors, lift.weights)
+            assert [len(key) for key in keys] == [1] * n
+            assert list(enumerate_partitions(n, r, coloring, keys)) == list(
+                enumerate_partitions(n, r, coloring, canonical)
+            )
+
+    def test_a_line_has_one_axis(self):
+        # tverberg_partition's columns (p, 1) for points 3, -1, 3, 0: the
+        # constant 1 is dropped and the first coordinate is the one axis.
+        assert solver._walk_keys([(3, 1), (-1, 1), (3, 1), (0, 1)], [1] * 4) == [
+            [3], [-1], [3], [0]
+        ]
+        # A lift on x + y = 1 varies in both coordinates; the first is the
+        # axis, over the weights' common multiple 2.
+        assert solver._walk_keys([(2, -1), (1, 1), (0, 2)], [1, 2, 2]) == [
+            [4], [1], [0]
+        ]
+        # Coincident points vary in no coordinate: no axis.
+        assert solver._walk_keys([(1, 1), (2, 2)], [2, 4]) == [[], []]
+
+    def test_the_normals_are_the_cross_products_as_they_come(self):
+        # One product per pair, in pair order, with no gcd, sign or
+        # repeat removed: vector 2 repeats vector 0, so their product is 0,
+        # (1, 2) reverses (0, 1), and (2, 3) repeats (0, 3).
+        vectors = [(1, 0, 1), (0, 1, 1), (1, 0, 1), (2, 2, 2)]
+        assert solver._normals(vectors) == [
+            (-1, -1, 1),
+            (0, 0, 0),
+            (-2, 0, 2),
+            (1, 1, -1),
+            (0, 2, -2),
+            (-2, 0, 2),
+        ]
 
 
 class TestTracedNames:

@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gen
+from canonical_functionals import canonical_directions
 from fraction_verify import reference_verify
 from test_certificate_digests import DIGESTS
 from tvpm import Configuration, Hyperplane, plus_minus_partition
@@ -708,23 +709,36 @@ class TestIntervalTest:
         directions = verifier._directions([(1, 2, 3), (0, -1, 5)])
         # P_1 - P_0 = (-1, -3, 2): its normals in the planes of axes 0 and
         # 1, 0 and 2, 1 and 2 are (3, -1, 0), (-2, 0, -1) and (0, -2, -3),
-        # signed so that the first nonzero entry is positive.
+        # taken as they come.
         assert directions == [
-            (1, 0, 0),
-            (0, 1, 0),
-            (0, 0, 1),
-            (3, -1, 0),
-            (2, 0, 1),
-            (0, 2, 3),
+            [1, 0, 0],
+            [0, 1, 0],
+            [0, 0, 1],
+            [3, -1, 0],
+            [-2, 0, -1],
+            [0, -2, -3],
         ]
-        assert verifier._directions([(4,), (-2,)]) == [(1,)]
+        assert verifier._directions([(4,), (-2,)]) == [[1]]
 
-    def test_the_directions_are_primitive_and_distinct(self):
-        # (2, 4) - (0, 0) has normal (-4, 2), so (2, -1) once made
-        # primitive; (1, 2) - (0, 0) and (1, 2) - (2, 4) give it again, and
-        # the repeated point a zero vector.
-        directions = verifier._directions([(0, 0), (2, 4), (1, 2), (0, 0)])
-        assert directions == [(1, 0), (0, 1), (2, -1)]
+    def test_the_directions_are_taken_as_they_come(self):
+        # (2, 4) - (0, 0) has normal (-4, 2), and (1, 2) - (0, 0) half of
+        # it; the repeated point gives a zero direction, and the other pairs
+        # give these again, reversed or rescaled.  No gcd, sign or repeat is
+        # removed, and every partition is dropped as on the canonical list
+        # (1, 0), (0, 1), (2, -1).
+        points = [(0, 0), (2, 4), (1, 2), (0, 0)]
+        directions = verifier._directions(points)
+        assert directions == [
+            [1, 0], [0, 1], [-4, 2], [-2, 1], [0, 0], [2, -1], [4, -2], [2, -1]
+        ]
+        canonical = canonical_directions(points)
+        assert canonical == [(1, 0), (0, 1), (2, -1)]
+        raw, primitive = interval_masks(points), interval_masks(points, canonical)
+        for members in (set(), {1}, {0, 2}):
+            for blocks in enumerate_partitions(4, 2):
+                assert verifier._intervals_miss(
+                    raw, members, blocks, {}
+                ) == verifier._intervals_miss(primitive, members, blocks, {})
 
     def test_the_gap_masks_rank_the_values(self):
         # x takes 0, 1 and 3 on three points, so two gaps in a lane of
@@ -761,14 +775,14 @@ class TestIntervalTest:
 
     def test_a_difference_normal_separates_where_the_pairs_meet(self):
         # The segment from (0,0) to (4,1) and the point (2,1) meet on x, y,
-        # x + y and x - y; on (1, -4), the normal of (4,1) - (0,0), the
-        # segment presents 0 and the point -2.
+        # x + y and x - y; on (-1, 4), the normal of (4,1) - (0,0), the
+        # segment presents 0 and the point 2.
         points = [(0, 0), (4, 1), (2, 1)]
         blocks = ((0, 1), (2,))
         assert not verifier._intervals_miss(
             interval_masks(points, axis_and_pair_directions(2)), set(), blocks, {}
         )
-        assert (1, -4) in verifier._directions(points)
+        assert [-1, 4] in verifier._directions(points)
         assert verifier._intervals_miss(interval_masks(points), set(), blocks, {})
         program = verifier._presentation_program(1, points, set(), blocks)
         assert lp_solve(program).status == INFEASIBLE
@@ -795,6 +809,38 @@ class TestIntervalTest:
         # vertex 1's value.
         assert ends[(1, 2)] == (0, ge[1])
         assert ends[(0, 2)] == (lt[0], ge[0])
+
+
+@st.composite
+def interval_inputs(draw):
+    """Integer points of ``d = 2`` or ``3``, up to 7 of them, drawn from a
+    pool of at most 4 points in -2..2, so that points repeat, tie and lie
+    on common lines; ``r``; and a marked set."""
+    d = draw(st.integers(2, 3))
+    r = draw(st.integers(2, 3))
+    n = draw(st.integers(r, 7))
+    point = st.tuples(*[st.integers(-2, 2)] * d)
+    pool = draw(st.lists(point, min_size=1, max_size=4))
+    points = [draw(st.sampled_from(pool)) for _ in range(n)]
+    members = draw(st.sets(st.integers(0, n - 1)))
+    return points, r, members
+
+
+@settings(max_examples=150, deadline=None)
+@given(interval_inputs())
+def test_raw_directions_drop_what_canonical_ones_drop(inputs):
+    # The oracle's directions are taken as they come; with each made
+    # primitive and signed, and zeros and repeats dropped
+    # (``tests/canonical_functionals.py``), every partition's verdict is
+    # the same.
+    points, r, members = inputs
+    raw = interval_masks(points)
+    canonical = interval_masks(points, canonical_directions(points))
+    raw_ends, canonical_ends = {}, {}
+    for blocks in enumerate_partitions(len(points), r):
+        assert verifier._intervals_miss(
+            raw, members, blocks, raw_ends
+        ) == verifier._intervals_miss(canonical, members, blocks, canonical_ends)
 
 
 # The cli-oracle workload's cell: every partition's verdict is compared with

@@ -12,15 +12,17 @@ mode, the median and the largest solve time over the seeds, and, summed
 over all the seeds, the partitions the search listed (items its
 ``enumerate_partitions`` yielded), the programs it decided (its
 ``_decide`` calls), the simplex LPs among them (its ``lp_solve`` calls:
-the programs that elimination could not decide), and the simplex pivots of
+the programs that elimination could not decide), the simplex pivots of
 the whole solve (``tvpm.lp._pivot`` calls): those of the separation LP and
-of the search's LPs.  The sums do not depend on which seed ran slowest, so
-rows compare from run to run and between checkouts.  The counts come from
+of the search's LPs, and the nodes of the partition walk (its ``_narrow``
+calls, one per block it grows), which move when a change to the walk's axes
+moves a cut.  The sums do not depend on which seed ran slowest, so rows
+compare from run to run and between checkouts.  The counts come from
 ``counting``, which wraps those names in ``tvpm.solver``, the module the
-search looks them up in, and ``_pivot`` in ``tvpm.lp``, where the simplex
-loop looks it up, and gives them back when the grid is done; the tests
-count through it too.  Times are thread CPU time and include the wrappers'
-small cost.
+search and its walk look them up in, and ``_pivot`` in ``tvpm.lp``, where
+the simplex loop looks it up, and gives them back when the grid is done;
+the tests count through it too.  Times are thread CPU time and include
+the wrappers' small cost.
 The last line is the whole grid's thread time, every cell and seed.
 
 It uses the standard library only, writes nothing, and takes no options.
@@ -70,7 +72,7 @@ GRID = (
 )
 SEEDS = range(5)
 # The counted columns, in table order.
-COUNTS = ("partitions", "programs", "lps", "pivots")
+COUNTS = ("partitions", "programs", "lps", "pivots", "nodes")
 
 
 def load(checkout: Path):
@@ -94,12 +96,13 @@ def load(checkout: Path):
 def counting(solver, lp) -> Iterator[dict[str, int]]:
     """Counts of the searches (``enumerate_partitions`` calls) and of
     ``COUNTS`` made inside the ``with`` block, through ``solver``'s
-    ``enumerate_partitions``, ``_decide`` and ``lp_solve`` and ``lp``'s
-    ``_pivot``; every name is given back on exit."""
+    ``enumerate_partitions``, ``_decide``, ``lp_solve`` and ``_narrow`` and
+    ``lp``'s ``_pivot``; every name is given back on exit."""
     counts = dict.fromkeys(("searches", *COUNTS), 0)
     enumerate_partitions = solver.enumerate_partitions
     decide = solver._decide
     lp_solve = solver.lp_solve
+    narrow = solver._narrow
     pivot = lp._pivot
 
     def listed(*args, **kwargs):
@@ -116,6 +119,10 @@ def counting(solver, lp) -> Iterator[dict[str, int]]:
         counts["lps"] += 1
         return lp_solve(program)
 
+    def narrowed(*args):
+        counts["nodes"] += 1
+        return narrow(*args)
+
     def pivoted(*args):
         counts["pivots"] += 1
         return pivot(*args)
@@ -123,6 +130,7 @@ def counting(solver, lp) -> Iterator[dict[str, int]]:
     solver.enumerate_partitions = listed
     solver._decide = decided
     solver.lp_solve = solved
+    solver._narrow = narrowed
     lp._pivot = pivoted
     try:
         yield counts
@@ -130,6 +138,7 @@ def counting(solver, lp) -> Iterator[dict[str, int]]:
         solver.enumerate_partitions = enumerate_partitions
         solver._decide = decide
         solver.lp_solve = lp_solve
+        solver._narrow = narrow
         lp._pivot = pivot
 
 
@@ -147,9 +156,10 @@ def main(argv=None) -> int:
     print(f"frontier of {checkout}, seeds {SEEDS.start}-{SEEDS.stop - 1}")
     print(
         "| d | r | \\|mu\\| | mode | n | median | max "
-        "| partitions (sum) | programs (sum) | LPs (sum) | pivots (sum) |"
+        "| partitions (sum) | programs (sum) | LPs (sum) | pivots (sum) "
+        "| walk nodes (sum) |"
     )
-    print("|---|---|---|---|---|---|---|---|---|---|---|")
+    print("|---|---|---|---|---|---|---|---|---|---|---|---|")
     total = 0.0
     with counting(solver, lp) as counts:
         for d, r, mu_size, colored in GRID:
