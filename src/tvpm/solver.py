@@ -89,21 +89,38 @@ pairwise share a point, the walk lists no partition with two such blocks.
 For ``d >= 3`` no such short list exists: separating two polytopes there
 takes facet normals and the cross products of pairs of edges.
 
-The walk holds blocks and pools as point bitmasks (``_axes``).  On each axis
-the points are numbered in order of their values, so a block's least and
-greatest value sit at its lowest and highest set bit, and ``left[k-1]`` and
-``left[-k]`` at the lowest and highest set bit of the leftover mask once
-``k - 1`` of its bits are cleared from that end.  One generator lists a
-block and everything after it: it grows the block depth-first from a
-stack of (block, next vertex, bits) entries and recurses only into the
-next block, so a walk nests one generator per block.  Appending a vertex
-to a block is one OR per axis, done when its entry is popped, so a search
-that stops at its first hit builds nothing for the entries left behind.
-A block too large to leave a vertex for each block to come is never
-built.  Nor is any block grown from one whose leftover vertices already
-fail the cut against the running box from before it: growing a block only
-raises ``left[k-1]`` and lowers ``left[-k]``.  Without points the walk has
-no axes and no axis work, and without a coloring every color bit is 0.
+The walk holds blocks and pools as packed bitmasks, one integer for all
+the axes (``_axes``), in the broadword manner of Knuth (TAOCP 4A, 7.1.3).
+On each axis the points are numbered in order of their values, and axis
+``a`` has lane ``a`` of the integer, one bit per position.  A block's
+least and greatest value on every axis then sit at the lowest and highest
+set bit of each lane.  Every lane of a set of points holds as many bits
+as the set has points, so ``left[k-1]`` sits at the lowest set bit of
+each lane of the leftover once its ``k - 1`` lowest bits are cleared, and
+``left[-k]`` and the block's greatest value likewise, counting from the
+bottom: subtracting bit 0 of every lane clears the lowest bit in all lanes
+at once, and never borrows across lanes while each lane has a bit.  A
+position is carried as the mask of the positions at or below it, so the
+running box is two integers, the larger of two positions is an OR and the
+smaller an AND.  Ties between keys are read through one mask of the
+positions whose key differs from the key below, so tied keys compare
+equal, as the values do.  The cut tests all lanes at once (``_narrow``).
+It tests the leftover against the running box from before the block on
+every lane first, and drops the subtree when that fails (False): growing a
+block only raises ``left[k-1]`` and lowers ``left[-k]``, so no block grown
+from this one passes either.  Only then does it test the box cut down to
+the block (None).  One generator lists a block and everything after it:
+it grows the block depth-first from a stack of (block, next vertex, bits)
+entries, passes the blocks fixed so far down as a prefix, and recurses
+only into the next block, except that with two blocks to go it yields the
+leftover as the last block itself.  So a walk nests one generator per
+block but the last, and builds each listed partition with one tuple
+concatenation.  Appending a vertex to a block is
+one OR, done when its entry is popped, so a search that stops at its first
+hit builds nothing for the entries left behind.  A block too large to
+leave a vertex for each block to come is never built.  Without points the
+walk has no lanes and does no cut work at all, and without a coloring
+every color bit is 0.
 
 No block but block 0 needs a sum row: ``v`` applied to block ``j``'s
 coupling rows gives ``sum(N_t x_t : t in B_0) = sum(N_t x_t : t in B_j)``.
@@ -195,8 +212,8 @@ from .model import TverbergPartition, is_prime
 from .separation import LiftedConfiguration, pull_back_coefficients
 
 Blocks = tuple[tuple[int, ...], ...]
-# Per axis, the running box (lo, hi) in the walk's coordinates.
-_Box = list[tuple[int, int]]
+# The running box as two packed prefix masks, ``(lo, hi)`` (``_narrow``).
+_Box = tuple[int, int]
 
 
 def enumerate_partitions(
@@ -214,7 +231,7 @@ def enumerate_partitions(
     blocks' bounding boxes share a point survive: a subtree is dropped as
     soon as no completion of the blocks fixed so far can have meeting boxes
     (see the module docstring).  Survivors keep their canonical order either
-    way.
+    way.  Without points the walk does no cut work at all.
     """
     if r < 1:
         raise ValueError("r must be at least 1")
@@ -225,86 +242,106 @@ def enumerate_partitions(
     if coloring is not None:
         color_of = _color_of(coloring, n_points)
         colors = [1 << color_of[v] for v in range(n_points)]
-    # Without points there are no axes, and the walk does no axis work.
-    bits: list[list[int]] = [[] for _ in range(n_points)]
-    keys: list[tuple] = []
+    lanes, bits, pool, box = None, [], 0, ()
     if points is not None:
         if len(points) != n_points:
             raise ValueError(f"got {len(points)} points for {n_points} indices")
         if len({len(p) for p in points}) > 1:
             raise ValueError("points have unequal lengths")
-        bits, keys = _axes(points)
+        lanes, bits = _axes(points)
+        # Every position of every lane, and the box of all of them.
+        pool = lanes.ones * ((1 << n_points) - 1)
+        box = (lanes.ones, pool)
+    vertices = tuple(range(n_points))
+    if r == 1:
+        if _rainbow(vertices, colors):
+            yield (vertices,)
+        return
+    listing = _Listing(lanes, bits, colors, coloring is not None)
+    yield from _walk(listing, (), vertices, pool, r, box)
 
-    yield from _walk(
-        _Listing(keys, bits, colors),
-        list(range(n_points)),
-        [(1 << n_points) - 1] * len(keys),
-        r,
-        [(values[1], values[-1]) for values in keys],
-    )
 
-
-# What every node of one listing shares: the keys and point bits of
-# ``_axes`` and each vertex's color bit.  The walk is a module function that
-# takes it as an argument, so that no closure refers to itself and a
-# finished walk leaves no reference cycle for the garbage collector.
-_Listing = namedtuple("_Listing", "keys bits colors")
+# The constants of one listing's lanes (``_axes``): ``ones`` has bit 0 of
+# every lane, ``untied`` the bits of the positions whose key differs from
+# the key one position below, and ``first`` every bit of lane 0.
+_Lanes = namedtuple("_Lanes", "ones untied first")
+# What every node of one listing shares: the lanes and packed point bits of
+# ``_axes`` (None and empty without points), each vertex's color bit and
+# whether there is a coloring.  The walk is a module function that takes it
+# as an argument, so that no closure refers to itself and a finished walk
+# leaves no reference cycle for the garbage collector.
+_Listing = namedtuple("_Listing", "lanes bits colors colored")
 
 
 def _walk(
-    listing: _Listing, pool: list[int], masks: list[int], k: int, box: _Box
+    listing: _Listing,
+    prefix: Blocks,
+    pool: Sequence[int],
+    mask: int,
+    k: int,
+    box: Union[_Box, tuple[()]],
 ) -> Iterator[Blocks]:
-    """The partitions of ``pool`` into ``k`` blocks whose boxes meet inside
-    ``box``; ``masks`` holds the pool's bits on each axis.  The first
-    block grows from a stack of (block, pool position of the vertex it
-    adds, the block's axis bits, its color bits), siblings pushed in
-    reverse so that blocks come off in canonical order."""
-    keys, bits, colors = listing
-    if k == 1:
-        if _rainbow(pool, colors):
-            yield (tuple(pool),)
-        return
+    """``prefix`` followed by each partition of ``pool`` into ``k >= 2``
+    blocks whose boxes meet inside ``box``; ``mask`` holds the pool's bits
+    in every lane.
+
+    The first block grows from a stack of (block, pool position of the
+    vertex it adds, the block's packed bits, its color bits), siblings
+    pushed in reverse so that blocks come off in canonical order.  With two
+    blocks to go, the pool left by a block that passes the cut is the last
+    block, yielded here; with more, the walk recurses into the next block.
+    Without lanes every block passes."""
+    lanes, bits, colors, colored = listing
     # The largest block leaves a vertex for each block to come.
     largest = len(pool) - k + 1
-    stack = [((), 0, [0] * len(keys), 0)]
+    stack = [((), 0, 0, 0)]
     while stack:
         block, t, held, used = stack.pop()
         v = pool[t]
         block += (v,)
-        held = [h | b for h, b in zip(held, bits[v])]
         used |= colors[v]
-        narrowed = _narrow(keys, held, masks, box, k - 1)
-        if narrowed is False:
-            # No block grown from this one passes the cut either.
-            continue
+        narrowed = box
+        if lanes is not None:
+            held |= bits[v]
+            narrowed = _narrow(lanes, held, mask, box, k - 1)
+            if narrowed is False:
+                # No block grown from this one passes the cut either.
+                continue
         if narrowed is not None:
             rest = [u for u in pool if u not in block]
-            left = [m ^ h for m, h in zip(masks, held)]
-            for tail in _walk(listing, rest, left, k - 1, narrowed):
-                yield (block,) + tail
+            if k > 2:
+                yield from _walk(
+                    listing, prefix + (block,), rest, mask ^ held, k - 1, narrowed
+                )
+            elif not colored or _rainbow(rest, colors):
+                yield prefix + (block, tuple(rest))
         if len(block) < largest:
             for s in range(len(pool) - 1, t, -1):
                 if not used & colors[pool[s]]:
                     stack.append((block, s, held, used))
 
 
-def _axes(points: Sequence[Sequence]) -> tuple[list[list[int]], list[tuple]]:
-    """Per point, its bit on each axis; per axis, the keys in bit order.
+def _axes(points: Sequence[Sequence]) -> tuple[_Lanes, list[int]]:
+    """The lanes of the points' axes, and per point its packed bits.
 
     On each axis the points are sorted by key, ties by index, and the point
-    in position ``p`` gets bit ``1 << p``.  ``keys[a][p + 1]`` is its key,
-    so a mask ``m``'s least and greatest keys on axis ``a`` are
-    ``keys[a][(m & -m).bit_length()]`` and ``keys[a][m.bit_length()]``
-    (entry 0 is never read).
+    in position ``p`` of axis ``a`` gets bit ``p`` of lane ``a``, the ``n``
+    bits from bit ``a * n`` for ``n`` points.  So every point has one bit
+    in every lane, and a set of points has in each lane the positions of
+    its keys on that axis, in key order.
     """
-    bits: list[list[int]] = [[] for _ in points]
-    keys = []
-    for column in zip(*points):
-        order = sorted(range(len(column)), key=column.__getitem__)
+    n = len(points)
+    bits = [0] * n
+    ones = untied = 0
+    for a, column in enumerate(zip(*points)):
+        base = a * n
+        order = sorted(range(n), key=column.__getitem__)
+        ones |= 1 << base
         for p, v in enumerate(order):
-            bits[v].append(1 << p)
-        keys.append((None, *(column[v] for v in order)))
-    return bits, keys
+            bits[v] |= 1 << (base + p)
+            if p and column[v] != column[order[p - 1]]:
+                untied |= 1 << (base + p)
+    return _Lanes(ones, untied, (1 << n) - 1), bits
 
 
 def _color_of(coloring: Sequence[Sequence[int]], n_points: int) -> dict[int, int]:
@@ -326,11 +363,7 @@ def _color_of(coloring: Sequence[Sequence[int]], n_points: int) -> dict[int, int
 
 
 def _narrow(
-    keys: Sequence[Sequence],
-    block: Sequence[int],
-    pool: Sequence[int],
-    box: _Box,
-    k: int,
+    lanes: _Lanes, block: int, pool: int, box: _Box, k: int
 ) -> Union[_Box, None, bool]:
     """The running box cut down to the box of ``block``; None when the ``k``
     blocks still to come out of the rest of ``pool`` cannot all meet it, and
@@ -341,34 +374,49 @@ def _narrow(
     left[-k])``.  Growing the block only raises ``lo`` and ``left[k-1]`` and
     lowers ``hi`` and ``left[-k]``, so once the cut holds against the box
     before the block it holds for every block grown from this one (False).
+    That test runs on every lane before the one against the cut-down box
+    (None).
 
-    ``block`` and ``pool`` are bitmasks per axis (``_axes``), the block's
-    bits inside the pool's.  The leftover keys in ascending order are the
-    set bits of ``pool ^ block`` from the lowest up, so ``left[k-1]`` is the
-    lowest bit once the ``k - 1`` lowest are cleared, and ``left[-k]``
-    likewise from the top.
+    ``block`` and ``pool`` are packed (``_axes``), the block's bits inside
+    the pool's, with at least ``k`` leftover bits, so every value here has a
+    bit in every lane and subtracting ``ones`` borrows inside each lane.
+    Each lane holds as many bits as lane 0 (``first``).  A position ``p`` is
+    carried as its prefix mask, the positions ``<= p``: the larger of two
+    positions is then the OR of their masks and the smaller the AND.  The
+    box ``(lo, hi)`` is such a pair of masks.  ``x & (x - ones)`` clears the
+    lowest bit of every lane, and ``x ^ (x - ones)`` is the prefix mask of
+    the lowest bit of every lane.  With
+    ``c`` leftover points, ``left[k-1]`` is the lowest bit once ``k - 1``
+    are cleared and ``left[-k]`` once ``c - k`` are; the block's least key
+    is its lowest bit and its greatest the one left once all but one are
+    cleared.  For masks ``M`` and ``m``, ``M & ~m`` holds in each lane the
+    positions above ``m``'s up to ``M``'s, and the key at ``M``'s position
+    exceeds the key at ``m``'s exactly when one of those positions is
+    ``untied`` from the one below it.  So ``(lo | low) & ~(hi & high) &
+    untied`` is nonzero exactly when, on some axis, ``max(lo, left[k-1]) >
+    min(hi, left[-k])``; with ``lo <= hi``, as on every box the walk passes
+    on, that is the cut.
     """
-    narrowed = []
-    for values, held, left, (lo, hi) in zip(keys, block, pool, box):
-        low_bits = high_bits = left ^ held
-        if k > 1:
-            for _ in range(k - 1):
-                low_bits &= low_bits - 1
-                high_bits ^= 1 << (high_bits.bit_length() - 1)
-        low = values[(low_bits & -low_bits).bit_length()]
-        high = values[high_bits.bit_length()]
-        if low > high or low > hi or lo > high:
-            return False
-        least = values[(held & -held).bit_length()]
-        if least > lo:
-            lo = least
-        greatest = values[held.bit_length()]
-        if greatest < hi:
-            hi = greatest
-        if lo > hi or lo > high or low > hi:
-            return None
-        narrowed.append((lo, hi))
-    return narrowed
+    ones, untied, first = lanes
+    lo, hi = box
+    left = pool ^ block
+    low = high = left
+    for _ in range(k - 1):
+        low &= low - ones
+    for _ in range((left & first).bit_count() - k):
+        high &= high - ones
+    low ^= low - ones
+    high ^= high - ones
+    if (lo | low) & ~(hi & high) & untied:
+        return False
+    greatest = block
+    for _ in range((block & first).bit_count() - 1):
+        greatest &= greatest - ones
+    lo |= block ^ (block - ones)
+    hi &= greatest ^ (greatest - ones)
+    if (lo | low) & ~(hi & high) & untied:
+        return None
+    return lo, hi
 
 
 def _rainbow(block: Sequence[int], colors: Sequence[int]) -> bool:

@@ -3,6 +3,7 @@ differences it must catch."""
 
 from __future__ import annotations
 
+import re
 import shutil
 import subprocess
 import sys
@@ -31,11 +32,19 @@ def test_a_checkout_against_itself_gives_every_ratio(ab, capsys):
     assert ab.main([str(ROOT), str(ROOT)]) == 0
     out = capsys.readouterr().out
     ratios = [line for line in out.splitlines() if "A/B speed ratio" in line]
-    assert [line.split(":")[0] for line in ratios] == [
-        "search-lp", "search-enum", "cli-oracle", "cli-round", "frontier-round"
+    names = [
+        "search-lp", "search-enum", "cli-oracle", "cli-round", "cli-plan",
+        "frontier-round",
     ]
+    assert [line.split(":")[0] for line in ratios] == names
     assert out.count("2 instances x 1 passes") == 4
     assert out.count("17 commands x 1 passes") == 1
+    # The plan line runs every command of every round.
+    assert out.count(f"{17 * 40} commands x 1 passes") == 1
+    # Each line gives both sides' p50 and p90.
+    deciles = [line for line in out.splitlines() if ": p50 A " in line]
+    assert [line.split(":")[0] for line in deciles] == names
+    assert all(re.search(r"; p90 A [0-9.]+ ms, B [0-9.]+ ms$", line) for line in deciles)
 
 
 def test_the_frontier_round_solves_the_frontier_grid(ab):
@@ -110,6 +119,30 @@ def test_the_round_is_the_benchmark_round_with_relative_paths(ab):
     assert len(commands) == 17
     assert commands[0] == ["solve", "--input", "line3.txt", "--output", "l.cert"]
     assert commands[-1] == ["oracle", "--input", "c0.txt"]
+
+
+def test_the_plan_is_every_round_in_order(ab):
+    workloads = ab.load_workloads()
+    commands = ab.plan_commands(workloads)
+    assert len(commands) == 17 * workloads.CLI_ROUNDS == 680
+    assert commands[:17] == ab.round_commands(workloads)
+    assert commands[-1] == ["oracle", "--input", "c39.txt"]
+    assert commands[-17] == commands[0]
+
+
+def test_a_differing_command_late_in_the_plan_exits_one(ab, capsys):
+    # Round 0 agrees; the colored pair of round 1 does not.
+    class Late(_Cli):
+        def main(self, argv):
+            if argv[2] == "c1.txt":
+                sys.stderr.write("late\n")
+            return super().main(argv)
+
+    assert ab.compare_plan(ab.load_workloads(), [_Cli(), Late()]) == 1
+    assert capsys.readouterr().out == (
+        "cli-plan command 31 (solve --input c1.txt --mode colored --output "
+        "c1.cert): the stderr differ\n"
+    )
 
 
 class _Cli:

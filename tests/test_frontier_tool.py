@@ -55,7 +55,8 @@ def test_a_small_grid_prints_one_row_per_cell(monkeypatch, capsys):
     assert re.fullmatch(r"grid total: [0-9.]+ m?s thread time", lines[-1])
     partitions, programs, lps, pivots, nodes = (int(c) for c in rows[0][7:12])
     assert 2 <= programs <= partitions
-    # Each listed partition ends one node of the walk's last grown block.
+    # Each listed partition is one node of the walk, where the cut passes
+    # its second-to-last block and the leftover points are the last.
     assert nodes >= partitions
     # The simplex decides only what elimination leaves over.
     assert lps <= programs

@@ -8,15 +8,17 @@ import random
 import sys
 from dataclasses import replace
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations, permutations
 from math import gcd, lcm
+from operator import or_
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gen
+import per_axis_cut
 from tvpm import (
     Configuration,
     lp,
@@ -204,28 +206,30 @@ class TestBoxPruning:
         # bound alone has a vertex on its side for both blocks to come, but
         # no single value has two leftover keys at or below it and two at
         # or above it.
-        bits, keys = solver._axes([(0,), (10,), (0,), (10,)])
-        block = [bits[0][0] | bits[1][0]]
-        pool = [0b1111]
-        box = [(0, 10)]
+        points = [(0,), (10,), (0,), (10,)]
+        lanes, bits = solver._axes(points)
+        block = bits[0] | bits[1]
+        pool = 0b1111
+        box = (lanes.ones, pool)
         # The leftover keys alone fail the cut, so no larger block out of
         # the same pool passes it either.
-        assert solver._narrow(keys, block, pool, box, 2) is False
+        assert solver._narrow(lanes, block, pool, box, 2) is False
         # One block to come: it is the leftover pair, whose box meets.
-        assert solver._narrow(keys, block, pool, box, 1) == [(0, 10)]
+        narrowed = solver._narrow(lanes, block, pool, box, 1)
+        assert box_keys(points, narrowed) == [(0, 10)]
 
     def test_a_cut_block_can_still_grow(self):
         # {0} (key 0) leaves {1, 2} (keys 5, 10), whose box misses it; {0, 2}
         # (keys 0, 10) leaves {1}, whose box lies inside it.
-        bits, keys = solver._axes([(0,), (5,), (10,)])
-        pool = [0b111]
-        box = [(0, 10)]
-        assert solver._narrow(keys, bits[0], pool, box, 1) is None
-        grown = [bits[0][0] | bits[2][0]]
-        assert solver._narrow(keys, grown, pool, box, 1) == [(0, 10)]
-        assert list(enumerate_partitions(3, 2, points=[(0,), (5,), (10,)])) == [
-            ((0, 2), (1,))
-        ]
+        points = [(0,), (5,), (10,)]
+        lanes, bits = solver._axes(points)
+        pool = 0b111
+        box = (lanes.ones, pool)
+        assert solver._narrow(lanes, bits[0], pool, box, 1) is None
+        grown = bits[0] | bits[2]
+        narrowed = solver._narrow(lanes, grown, pool, box, 1)
+        assert box_keys(points, narrowed) == [(0, 10)]
+        assert list(enumerate_partitions(3, 2, points=points)) == [((0, 2), (1,))]
 
     @pytest.mark.parametrize(
         "d, r, mu_size, colored",
@@ -269,22 +273,157 @@ def walk_inputs(draw):
         points = [draw(point) for _ in range(n)]
         if draw(st.booleans()):
             points = solver._walk_keys(points, [1] * n)
-    coloring = None
+    return n, r, draw_coloring(draw, n), points
+
+
+def draw_coloring(draw, n: int):
+    """None, or a coloring of 0..n-1 into classes of any sizes."""
+    if not draw(st.booleans()):
+        return None
+    order = draw(st.permutations(range(n)))
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1)))) if n > 1 else []
+    bounds = [0, *cuts, n]
+    return [sorted(order[a:b]) for a, b in zip(bounds, bounds[1:])]
+
+
+@st.composite
+def lift_inputs(draw, length: int):
+    """Arguments of ``enumerate_partitions`` with the search's walk keys
+    (``solver._walk_keys``) on up to 9 homogeneous vectors ``(*p, 1)`` of
+    the given length, each ``p`` one of a few points on the grid [-2, 2]:
+    coincident points are common.  For the plane, the points all lie on one
+    line half the time, where every cross product is 0 on every point."""
+    r = draw(st.integers(2, 5))
+    n = draw(st.integers(r, 9))
+    d = length - 1
+    point = st.lists(st.integers(-2, 2), min_size=d, max_size=d)
+    if d == 2 and draw(st.booleans()):
+        (x, y), (u, w) = draw(point), draw(point)
+        steps = st.integers(-2, 2)
+        base = [[x + t * u, y + t * w] for t in draw(st.lists(steps, min_size=1))]
+    else:
+        base = draw(st.lists(point, min_size=1, max_size=n))
+    vectors = [(*draw(st.sampled_from(base)), 1) for _ in range(n)]
+    keys = solver._walk_keys(vectors, [1] * n)
+    return n, r, draw_coloring(draw, n), keys
+
+
+@st.composite
+def cut_nodes(draw):
+    """A node of the walk's cut: up to 9 points on the grid [-1, 1]^d, a few
+    of them repeated and sometimes with a constant first column, so ties
+    are common; a pool of them, ``k >= 1`` blocks to come, a block in the
+    pool that leaves at least ``k`` of its points, and a running box given
+    by two positions ``p <= q`` on each axis."""
+    d = draw(st.integers(1, 4))
+    n = draw(st.integers(2, 9))
+    point = st.lists(st.integers(-1, 1), min_size=d, max_size=d)
+    base = draw(st.lists(point, min_size=1, max_size=n))
+    points = [tuple(draw(st.sampled_from(base))) for _ in range(n)]
     if draw(st.booleans()):
-        order = draw(st.permutations(range(n)))
-        cuts = sorted(draw(st.sets(st.integers(1, n - 1)))) if n > 1 else []
-        bounds = [0, *cuts, n]
-        coloring = [sorted(order[a:b]) for a, b in zip(bounds, bounds[1:])]
-    return n, r, coloring, points
+        points = [(0, *p) for p in points]
+    pool = sorted(draw(st.sets(st.integers(0, n - 1), min_size=2)))
+    k = draw(st.integers(1, len(pool) - 1))
+    block = draw(
+        st.sets(st.sampled_from(pool), min_size=1, max_size=len(pool) - k)
+    )
+    box = [
+        sorted(draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2)))
+        for _ in points[0]
+    ]
+    return points, pool, sorted(block), k, box
+
+
+def box_keys(points, box) -> list[tuple]:
+    """A packed box of ``solver._narrow`` on ``points`` as ``(lo, hi)`` keys
+    per axis: each prefix mask's highest bit in a lane is the position of
+    its key on that axis."""
+    n = len(points)
+    lane = (1 << n) - 1
+    keys = []
+    for a, column in enumerate(zip(*points)):
+        values = sorted(column)
+        lo, hi = (mask >> a * n & lane for mask in box)
+        keys.append((values[lo.bit_length() - 1], values[hi.bit_length() - 1]))
+    return keys
+
+
+class TestPackedCut:
+    """The cut on packed lanes decides as the per-axis cut it replaced
+    (``tests/per_axis_cut.py``), except that it tests every axis against
+    the box from before the block first."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(cut_nodes())
+    def test_the_verdict_is_the_per_axis_cuts(self, node):
+        points, pool, block, k, positions = node
+        n = len(points)
+        lanes, bits = solver._axes(points)
+        packed_box = tuple(
+            sum(((2 << box[end]) - 1) << a * n for a, box in enumerate(positions))
+            for end in (0, 1)
+        )
+        verdict = solver._narrow(
+            lanes,
+            reduce(or_, (bits[v] for v in block)),
+            reduce(or_, (bits[v] for v in pool)),
+            packed_box,
+            k,
+        )
+        reference_bits, keys = per_axis_cut._axes(points)
+        axes = [
+            (
+                [keys[a]],
+                [reduce(or_, (reference_bits[v][a] for v in block))],
+                [reduce(or_, (reference_bits[v][a] for v in pool))],
+                [(keys[a][p + 1], keys[a][q + 1])],
+            )
+            for a, (p, q) in enumerate(positions)
+        ]
+        if any(per_axis_cut._narrow(*axis, k) is False for axis in axes):
+            assert verdict is False
+            return
+        expected = per_axis_cut._narrow(*(sum(c, []) for c in zip(*axes)), k)
+        if expected is None:
+            assert verdict is None
+        else:
+            assert verdict not in (None, False)
+            assert box_keys(points, verdict) == expected
+
+    def test_a_cut_before_the_box_update_is_false_on_any_axis(self):
+        # The block {0} leaves {1, 2}.  On axis 0 their keys 1 and 2 meet the
+        # running box [0, 2] but miss the block's key 0 (None there); on
+        # axis 1 their keys 0 and 1 miss the running box [2, 2] (False
+        # there).  The per-axis loop stopped at axis 0 with None.
+        points = [(0, 2), (1, 0), (2, 1)]
+        lanes, bits = solver._axes(points)
+        box = (0b1 | 0b111 << 3, 0b111 | 0b111 << 3)
+        assert box_keys(points, box) == [(0, 2), (2, 2)]
+        pool = 0b111 | 0b111 << 3
+        assert solver._narrow(lanes, bits[0], pool, box, 1) is False
+        assert per_axis_cut._narrow(
+            [(None, 0, 1, 2), (None, 0, 1, 2)], [0b1, 0b100], [0b111] * 2,
+            [(0, 2), (2, 2)], 1,
+        ) is None
 
 
 class TestBitsetWalk:
-    """The walk on point bitmasks lists what the tuple walk it replaced
+    """The walk on packed point bits lists what the tuple walk before it
     lists (``tests/tuple_walk.py``), in the same order."""
 
     @settings(max_examples=300, deadline=None)
     @given(walk_inputs())
     def test_listing_is_the_tuple_walks(self, args):
+        assert list(enumerate_partitions(*args)) == list(reference_partitions(*args))
+
+    @settings(max_examples=200, deadline=None)
+    @given(lift_inputs(3))
+    def test_planar_search_keys_list_as_the_tuple_walk(self, args):
+        assert list(enumerate_partitions(*args)) == list(reference_partitions(*args))
+
+    @settings(max_examples=100, deadline=None)
+    @given(lift_inputs(4))
+    def test_pairwise_search_keys_list_as_the_tuple_walk(self, args):
         assert list(enumerate_partitions(*args)) == list(reference_partitions(*args))
 
     def test_a_solve_nests_one_frame_per_block(self):

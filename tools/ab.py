@@ -17,8 +17,10 @@ is run by A and by B back to back, the order alternating from one instance
 to the next, so a drift in the machine's speed falls on both sides alike.
 Times are thread CPU time.
 
-The last line per workload is the speed ratio: A's total time over B's, so
-a ratio above 1 means B is faster.
+Per workload the script prints the totals, each side's p50 and p90 per
+instance (``statistics.quantiles(n=10)``, as ``perfbench/run.py`` takes
+them), and last the speed ratio: A's total time over B's, so a ratio above
+1 means B is faster.
 
 Then ``cli-round`` runs the 17 commands of the cli-oracle plan's
 round 0 (``perfbench/workloads.py``) through each checkout's ``cli.main``,
@@ -30,6 +32,12 @@ the certificate written to ``--output`` (removed before each run); a
 difference stops the script with exit 1.  This line times the whole
 command: argument parsing, reading, solving, verifying, the oracle and
 printing.
+
+Then ``cli-plan`` runs the whole cli-oracle plan the same way: the 17
+commands of every one of its ``CLI_ROUNDS`` rounds, in plan order, each
+once per pass.  Its speed ratio is B's calls per second over A's, and its
+p50 and p90 show a change that slows the many short commands, which the
+total, led by the few long ones, can hide.
 
 Last, ``frontier-round`` solves the inputs of ``tools/frontier.py``:
 every cell of its ``GRID`` at every seed of its ``SEEDS`` (the first
@@ -152,9 +160,9 @@ def interleave(name: str, noun: str, count: int, run, differs) -> int:
     """``run(side, i) -> (time, result)`` for each ``i < count``, ``PASSES``
     times over, by A (side 0) and B back to back, the order alternating from
     one ``i`` to the next.  The first ``differs(i, a, b)`` message about the
-    two results is printed and returns 1; otherwise the totals and the speed
-    ratio are printed and 0 is returned."""
-    totals = [0.0, 0.0]
+    two results is printed and returns 1; otherwise the totals, each side's
+    p50 and p90 and the speed ratio are printed and 0 is returned."""
+    samples: list[list[float]] = [[], []]
     ratios = []
     for _ in range(PASSES):
         for i in range(count):
@@ -166,27 +174,45 @@ def interleave(name: str, noun: str, count: int, run, differs) -> int:
             if difference:
                 print(f"{name} {difference}")
                 return 1
-            totals[0] += times[0]
-            totals[1] += times[1]
+            samples[0].append(times[0])
+            samples[1].append(times[1])
             if times[1] > 0:
                 ratios.append(times[0] / times[1])
+    totals = [sum(side) for side in samples]
     print(
         f"{name}: A {totals[0]:.3f} s, B {totals[1]:.3f} s over "
         f"{count} {noun}s x {PASSES} passes; "
         f"median per-{noun} A/B {statistics.median(ratios):.3f}"
     )
+    (a50, a90), (b50, b90) = (
+        (deciles[4], deciles[8])
+        for deciles in (statistics.quantiles(side, n=10) for side in samples)
+    )
+    print(
+        f"{name}: p50 A {a50 * 1000:.3f} ms, B {b50 * 1000:.3f} ms; "
+        f"p90 A {a90 * 1000:.3f} ms, B {b90 * 1000:.3f} ms"
+    )
     print(f"{name}: A/B speed ratio {totals[0] / totals[1]:.3f}")
     return 0
 
 
-def round_commands(workloads) -> list[list[str]]:
-    """The argument lists of the cli-oracle plan's round 0, with paths
+def round_commands(workloads, k: int = 0) -> list[list[str]]:
+    """The argument lists of the cli-oracle plan's round ``k``, with paths
     relative to the directory that holds the inputs.  The plan is read from
     ``Workload._cli_round`` without loading ``tvpm``; every argument is
     free of spaces, so each call's label splits back into its arguments."""
     plan = workloads.Workload.__new__(workloads.Workload)
     plan.workdir = Path()
-    return [call.label.split(" ") for call in plan._cli_round(0)]
+    return [call.label.split(" ") for call in plan._cli_round(k)]
+
+
+def plan_commands(workloads) -> list[list[str]]:
+    """The argument lists of every round of the cli-oracle plan, in order."""
+    return [
+        argv
+        for k in range(workloads.CLI_ROUNDS)
+        for argv in round_commands(workloads, k)
+    ]
 
 
 def command(package, argv: list[str]) -> tuple[float, tuple]:
@@ -209,7 +235,18 @@ def command(package, argv: list[str]) -> tuple[float, tuple]:
 
 
 def compare_round(workloads, packages) -> int:
-    commands = round_commands(workloads)
+    return compare_commands(workloads, packages, "cli-round", round_commands(workloads))
+
+
+def compare_plan(workloads, packages) -> int:
+    return compare_commands(workloads, packages, "cli-plan", plan_commands(workloads))
+
+
+def compare_commands(workloads, packages, name: str, commands) -> int:
+    """Each argument list of ``commands`` run through both packages'
+    ``cli.main`` (``interleave``), in one temporary copy of the cli-oracle
+    inputs; a difference in exit code, stdout, stderr or written
+    certificate is one."""
     fields = ("exit code", "stdout", "stderr", "written certificate")
 
     def differs(i, a, b):
@@ -223,7 +260,7 @@ def compare_round(workloads, packages) -> int:
     try:
         os.chdir(workdir)
         return interleave(
-            "cli-round",
+            name,
             "command",
             len(commands),
             lambda side, i: command(packages[side], commands[i]),
@@ -250,7 +287,7 @@ def main(argv=None) -> int:
         for workload in WORKLOADS:
             if compare(packages, workload, inputs(workloads, workload)):
                 return 1
-        if compare_round(workloads, packages):
+        if compare_round(workloads, packages) or compare_plan(workloads, packages):
             return 1
         return compare(packages, "frontier-round", frontier_texts()[:INSTANCES])
 

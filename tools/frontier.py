@@ -15,8 +15,9 @@ over all the seeds, the partitions the search listed (items its
 the programs that elimination could not decide), the simplex pivots of
 the whole solve (``tvpm.lp._pivot`` calls): those of the separation LP and
 of the search's LPs, and the nodes of the partition walk (its ``_narrow``
-calls, one per block it grows), which move when a change to the walk's axes
-moves a cut.  The sums do not depend on which seed ran slowest, so rows
+calls: one per grown block that the cut checks, and none in a walk without
+points), which move when a change to the walk's axes or to its cut moves
+where a branch is dropped.  The sums do not depend on which seed ran slowest, so rows
 compare from run to run and between checkouts.  The counts come from
 ``counting``, which wraps those names in ``tvpm.solver``, the module the
 search and its walk look them up in, and ``_pivot`` in ``tvpm.lp``, where
@@ -26,14 +27,13 @@ the wrappers' small cost.
 The last line is the whole grid's thread time, every cell and seed.
 
 It uses the standard library only, writes nothing, and takes no options.
-On a 2-core machine (Python 3.11.7) that last line read 4.78 s and 3.98 s
-in two runs with the bitset walk, its pairwise axes, the table of Farkas
-certificates and the elimination, against 5.71 s and 4.12 s without the
-elimination in the same session; the tuple walk before them, which cut on
-the coordinates alone, took about 20 s.  With the two cuts that the walk's one
-box cut replaced, (1,10,4) alone does not finish in ten minutes.  On the same
-machine the grid with its four colored cells read 3.86 s, the colored cells
-about 0.5 s of it, and none of their solves took more than 0.15 s.
+On a 2-core machine (Python 3.11.7) that last line read 3.18 s and 3.23 s
+with the packed walk, whose cut tests every axis at once, against 5.07 s
+and 5.02 s with the per-axis cut before it, in alternating runs; the tuple
+walk before both, which cut on the coordinates alone, took about 20 s.
+With the two cuts that the walk's one box cut replaced, (1,10,4) alone does
+not finish in ten minutes.  The four colored cells are about half a second
+of the grid, and none of their solves took more than 0.12 s.
 """
 
 from __future__ import annotations
